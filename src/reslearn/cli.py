@@ -26,7 +26,7 @@ from .harness import (
 from .ingest import EndpointFilter, emit_csv, parse_csv, parse_pcap
 from .metrics import evaluate
 from .report import _f
-from .residual import load_reslearn, predict_combined
+from .residual import combine_predictions, load_reslearn
 from .seriesprep import make_windows
 from .synth import gen_series, gen_trace
 from .viewframe import features_csv, identify_frames, segment_features, threshold_report
@@ -144,8 +144,9 @@ def cmd_evaluate(args) -> int:
     w = model.base.config.lookback
     x, y = make_windows(model.scaler.transform(values), w)
     actual = model.scaler.inverse(y)
-    base_m = evaluate(actual, model.scaler.inverse(model.base.predict(x)))
-    comb_m = evaluate(actual, predict_combined(model, x))
+    base_pred = model.base.predict(x)
+    base_m = evaluate(actual, model.scaler.inverse(base_pred))
+    comb_m = evaluate(actual, combine_predictions(model, base_pred, model.residual.predict(x)))
     print("model,rmse,mape,smape")
     print(f"base,{_f(base_m.rmse)},{_f(base_m.mape)},{_f(base_m.smape)}")
     print(f"reslearn,{_f(comb_m.rmse)},{_f(comb_m.mape)},{_f(comb_m.smape)}")

@@ -20,20 +20,19 @@ from .errors import (
     DegenerateSeries,
     NonFiniteLoss,
     ResLearnError,
+    SchemaMismatch,
 )
 from .ingest import EndpointFilter, PacketRecord, parse_csv, parse_pcap
 from .metrics import smape_improvement
 from .models import PredictorConfig
 from .report import comparison_csv, plot_data_csv, render_csv, render_json, report_rows
-from .residual import SegmentReport, predict_combined, train_reslearn
+from .residual import SegmentReport, train_reslearn
 from .seriesprep import (
     SplitSpec,
     impute_absent,
-    make_windows,
     rolling_mean,
     runs_test,
     segment,
-    split,
 )
 from .synth import SeriesSpec, TraceSpec, gen_series, gen_trace
 from .viewframe import (
@@ -143,16 +142,20 @@ def _feature_column(feats, feature: str) -> np.ndarray:
 
 
 def read_feature_csv(text: str, feature: str) -> np.ndarray:
-    from .errors import SchemaMismatch
-
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "segment,f_c,f_s,f_iat":
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1].strip() != "segment,f_c,f_s,f_iat":
         raise SchemaMismatch("expected header 'segment,f_c,f_s,f_iat'")
     col = {"f_c": 1, "f_s": 2, "f_iat": 3}[feature]
     raw = []
-    for ln in lines[1:]:
+    for i, ln in lines[1:]:
         parts = ln.split(",")
-        raw.append(None if parts[col] == "NA" else float(parts[col]))
+        if len(parts) != 4:
+            raise SchemaMismatch(f"line {i}: expected 4 fields, got {len(parts)}")
+        cell = parts[col]
+        try:
+            raw.append(None if cell == "NA" else float(cell))
+        except ValueError:
+            raise SchemaMismatch(f"line {i}: bad {feature} {cell!r}") from None
     if feature == "f_iat":
         return impute_absent(raw)
     return np.array([0.0 if v is None else v for v in raw], dtype=np.float64)
@@ -184,22 +187,6 @@ def _train_kind(kind: str, segments, cfg: ExperimentConfig, split_spec: SplitSpe
         for r in reports:
             r.combined_val = r.combined_test = None
     return models, reports
-
-
-def _plot_series(models, segments, split_spec: SplitSpec, lookback: int):
-    """Per-segment (actual, predicted) pairs on the test part for the base
-    and the combined model."""
-    base_plots: dict[int, tuple] = {}
-    combined_plots: dict[int, tuple] = {}
-    for i, model in enumerate(models):
-        if model is None:
-            continue
-        _, _, test = split(segments.segments[i], split_spec, lookback=lookback)
-        x_test, y_test = make_windows(model.scaler.transform(test), lookback)
-        actual = model.scaler.inverse(y_test)
-        base_plots[i] = (actual, model.scaler.inverse(model.base.predict(x_test)))
-        combined_plots[i] = (actual, predict_combined(model, x_test))
-    return base_plots, combined_plots
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> list[Path]:
@@ -251,7 +238,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[Path]:
     kind_reports: dict[str, list[SegmentReport]] = {}
     any_success = False
     for kind in kinds:
-        models, reports = results[kind]
+        _, reports = results[kind]
         kind_reports[kind] = reports
         any_success = any_success or any(r.failed is None for r in reports)
         rows = report_rows(reports, kind)
@@ -261,15 +248,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[Path]:
         path = out_dir / f"report_{kind}.json"
         path.write_text(render_json(rows))
         written.append(path)
-        base_plots, combined_plots = _plot_series(models, segments, split_spec, cfg.lookback)
-        for seg_index in sorted(base_plots):
-            path = out_dir / f"plot_{kind}_seg{seg_index}.csv"
-            path.write_text(plot_data_csv(*base_plots[seg_index]))
+        plotted = [r for r in reports if r.test_series is not None]
+        for r in plotted:
+            actual, base_pred, _ = r.test_series
+            path = out_dir / f"plot_{kind}_seg{r.segment_index}.csv"
+            path.write_text(plot_data_csv(actual, base_pred))
             written.append(path)
         if cfg.reslearn == "on":
-            for seg_index in sorted(combined_plots):
-                path = out_dir / f"plot_{kind}_reslearn_seg{seg_index}.csv"
-                path.write_text(plot_data_csv(*combined_plots[seg_index]))
+            for r in plotted:
+                actual, _, combined_pred = r.test_series
+                path = out_dir / f"plot_{kind}_reslearn_seg{r.segment_index}.csv"
+                path.write_text(plot_data_csv(actual, combined_pred))
                 written.append(path)
         ok = [r for r in reports if r.failed is None]
         if ok and cfg.reslearn == "on":

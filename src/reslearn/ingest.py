@@ -39,7 +39,7 @@ class Direction(Enum):
 @dataclass(frozen=True)
 class PacketRecord:
     ts: float          # seconds since first kept packet
-    length: int        # captured length, bytes
+    length: int        # original (on-the-wire) length, bytes
     direction: Direction
 
 
@@ -104,7 +104,9 @@ def parse_pcap(data: bytes, filt: EndpointFilter) -> ParseResult:
         if offset + RECORD_HEADER_LEN > len(data):
             warnings += 1
             break
-        ts_sec, ts_usec, incl_len, _orig_len = struct.unpack_from(rec_fmt, data, offset)
+        # incl_len bytes follow the header; orig_len is the packet's length on
+        # the wire, larger than incl_len in a snap-length capture
+        ts_sec, ts_usec, incl_len, orig_len = struct.unpack_from(rec_fmt, data, offset)
         offset += RECORD_HEADER_LEN
         if offset + incl_len > len(data):
             warnings += 1
@@ -117,7 +119,7 @@ def parse_pcap(data: bytes, filt: EndpointFilter) -> ParseResult:
             skipped += 1
             continue
         direction = parsed
-        raw.append((ts_sec + ts_usec * 1e-6, incl_len, direction))
+        raw.append((ts_sec + ts_usec * 1e-6, orig_len, direction))
 
     records = []
     if raw:

@@ -12,6 +12,10 @@ from ..errors import BadConfig, CheckpointError, NonFiniteLoss, ShapeMismatch
 
 CHECKPOINT_VERSION = 1
 
+# Inference runs over blocks of this many windows, so its memory is bounded by
+# one block's layer caches rather than by the number of windows.
+PREDICT_BLOCK = 256
+
 KINDS = ("transformer", "lstm", "gru", "stacked_lstm", "fcnn")
 
 
@@ -94,9 +98,22 @@ class Predictor:
         return inputs
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
-        inputs = self._check_inputs(inputs)
-        pred, _ = self._forward(self.params, inputs)
-        return pred
+        return self._forward_blocks(self._check_inputs(inputs))
+
+    def _forward_blocks(self, inputs: np.ndarray) -> np.ndarray:
+        """Predictions of `_forward` block by block, each block's cache dropped
+        once its predictions are copied out. Blocks start at multiples of
+        PREDICT_BLOCK and a one-window remainder joins the block before it: a
+        one-row matrix product takes a different BLAS path, so this keeps the
+        result bit-identical to one forward over the whole input."""
+        n = inputs.shape[0]
+        bounds = list(range(0, n, PREDICT_BLOCK)) + [n]
+        if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+            del bounds[-2]
+        out = np.empty(n)
+        for start, stop in zip(bounds, bounds[1:]):
+            out[start:stop] = self._forward(self.params, inputs[start:stop])[0]
+        return out
 
     def loss_and_grad(self, inputs: np.ndarray, targets: np.ndarray):
         pred, cache = self._forward(self.params, inputs)
@@ -160,7 +177,7 @@ class Predictor:
             trace.train_loss.append(epoch_loss / n)
 
             if has_val:
-                val_pred, _ = self._forward(self.params, val_inputs)
+                val_pred = self._forward_blocks(val_inputs)
                 val_loss = float(np.mean((val_pred - val_targets) ** 2))
                 if not np.isfinite(val_loss):
                     raise NonFiniteLoss(f"validation loss diverged at epoch {epoch}")

@@ -40,6 +40,8 @@ class SegmentReport:
     combined_val: MetricsResult | None = None
     combined_test: MetricsResult | None = None
     failed: str | None = None
+    # (actual, base, combined) on the test windows in physical units
+    test_series: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 RESLEARN_CHECKPOINT_VERSION = 1
@@ -108,17 +110,27 @@ def residual_targets(
     return res, res_b, res + res_b
 
 
-def predict_combined(
-    model: ResLearnModel, inputs: np.ndarray, scaled: bool = False
+def combine_predictions(
+    model: ResLearnModel, base_pred: np.ndarray, residual_pred: np.ndarray,
+    scaled: bool = False,
 ) -> np.ndarray:
     """Base + residual predictions with the training-time bias removed
     (kept when paper_literal_combine is set). Physical units by default."""
-    combined = model.base.predict(inputs) + model.residual.predict(inputs)
+    combined = base_pred + residual_pred
     if not model.paper_literal_combine:
         combined = combined - model.res_b
     if scaled:
         return combined
     return model.scaler.inverse(combined)
+
+
+def predict_combined(
+    model: ResLearnModel, inputs: np.ndarray, scaled: bool = False
+) -> np.ndarray:
+    """The combined forecast for `inputs`; see combine_predictions."""
+    return combine_predictions(
+        model, model.base.predict(inputs), model.residual.predict(inputs), scaled
+    )
 
 
 def train_reslearn(
@@ -170,24 +182,27 @@ def _train_segment(
     # fresh parameters per segment, with a segment-derived seed
     base = build_predictor(replace(base_cfg, seed=base_cfg.seed + 1000 * index))
     base_trace = base.fit(x_train, y_train, x_val, y_val)
-
-    train_pred = base.predict(x_train)
-    _, res_b, shifted = residual_targets(y_train, train_pred)
+    base_train, base_val, base_test = (base.predict(x) for x in (x_train, x_val, x_test))
+    _, res_b, shifted = residual_targets(y_train, base_train)
 
     residual = build_predictor(replace(residual_cfg, seed=residual_cfg.seed + 1000 * index + 1))
-    val_res_shifted = (y_val - base.predict(x_val)) + res_b
-    res_trace = residual.fit(x_train, shifted, x_val, val_res_shifted)
+    res_trace = residual.fit(x_train, shifted, x_val, (y_val - base_val) + res_b)
 
     model = ResLearnModel(base, residual, res_b, scaler, paper_literal_combine)
+    actual_val, actual_test = scaler.inverse(y_val), scaler.inverse(y_test)
+    combined_val = combine_predictions(model, base_val, residual.predict(x_val))
+    combined_test = combine_predictions(model, base_test, residual.predict(x_test))
+    base_test_phys = scaler.inverse(base_test)
 
     report = SegmentReport(
         segment_index=index,
         res_b=res_b,
         base_epochs=base_trace.epochs_run,
         residual_epochs=res_trace.epochs_run,
-        base_val=evaluate(scaler.inverse(y_val), scaler.inverse(base.predict(x_val))),
-        base_test=evaluate(scaler.inverse(y_test), scaler.inverse(base.predict(x_test))),
-        combined_val=evaluate(scaler.inverse(y_val), predict_combined(model, x_val)),
-        combined_test=evaluate(scaler.inverse(y_test), predict_combined(model, x_test)),
+        base_val=evaluate(actual_val, scaler.inverse(base_val)),
+        base_test=evaluate(actual_test, base_test_phys),
+        combined_val=evaluate(actual_val, combined_val),
+        combined_test=evaluate(actual_test, combined_test),
+        test_series=(actual_test, base_test_phys, combined_test),
     )
     return model, report

@@ -2,8 +2,12 @@ from pathlib import Path
 
 import pytest
 
+from reslearn import cli
 from reslearn.cli import main
 from reslearn.ingest import Direction, EndpointFilter, write_pcap
+from reslearn.models import Predictor, PredictorConfig, build_predictor
+from reslearn.residual import ResLearnModel, save_reslearn
+from reslearn.seriesprep import Scaler
 
 SMALL_CFG = """
 input_kind = synth-series
@@ -166,3 +170,44 @@ class TestTrainEvaluate:
         assert lines[0] == "model,rmse,mape,smape"
         assert lines[1].startswith("base,")
         assert lines[2].startswith("reslearn,")
+
+    def test_evaluate_predicts_once_per_model(self, small_cfg, tmp_path, monkeypatch):
+        out = tmp_path / "ckpts"
+        assert main(["train", "--config", str(small_cfg), "--out", str(out)]) == 0
+        features = tmp_path / "features.csv"
+        rows = ["segment,f_c,f_s,f_iat"]
+        rows += [f"{i},1,{100 + (i % 7)},NA" for i in range(30)]
+        features.write_text("\n".join(rows) + "\n")
+        loaded, calls = [], []
+        real_load, real_predict = cli.load_reslearn, Predictor.predict
+        monkeypatch.setattr(cli, "load_reslearn",
+                            lambda path: loaded.append(real_load(path)) or loaded[-1])
+        monkeypatch.setattr(Predictor, "predict",
+                            lambda model, x: calls.append(model) or real_predict(model, x))
+        ckpt = sorted(out.glob("ckpt_fcnn_seg*.npz"))[0]
+        assert main(["evaluate", "--model", str(ckpt), "--features", str(features)]) == 0
+        assert len(calls) == 2
+        assert calls[0] is loaded[0].base and calls[1] is loaded[0].residual
+
+
+class TestBadFeatureCsv:
+    @pytest.fixture
+    def ckpt(self, tmp_path):
+        base = build_predictor(PredictorConfig(kind="fcnn", lookback=4, hidden_width=8))
+        residual = build_predictor(PredictorConfig(kind="fcnn", lookback=4, hidden_width=8))
+        path = tmp_path / "ckpt.npz"
+        save_reslearn(ResLearnModel(base, residual, 0.5, Scaler(0.0, 10.0)), path)
+        return path
+
+    @pytest.mark.parametrize("row", ["0,1", "0,1,x,2"])
+    @pytest.mark.parametrize("command", ["eda", "evaluate"])
+    def test_bad_row_is_data_error(self, command, row, ckpt, tmp_path, capsys):
+        features = tmp_path / "bad.csv"
+        features.write_text(f"segment,f_c,f_s,f_iat\n{row}\n")
+        argv = [command, "--features", str(features)]
+        if command == "evaluate":
+            argv += ["--model", str(ckpt)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "SchemaMismatch: line 2:" in err
+        assert "Traceback" not in err

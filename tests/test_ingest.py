@@ -119,6 +119,25 @@ class TestParsePcap:
             assert rec.direction is direction
 
 
+    def test_snap_length_keeps_original_length(self):
+        lengths = [60, 61, 100, 1200, 1500]
+        data = bytearray(write_pcap(
+            [(0.001 * i, n, Direction.DOWNLINK) for i, n in enumerate(lengths)], FILT
+        ))
+        # rewrite as a capture with a 60-byte snap length: each record keeps
+        # orig_len but only its first incl_len = min(orig_len, 60) bytes
+        snapped = bytearray(data[:24])
+        offset = 24
+        while offset < len(data):
+            sec, usec, incl, orig = struct.unpack_from("<IIII", data, offset)
+            cut = min(incl, 60)
+            snapped += struct.pack("<IIII", sec, usec, cut, orig)
+            snapped += data[offset + 16:offset + 16 + cut]
+            offset += 16 + incl
+        result = parse_pcap(bytes(snapped), FILT)
+        assert result.warnings == 0
+        assert [r.length for r in result.records] == lengths
+
 class TestEndpointFilter:
     def test_rejects_bad_address(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,30 @@ class TestTraining:
             model.predict(np.zeros((4, 5)))
         with pytest.raises(ShapeMismatch):
             model.fit(np.zeros((4, 8)), np.zeros(3))
+
+
+class TestBlockInference:
+    # sizes around the block edges, with one-window remainders
+    SIZES = (0, 1, 2, 255, 256, 257, 513, 1968)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_predict_equals_whole_batch_forward(self, kind):
+        model = build_predictor(PredictorConfig(kind=kind, seed=3))
+        x = np.random.default_rng(0).uniform(0, 1, (max(self.SIZES), 32))
+        for n in self.SIZES:
+            whole, _ = model._forward(model.params, x[:n])
+            assert np.array_equal(model.predict(x[:n]), whole), n
+
+    def test_transformer_predict_memory_bounded_by_block(self):
+        model = build_predictor(PredictorConfig(kind="transformer", seed=3))
+        x = np.random.default_rng(0).uniform(0, 1, (2000, 32))
+        tracemalloc.start()
+        try:
+            model.predict(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 300e6
 
 
 class TestArchitectures:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reslearn.errors import LengthMismatch
-from reslearn.models import KINDS, PredictorConfig, build_predictor
+from reslearn.models import KINDS, Predictor, PredictorConfig, build_predictor
 from reslearn.residual import (
     ResLearnModel,
     load_reslearn,
@@ -11,7 +11,7 @@ from reslearn.residual import (
     save_reslearn,
     train_reslearn,
 )
-from reslearn.seriesprep import Scaler, SplitSpec, make_windows
+from reslearn.seriesprep import Scaler, SplitSpec, make_windows, split
 
 
 class TestResidualTargets:
@@ -167,3 +167,29 @@ class TestTrainReslearn:
         np.testing.assert_array_equal(
             predict_combined(loaded, x), predict_combined(models[0], x)
         )
+
+    def test_one_predict_per_split_and_plots_from_it(self, monkeypatch):
+        series = np.sin(np.arange(100) / 5.0) + 5.0
+        base_cfg, res_cfg = tiny_configs(kind="gru", epochs=3)
+        spec = SplitSpec(0.5, 0.2)
+        calls = []
+        real_predict = Predictor.predict
+
+        def spy(model, inputs):
+            calls.append(model)
+            return real_predict(model, inputs)
+
+        monkeypatch.setattr(Predictor, "predict", spy)
+        segments = [series, series + 1.0]
+        models, reports = train_reslearn(segments, base_cfg, res_cfg, spec)
+        monkeypatch.setattr(Predictor, "predict", real_predict)
+        assert len(calls) == 5 * len(segments)
+        for seg, m, r in zip(segments, models, reports):
+            assert sum(c is m.base for c in calls) == 3      # train, val, test
+            assert sum(c is m.residual for c in calls) == 2  # val, test
+            _, _, test = split(seg, spec, lookback=8)
+            x_test, y_test = make_windows(m.scaler.transform(test), 8)
+            actual, base_pred, combined = r.test_series
+            np.testing.assert_array_equal(actual, m.scaler.inverse(y_test))
+            np.testing.assert_array_equal(base_pred, m.scaler.inverse(m.base.predict(x_test)))
+            np.testing.assert_array_equal(combined, predict_combined(m, x_test))
