@@ -15,21 +15,20 @@ from .config import apply_overrides, load_config
 from .errors import ConfigError, NonFiniteLoss, ResLearnError
 from .harness import (
     eda_csv,
-    estimate_session_thresholds,
     feature_series,
-    load_packets,
+    packet_features,
     read_feature_csv,
     run_experiment,
     series_spec_from_config,
     trace_spec_from_config,
 )
-from .ingest import EndpointFilter, emit_csv, parse_csv, parse_pcap
+from .ingest import EndpointFilter, PacketTable, emit_csv, parse_csv, parse_pcap
 from .metrics import evaluate
 from .report import _f
 from .residual import combine_predictions, load_reslearn
 from .seriesprep import make_windows
 from .synth import gen_series, gen_trace
-from .viewframe import features_csv, identify_frames, segment_features, threshold_report
+from .viewframe import features_csv, threshold_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -48,12 +47,13 @@ def _add_packet_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--port", type=int, help="optional server port filter")
 
 
-def _read_packets(args) -> list:
+def _read_packets(args) -> PacketTable:
     if args.pcap:
         if not args.server:
             raise ConfigError("--pcap needs --server")
         filt = EndpointFilter(args.server, args.port)
-        result = parse_pcap(Path(args.pcap).read_bytes(), filt)
+        with open(args.pcap, "rb") as stream:
+            result = parse_pcap(stream, filt)
         print(f"parsed {len(result.records)} packets, skipped {result.skipped}, "
               f"warnings {result.warnings}", file=sys.stderr)
         return result.records
@@ -63,8 +63,7 @@ def _read_packets(args) -> list:
 
 
 def cmd_ingest(args) -> int:
-    records = _read_packets(args)
-    text = emit_csv(records)
+    text = emit_csv(_read_packets(args))
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -74,16 +73,12 @@ def cmd_ingest(args) -> int:
 
 def cmd_frames(args) -> int:
     cfg = load_config(args.config) if args.config else _default_cfg()
-    records = _read_packets(args)
-    thresholds = estimate_session_thresholds(records, cfg)
-    frames = identify_frames(records, thresholds, min_packets=cfg.min_packets)
-    num_segments = int(records[-1].ts // cfg.segment_duration) + 1 if records else 0
-    feats = segment_features(frames, 0.0, cfg.segment_duration, num_segments)
+    thresholds, frames, feats = packet_features(_read_packets(args), cfg)
     out = Path(args.out or _default_out())
     out.mkdir(parents=True, exist_ok=True)
     (out / "thresholds.json").write_text(threshold_report(thresholds))
     (out / "features.csv").write_text(features_csv(feats))
-    print(f"{len(frames)} frames over {num_segments} segments -> {out}", file=sys.stderr)
+    print(f"{len(frames)} frames over {len(feats)} segments -> {out}", file=sys.stderr)
     return EXIT_OK
 
 

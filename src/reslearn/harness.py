@@ -18,11 +18,12 @@ from .errors import (
     ConfigError,
     DegenerateDistribution,
     DegenerateSeries,
+    EmptySegment,
     NonFiniteLoss,
     ResLearnError,
     SchemaMismatch,
 )
-from .ingest import EndpointFilter, PacketRecord, parse_csv, parse_pcap
+from .ingest import EndpointFilter, PacketTable, parse_csv, parse_pcap
 from .metrics import smape_improvement
 from .models import PredictorConfig
 from .report import comparison_csv, plot_data_csv, render_csv, render_json, report_rows
@@ -36,6 +37,8 @@ from .seriesprep import (
 )
 from .synth import SeriesSpec, TraceSpec, gen_series, gen_trace
 from .viewframe import (
+    Frame,
+    SegmentFeatures,
     Thresholds,
     _dur_threshold_with_peaks,
     estimate_len_threshold,
@@ -91,27 +94,27 @@ def predictor_config(cfg: ExperimentConfig, kind: str, epochs: int) -> Predictor
     )
 
 
-def load_packets(cfg: ExperimentConfig) -> list[PacketRecord]:
+def load_packets(cfg: ExperimentConfig) -> PacketTable:
     if cfg.input_kind == "synth-trace":
         return gen_trace(trace_spec_from_config(cfg))[0]
     if cfg.input_kind == "pcap":
         filt = EndpointFilter(cfg.server, cfg.port if cfg.port >= 0 else None)
-        return parse_pcap(Path(cfg.input_path).read_bytes(), filt).records
+        with open(cfg.input_path, "rb") as stream:
+            return parse_pcap(stream, filt).records
     if cfg.input_kind == "csv":
         return parse_csv(Path(cfg.input_path).read_text())
     raise ConfigError(f"input_kind {cfg.input_kind} carries no packets")
 
 
-def estimate_session_thresholds(
-    packets: list[PacketRecord], cfg: ExperimentConfig
-) -> Thresholds:
+def estimate_session_thresholds(packets: PacketTable, cfg: ExperimentConfig) -> Thresholds:
     """Thresholds from the first segment, falling back to the configured
-    default duration when the IAT histogram is unimodal."""
-    first = [p for p in packets if p.ts < cfg.segment_duration]
+    default duration when the IAT histogram is unimodal or the segment holds
+    fewer than 3 packets."""
+    first = packets[packets.ts < cfg.segment_duration]
     len_th = estimate_len_threshold(first)
     try:
         dur_th, peaks = _dur_threshold_with_peaks(first, cfg.bins)
-    except DegenerateDistribution:
+    except (DegenerateDistribution, EmptySegment):
         dur_th, peaks = cfg.default_dur_th, []
     return Thresholds(len_th=len_th, dur_th=dur_th, bins=cfg.bins, peaks=tuple(peaks))
 
@@ -123,14 +126,21 @@ def feature_series(cfg: ExperimentConfig):
         return gen_series(series_spec_from_config(cfg))[0], None, None
     if cfg.input_kind == "features":
         return read_feature_csv(Path(cfg.input_path).read_text(), cfg.feature), None, None
-    packets = load_packets(cfg)
-    thresholds = estimate_session_thresholds(packets, cfg)
-    frames = identify_frames(packets, thresholds, min_packets=cfg.min_packets)
-    last_ts = packets[-1].ts if packets else 0.0
-    num_segments = int(last_ts // cfg.segment_duration) + 1
-    feats = segment_features(frames, 0.0, cfg.segment_duration, num_segments)
+    thresholds, _, feats = packet_features(load_packets(cfg), cfg)
     values = _feature_column(feats, cfg.feature)
     return values, thresholds, feats
+
+
+def packet_features(
+    packets: PacketTable, cfg: ExperimentConfig
+) -> tuple[Thresholds, list[Frame], list[SegmentFeatures]]:
+    """Session thresholds, frames and per-segment features of a packet table."""
+    thresholds = estimate_session_thresholds(packets, cfg)
+    frames = identify_frames(packets, thresholds, min_packets=cfg.min_packets)
+    last_ts = packets.ts[-1] if len(packets) else 0.0
+    num_segments = int(last_ts // cfg.segment_duration) + 1
+    feats = segment_features(frames, 0.0, cfg.segment_duration, num_segments)
+    return thresholds, frames, feats
 
 
 def _feature_column(feats, feature: str) -> np.ndarray:

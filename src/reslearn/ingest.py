@@ -1,4 +1,4 @@
-"""Parse packet captures (classic pcap) and CSV traces into normalized packet streams.
+"""Parse packet captures (classic pcap) and CSV traces into packet tables.
 
 All timestamps are re-based so the first kept packet sits at t=0; downstream
 math only ever uses trace-relative seconds.
@@ -6,9 +6,10 @@ math only ever uses trace-relative seconds.
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass
-from enum import Enum
+from typing import BinaryIO
 
 import numpy as np
 
@@ -21,26 +22,39 @@ from .errors import (
 )
 
 PCAP_MAGIC = 0xA1B2C3D4
+PCAP_NS_MAGIC = 0xA1B23C4D
 PCAPNG_MAGIC = 0x0A0D0D0A
 GLOBAL_HEADER_LEN = 24
 RECORD_HEADER_LEN = 16
+# bytes of capture read at a time; the parse holds about one chunk in memory
+CHUNK_BYTES = 4 << 20
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_VLAN = 0x8100
+MAX_LENGTH = 0xFFFFFFFF     # pcap stores lengths as 32-bit fields
 
 CSV_HEADER = "ts,length,direction"
+DOWN, UP = "down", "up"
 
 
-class Direction(Enum):
-    UPLINK = "up"
-    DOWNLINK = "down"
+@dataclass(frozen=True, eq=False)
+class PacketTable:
+    """Packets as parallel columns in capture order."""
 
+    ts: np.ndarray         # float64 seconds since the first kept packet
+    length: np.ndarray     # int64 original (on-the-wire) length, bytes
+    downlink: np.ndarray   # bool; True when the server sent the packet
 
-@dataclass(frozen=True)
-class PacketRecord:
-    ts: float          # seconds since first kept packet
-    length: int        # original (on-the-wire) length, bytes
-    direction: Direction
+    def __post_init__(self):
+        object.__setattr__(self, "ts", np.asarray(self.ts, dtype=np.float64))
+        object.__setattr__(self, "length", np.asarray(self.length, dtype=np.int64))
+        object.__setattr__(self, "downlink", np.asarray(self.downlink, dtype=bool))
+
+    def __len__(self) -> int:
+        return self.ts.size
+
+    def __getitem__(self, index) -> PacketTable:
+        return PacketTable(self.ts[index], self.length[index], self.downlink[index])
 
 
 @dataclass(frozen=True)
@@ -63,105 +77,155 @@ class EndpointFilter:
 
 @dataclass
 class ParseResult:
-    records: list[PacketRecord]
+    records: PacketTable
     skipped: int = 0      # non-IP / non-matching packets
     warnings: int = 0     # truncation events (parse stopped early)
 
 
-def parse_pcap(data: bytes, filt: EndpointFilter) -> ParseResult:
-    """Decode a classic pcap byte stream into packets matching `filt`.
+def parse_pcap(stream: BinaryIO, filt: EndpointFilter) -> ParseResult:
+    """Decode a classic pcap from a seekable binary stream into the packets
+    matching `filt`.
 
-    Only Ethernet link-layer captures are supported. VLAN-tagged and
-    non-IPv4 frames are skipped and counted, never fatal. A truncated
-    record stops the scan; everything decoded so far is returned with
-    the warning counter bumped.
+    Only Ethernet link-layer captures are supported. One 802.1Q tag is
+    unwrapped; other non-IPv4 frames are skipped and counted, never fatal. A
+    truncated record stops the scan; everything decoded so far is returned
+    with the warning counter bumped. The capture is read CHUNK_BYTES at a
+    time, so memory does not grow with its size.
     """
-    if len(data) < GLOBAL_HEADER_LEN:
+    header = stream.read(GLOBAL_HEADER_LEN)
+    if len(header) < GLOBAL_HEADER_LEN:
         raise TruncatedHeader(
-            f"need {GLOBAL_HEADER_LEN} bytes of global header, got {len(data)}"
+            f"need {GLOBAL_HEADER_LEN} bytes of global header, got {len(header)}"
         )
-    magic_le = struct.unpack_from("<I", data, 0)[0]
-    if magic_le == PCAP_MAGIC:
-        endian = "<"
-    elif struct.unpack_from(">I", data, 0)[0] == PCAP_MAGIC:
-        endian = ">"
-    elif magic_le == PCAPNG_MAGIC or struct.unpack_from(">I", data, 0)[0] == PCAPNG_MAGIC:
+    magic_le = struct.unpack_from("<I", header, 0)[0]
+    magic_be = struct.unpack_from(">I", header, 0)[0]
+    if magic_le in (PCAP_MAGIC, PCAP_NS_MAGIC):
+        endian, magic = "<", magic_le
+    elif magic_be in (PCAP_MAGIC, PCAP_NS_MAGIC):
+        endian, magic = ">", magic_be
+    elif PCAPNG_MAGIC in (magic_le, magic_be):
         raise BadMagic("pcapng input is not supported; export as classic pcap")
     else:
         raise BadMagic(f"unknown pcap magic 0x{magic_le:08x}")
+    frac_scale = 1e-6 if magic == PCAP_MAGIC else 1e-9
 
-    network = struct.unpack_from(endian + "I", data, 20)[0]
+    network = struct.unpack_from(endian + "I", header, 20)[0]
     if network != 1:
         raise BadMagic(f"unsupported link type {network}; only Ethernet captures")
 
-    server = filt.packed_address()
-    rec_fmt = endian + "IIII"
-    offset = GLOBAL_HEADER_LEN
-    raw: list[tuple[float, int, Direction]] = []
+    here = stream.tell()
+    unread = stream.seek(0, io.SEEK_END) - here
+    stream.seek(here)
+    server = np.frombuffer(filt.packed_address(), dtype=">u4")[0]
+    incl_at = struct.Struct(endian + "I").unpack_from
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     skipped = 0
-    warnings = 0
-    while offset < len(data):
-        if offset + RECORD_HEADER_LEN > len(data):
-            warnings += 1
+    buf = bytearray()
+    pos = 0
+    while True:
+        # walk the records that fit in the buffer: one unpack of incl_len each
+        heads = []
+        size = end = len(buf)
+        while pos + RECORD_HEADER_LEN <= size:
+            # incl_len bytes follow the header; orig_len is the packet's length on
+            # the wire, larger than incl_len in a snap-length capture
+            end = pos + RECORD_HEADER_LEN + incl_at(buf, pos + 8)[0]
+            if end > size:
+                break
+            heads.append(pos)
+            pos = end
+        if heads:
+            part, n_skipped = _decode(buf, np.array(heads, dtype=np.int64), endian,
+                                      frac_scale, server, filt.port)
+            parts.append(part)
+            skipped += n_skipped
+        # a partial record whose header is buffered lacks `end - size` bytes:
+        # read them with the next chunk in one read, never past the stream's end
+        missing = end - size if pos + RECORD_HEADER_LEN <= size else 0
+        if unread == 0 or missing > unread:
+            warnings = int(pos < size)      # a truncated record ends the scan
             break
-        # incl_len bytes follow the header; orig_len is the packet's length on
-        # the wire, larger than incl_len in a snap-length capture
-        ts_sec, ts_usec, incl_len, orig_len = struct.unpack_from(rec_fmt, data, offset)
-        offset += RECORD_HEADER_LEN
-        if offset + incl_len > len(data):
-            warnings += 1
-            break
-        frame = data[offset:offset + incl_len]
-        offset += incl_len
+        tail = buf[pos:]
+        del buf
+        want = min(unread, max(missing, CHUNK_BYTES))
+        buf = bytearray(len(tail) + want)
+        buf[:len(tail)] = tail
+        got = stream.readinto(memoryview(buf)[len(tail):])
+        if got < want:      # the stream ended early
+            del buf[len(tail) + got:]
+            unread = 0
+        else:
+            unread -= got
+        pos = 0
 
-        parsed = _match_frame(frame, server, filt.port)
-        if parsed is None:
-            skipped += 1
-            continue
-        direction = parsed
-        raw.append((ts_sec + ts_usec * 1e-6, orig_len, direction))
-
-    records = []
-    if raw:
-        t0 = raw[0][0]
-        records = [PacketRecord(t - t0, ln, d) for t, ln, d in raw]
-    return ParseResult(records, skipped=skipped, warnings=warnings)
+    if not parts:
+        return ParseResult(PacketTable([], [], []), skipped=skipped, warnings=warnings)
+    ts, length, downlink = (np.concatenate(cols) for cols in zip(*parts))
+    if ts.size:
+        ts -= ts[0]
+    return ParseResult(PacketTable(ts, length, downlink), skipped=skipped, warnings=warnings)
 
 
-def _match_frame(frame: bytes, server: bytes, port: int | None) -> Direction | None:
-    """Return the packet direction if the Ethernet frame matches the filter."""
-    if len(frame) < 14:
-        return None
-    ethertype = struct.unpack_from("!H", frame, 12)[0]
-    if ethertype != ETHERTYPE_IPV4:
-        # VLAN-tagged and IPv6 frames are skipped, not errors
-        return None
-    ip = frame[14:]
-    if len(ip) < 20 or ip[0] >> 4 != 4:
-        return None
-    ihl = (ip[0] & 0x0F) * 4
-    proto = ip[9]
-    if proto not in (6, 17) or len(ip) < ihl + 4:
-        return None
-    src = ip[12:16]
-    dst = ip[16:20]
-    sport, dport = struct.unpack_from("!HH", ip, ihl)
-    if src == server and (port is None or sport == port):
-        return Direction.DOWNLINK
-    if dst == server and (port is None or dport == port):
-        return Direction.UPLINK
-    return None
+def _gather(data: np.ndarray, offsets: np.ndarray, dtype: str) -> np.ndarray:
+    """The values of `dtype` stored at each byte offset of `data`."""
+    width = np.dtype(dtype).itemsize
+    return data[offsets[:, None] + np.arange(width)].view(dtype)[:, 0]
+
+
+def _decode(buf, heads, endian, frac_scale, server, port):
+    """Columns (abs ts, orig_len, downlink) of the records whose headers start
+    at `heads`, keeping the Ethernet/IPv4 TCP or UDP packets to or from the
+    server, and the number skipped."""
+    data = np.frombuffer(buf, dtype=np.uint8)
+    u32 = endian + "u4"
+    incl = _gather(data, heads + 8, u32).astype(np.int64)
+    frame = heads + RECORD_HEADER_LEN
+    ok = incl >= 14
+    ethertype = np.zeros(heads.size, dtype=np.int64)
+    ethertype[ok] = _gather(data, frame[ok] + 12, ">u2")
+    l2 = np.full(heads.size, 14, dtype=np.int64)
+    vlan = (ethertype == ETHERTYPE_VLAN) & (incl >= 18)
+    ethertype[vlan] = _gather(data, frame[vlan] + 16, ">u2")
+    l2[vlan] = 18
+    ok &= ethertype == ETHERTYPE_IPV4
+    ip = frame + l2
+    ok &= incl - l2 >= 20
+    version_ihl = np.zeros(heads.size, dtype=np.int64)
+    version_ihl[ok] = data[ip[ok]]
+    ihl = (version_ihl & 0x0F) * 4
+    ok &= version_ihl >> 4 == 4
+    ok &= incl - l2 >= ihl + 4
+    proto = np.zeros(heads.size, dtype=np.uint8)
+    proto[ok] = data[ip[ok] + 9]
+    ok &= (proto == 6) | (proto == 17)
+
+    keep = np.flatnonzero(ok)
+    ip, ihl = ip[keep], ihl[keep]
+    src = _gather(data, ip + 12, ">u4")
+    dst = _gather(data, ip + 16, ">u4")
+    down = src == server
+    up = dst == server
+    if port is not None:
+        down &= _gather(data, ip + ihl, ">u2") == port
+        up &= _gather(data, ip + ihl + 2, ">u2") == port
+    keep = keep[down | up]
+    down = down[down | up]
+
+    sec = _gather(data, heads[keep], u32).astype(np.float64)
+    frac = _gather(data, heads[keep] + 4, u32).astype(np.float64)
+    orig_len = _gather(data, heads[keep] + 12, u32).astype(np.int64)
+    return (sec + frac * frac_scale, orig_len, down), int(heads.size - keep.size)
 
 
 def write_pcap(
-    packets: list[tuple[float, int, Direction]],
+    packets: PacketTable,
     filt: EndpointFilter,
     client_address: str = "192.168.0.2",
 ) -> bytes:
-    """Assemble a classic little-endian pcap for the given (abs_ts, length, direction)
-    triples; the inverse of parse_pcap for synthetic fixtures.
+    """Assemble a classic little-endian pcap of `packets`, whose ts are absolute
+    capture times; the inverse of parse_pcap for synthetic fixtures.
 
-    `length` is the captured frame length and must be >= 42
+    Each length is the captured frame length and must be >= 42
     (Ethernet + IPv4 + UDP headers).
     """
     server = filt.packed_address()
@@ -169,10 +233,11 @@ def write_pcap(
     port = filt.port if filt.port is not None else 51000
     out = bytearray()
     out += struct.pack("<IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, 65535, 1)
-    for ts, length, direction in packets:
+    rows = zip(packets.ts.tolist(), packets.length.tolist(), packets.downlink.tolist())
+    for ts, length, downlink in rows:
         if length < 42:
             raise ValueError(f"cannot fit headers in {length} bytes")
-        if direction is Direction.DOWNLINK:
+        if downlink:
             src, dst = server, client
             sport, dport = port, 52000
         else:
@@ -194,13 +259,13 @@ def write_pcap(
     return bytes(out)
 
 
-def parse_csv(text: str) -> list[PacketRecord]:
+def parse_csv(text: str) -> PacketTable:
     """Read the `ts,length,direction` trace schema; ts re-based to first row."""
     lines = text.splitlines()
     if not lines or lines[0].lstrip("﻿").strip() != CSV_HEADER:
         got = lines[0].strip() if lines else "<empty>"
         raise SchemaMismatch(f"expected header {CSV_HEADER!r}, got {got!r}")
-    records = []
+    ts_col, length_col, down_col = [], [], []
     t0 = None
     prev = None
     for i, line in enumerate(lines[1:], start=2):
@@ -217,35 +282,35 @@ def parse_csv(text: str) -> list[PacketRecord]:
             length = int(parts[1])
         except ValueError:
             raise RowParseError(i, f"bad length {parts[1]!r}") from None
-        if length < 1:
-            raise RowParseError(i, f"length must be >= 1, got {length}")
-        try:
-            direction = Direction(parts[2])
-        except ValueError:
-            raise RowParseError(i, f"bad direction {parts[2]!r}") from None
+        if not 1 <= length <= MAX_LENGTH:
+            raise RowParseError(i, f"length must be in [1, {MAX_LENGTH}], got {length}")
+        if parts[2] not in (DOWN, UP):
+            raise RowParseError(i, f"bad direction {parts[2]!r}")
         if t0 is None:
             t0 = ts
         rel = ts - t0
         if prev is not None and rel < prev:
             raise RowParseError(i, f"timestamps not monotone: {ts}")
         prev = rel
-        records.append(PacketRecord(rel, length, direction))
-    return records
+        ts_col.append(rel)
+        length_col.append(length)
+        down_col.append(parts[2] == DOWN)
+    return PacketTable(ts_col, length_col, down_col)
 
 
-def emit_csv(records: list[PacketRecord]) -> str:
-    """Bit-stable text form: parse_csv(emit_csv(r)) == r exactly."""
+def emit_csv(packets: PacketTable) -> str:
+    """Bit-stable text form: parse_csv(emit_csv(p)) has the same columns exactly."""
     lines = [CSV_HEADER]
-    lines += [f"{r.ts!r},{r.length},{r.direction.value}" for r in records]
+    rows = zip(packets.ts.tolist(), packets.length.tolist(), packets.downlink.tolist())
+    lines += [f"{ts!r},{length},{DOWN if down else UP}" for ts, length, down in rows]
     return "\n".join(lines) + "\n"
 
 
-def inter_arrival(packets: list[PacketRecord]) -> np.ndarray:
+def inter_arrival(packets: PacketTable) -> np.ndarray:
     """Per-packet inter-arrival times; index 0 is defined as 0."""
-    if not packets:
+    if not len(packets):
         raise EmptyTrace("inter_arrival needs at least one packet")
-    ts = np.array([p.ts for p in packets], dtype=np.float64)
-    out = np.empty_like(ts)
+    out = np.empty_like(packets.ts)
     out[0] = 0.0
-    out[1:] = np.diff(ts)
+    out[1:] = np.diff(packets.ts)
     return out

@@ -1,21 +1,19 @@
 """LSTM / GRU / stacked-LSTM predictors.
 
-The per-timestep recurrences are the hot loops of this package, so the
-sequence kernels are numba-compiled on the default lane (see _backend).
-Gate math follows the classic formulations; gradients are exact BPTT and
-covered by finite-difference checks in the test suite.
+The per-timestep recurrences loop over the lookback steps and vectorize over
+the batch. Gate math follows the classic formulations; gradients are exact
+BPTT and covered by finite-difference checks in the test suite.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .._backend import maybe_njit
 from ..errors import BadConfig
 from .base import Predictor, PredictorConfig, uniform_init
 
 
-def _lstm_forward(x, wx, wh, b):
+def lstm_forward(x, wx, wh, b):
     n, t_len, _ = x.shape
     d = wh.shape[0]
     gates = np.zeros((n, t_len, 4 * d))
@@ -41,7 +39,7 @@ def _lstm_forward(x, wx, wh, b):
     return gates, c_all, h_all
 
 
-def _lstm_backward(x, wx, wh, gates, c_all, h_all, dh_out):
+def lstm_backward(x, wx, wh, gates, c_all, h_all, dh_out):
     n, t_len, i_dim = x.shape
     d = wh.shape[0]
     dwx = np.zeros_like(wx)
@@ -84,7 +82,7 @@ def _lstm_backward(x, wx, wh, gates, c_all, h_all, dh_out):
     return dwx, dwh, db, dx
 
 
-def _gru_forward(x, wxg, whg, bg, wxn, whn, bn):
+def gru_forward(x, wxg, whg, bg, wxn, whn, bn):
     n, t_len, _ = x.shape
     d = whn.shape[0]
     gates = np.zeros((n, t_len, 3 * d))   # [z, r, n]
@@ -104,7 +102,7 @@ def _gru_forward(x, wxg, whg, bg, wxn, whn, bn):
     return gates, h_all
 
 
-def _gru_backward(x, wxg, whg, wxn, whn, gates, h_all, dh_out):
+def gru_backward(x, wxg, whg, wxn, whn, gates, h_all, dh_out):
     n, t_len, _ = x.shape
     d = whn.shape[0]
     dwxg = np.zeros_like(wxg)
@@ -145,12 +143,6 @@ def _gru_backward(x, wxg, whg, wxn, whn, gates, h_all, dh_out):
         dx[:, t, :] = dzg @ wxg.T + d_pre_n @ wxn.T
         dh = dh_prev
     return dwxg, dwhg, dbg, dwxn, dwhn, dbn, dx
-
-
-lstm_forward = maybe_njit(_lstm_forward)
-lstm_backward = maybe_njit(_lstm_backward)
-gru_forward = maybe_njit(_gru_forward)
-gru_backward = maybe_njit(_gru_backward)
 
 
 class RecurrentPredictor(Predictor):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSpec
-from .ingest import Direction, PacketRecord
+from .ingest import PacketTable
 from .viewframe import Frame
 
 
@@ -60,7 +60,7 @@ class SeriesSpec:
 SPIKE_SHAPE = np.array([0.3, 0.7, 1.0, 0.6, 0.3])
 
 
-def gen_trace(spec: TraceSpec) -> tuple[list[PacketRecord], list[Frame]]:
+def gen_trace(spec: TraceSpec) -> tuple[PacketTable, list[Frame]]:
     """Downlink frame bursts at the configured fps plus sparse small
     background packets; returns packets sorted by time and the planted frames."""
     rng = np.random.default_rng(spec.seed)
@@ -89,7 +89,9 @@ def gen_trace(spec: TraceSpec) -> tuple[list[PacketRecord], list[Frame]]:
         events.append((float(t), 100))
     events.sort()
     t0 = events[0][0] if events else 0.0
-    packets = [PacketRecord(t - t0, ln, Direction.DOWNLINK) for t, ln in events]
+    ts = np.array([t for t, _ in events], dtype=np.float64) - t0
+    length = [ln for _, ln in events]
+    packets = PacketTable(ts, length, np.ones(len(events), dtype=bool))
     planted = [
         Frame(f.start_ts - t0, f.end_ts - t0, f.size, f.packet_count) for f in planted
     ]

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import maybe_njit
 from .errors import DegenerateDistribution, EmptySegment
-from .ingest import Direction, PacketRecord
+from .ingest import PacketTable
 
 DEFAULT_BINS = 50
 LEN_FRACTION = 0.25
@@ -46,25 +45,24 @@ class SegmentFeatures:
     f_iat: float | None      # mean inter-frame arrival, None if < 2 frames
 
 
-def estimate_len_threshold(packets: list[PacketRecord]) -> float:
-    if not packets:
+def estimate_len_threshold(packets: PacketTable) -> float:
+    if not len(packets):
         raise EmptySegment("length threshold needs a non-empty first segment")
-    return LEN_FRACTION * max(p.length for p in packets)
+    return LEN_FRACTION * int(packets.length.max())
 
 
-def estimate_dur_threshold(packets: list[PacketRecord], bins: int = DEFAULT_BINS) -> float:
+def estimate_dur_threshold(packets: PacketTable, bins: int = DEFAULT_BINS) -> float:
     return _dur_threshold_with_peaks(packets, bins)[0]
 
 
 def _dur_threshold_with_peaks(
-    packets: list[PacketRecord], bins: int = DEFAULT_BINS
+    packets: PacketTable, bins: int = DEFAULT_BINS
 ) -> tuple[float, list[float]]:
     """Histogram log10(IAT) and return the geometric midpoint between the
     centers of the first two peaks, plus the peak IATs for reporting."""
     if len(packets) < 3:
         raise EmptySegment("duration threshold needs at least 3 packets")
-    ts = np.array([p.ts for p in packets], dtype=np.float64)
-    iat = np.diff(ts)
+    iat = np.diff(packets.ts)
     iat = iat[iat > 0]
     if iat.size < 2 or np.unique(iat).size < 2:
         raise DegenerateDistribution("need at least 2 distinct positive IATs")
@@ -90,74 +88,42 @@ def _dur_threshold_with_peaks(
     return float(10.0 ** mid), [float(10.0 ** centers[i]) for i in peak_idx]
 
 
-def estimate_thresholds(packets: list[PacketRecord], bins: int = DEFAULT_BINS) -> Thresholds:
+def estimate_thresholds(packets: PacketTable, bins: int = DEFAULT_BINS) -> Thresholds:
     len_th = estimate_len_threshold(packets)
     dur_th, peaks = _dur_threshold_with_peaks(packets, bins)
     return Thresholds(len_th=len_th, dur_th=dur_th, bins=bins, peaks=tuple(peaks))
 
 
-def _assign_frames(ts, eligible, dur_th, split_on_small):
-    """Frame id per packet, -1 for non-members. Consecutive eligible packets
-    with gap <= dur_th share a frame."""
-    n = ts.shape[0]
-    fid = np.full(n, -1, dtype=np.int64)
-    cur = -1
-    last_ts = 0.0
-    open_frame = False
-    for i in range(n):
-        if eligible[i]:
-            if (not open_frame) or ts[i] - last_ts > dur_th:
-                cur += 1
-                open_frame = True
-            fid[i] = cur
-            last_ts = ts[i]
-        elif split_on_small:
-            open_frame = False
-    return fid
-
-
-_assign_frames_jit = maybe_njit(_assign_frames)
-
-
 def identify_frames(
-    packets: list[PacketRecord],
+    packets: PacketTable,
     thresholds: Thresholds,
     min_packets: int = 1,
-    directions: frozenset[Direction] = frozenset({Direction.DOWNLINK}),
     split_on_small_packet: bool = False,
 ) -> list[Frame]:
-    """Group frame-eligible packets into frames per the threshold rules."""
-    scanned = [p for p in packets if p.direction in directions]
-    if not scanned:
+    """Group frame-eligible downlink packets into frames: consecutive eligible
+    packets with a gap <= dur_th share a frame, and with
+    `split_on_small_packet` an ineligible packet between them also closes it."""
+    ts = packets.ts[packets.downlink]
+    length = packets.length[packets.downlink]
+    index = np.flatnonzero(length.astype(np.float64) >= thresholds.len_th)
+    if not index.size:
         return []
-    ts = np.array([p.ts for p in scanned], dtype=np.float64)
-    length = np.array([p.length for p in scanned], dtype=np.int64)
-    eligible = length.astype(np.float64) >= thresholds.len_th
-    fid = _assign_frames_jit(ts, eligible, float(thresholds.dur_th), split_on_small_packet)
-
-    frames = []
-    member = fid >= 0
-    if not member.any():
-        return frames
-    f = fid[member]
-    t = ts[member]
-    ln = length[member]
-    counts = np.bincount(f)
-    sizes = np.bincount(f, weights=ln).astype(np.int64)
-    first = np.searchsorted(f, np.arange(counts.size), side="left")
-    last = np.searchsorted(f, np.arange(counts.size), side="right") - 1
-    for k in range(counts.size):
-        if counts[k] < min_packets:
-            continue
-        frames.append(
-            Frame(
-                start_ts=float(t[first[k]]),
-                end_ts=float(t[last[k]]),
-                size=int(sizes[k]),
-                packet_count=int(counts[k]),
-            )
-        )
-    return frames
+    t = ts[index]
+    new = np.empty(index.size, dtype=bool)
+    new[0] = True
+    new[1:] = np.diff(t) > thresholds.dur_th
+    if split_on_small_packet:
+        new[1:] |= np.diff(index) > 1
+    first = np.flatnonzero(new)
+    last = np.append(first[1:], index.size) - 1
+    counts = last - first + 1
+    sizes = np.add.reduceat(length[index], first)
+    kept = counts >= min_packets
+    return [
+        Frame(start_ts=s, end_ts=e, size=z, packet_count=c)
+        for s, e, z, c in zip(t[first[kept]].tolist(), t[last[kept]].tolist(),
+                              sizes[kept].tolist(), counts[kept].tolist())
+    ]
 
 
 def segment_features(

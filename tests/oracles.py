@@ -1,0 +1,125 @@
+"""Reference implementations the tests compare the vectorized code against,
+and a builder of packet tables from rows.
+
+`parse_pcap_records` decodes a classic pcap one record at a time with plain
+`struct` calls; `assign_frames` is the scalar frame scan. Both state the rules
+in the most direct form and must agree exactly with the columnar parser and
+the cumsum scan.
+"""
+
+from __future__ import annotations
+
+import struct
+
+import numpy as np
+
+from reslearn.errors import BadMagic, TruncatedHeader
+from reslearn.ingest import PacketTable
+
+PCAP_MAGIC = 0xA1B2C3D4
+PCAP_NS_MAGIC = 0xA1B23C4D
+PCAPNG_MAGIC = 0x0A0D0D0A
+DOWNLINK, UPLINK = True, False
+
+
+def table(rows) -> PacketTable:
+    """A packet table from (ts, length, downlink) rows."""
+    rows = list(rows)
+    return PacketTable([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
+
+
+def rows(packets: PacketTable) -> list[tuple[float, int, bool]]:
+    return list(zip(packets.ts.tolist(), packets.length.tolist(),
+                    packets.downlink.tolist()))
+
+
+def parse_pcap_records(data: bytes, server: bytes, port: int | None):
+    """([(ts, orig_len, downlink)], skipped, warnings) of a whole capture."""
+    if len(data) < 24:
+        raise TruncatedHeader("short global header")
+    magic_le = struct.unpack_from("<I", data, 0)[0]
+    magic_be = struct.unpack_from(">I", data, 0)[0]
+    if magic_le in (PCAP_MAGIC, PCAP_NS_MAGIC):
+        endian, magic = "<", magic_le
+    elif magic_be in (PCAP_MAGIC, PCAP_NS_MAGIC):
+        endian, magic = ">", magic_be
+    elif PCAPNG_MAGIC in (magic_le, magic_be):
+        raise BadMagic("pcapng")
+    else:
+        raise BadMagic("unknown magic")
+    scale = 1e-6 if magic == PCAP_MAGIC else 1e-9
+    if struct.unpack_from(endian + "I", data, 20)[0] != 1:
+        raise BadMagic("link type")
+
+    offset = 24
+    raw = []
+    skipped = 0
+    warnings = 0
+    while offset < len(data):
+        if offset + 16 > len(data):
+            warnings += 1
+            break
+        sec, frac, incl_len, orig_len = struct.unpack_from(endian + "IIII", data, offset)
+        offset += 16
+        if offset + incl_len > len(data):
+            warnings += 1
+            break
+        frame = data[offset:offset + incl_len]
+        offset += incl_len
+        downlink = match_frame(frame, server, port)
+        if downlink is None:
+            skipped += 1
+            continue
+        raw.append((sec + frac * scale, orig_len, downlink))
+    if raw:
+        t0 = raw[0][0]
+        raw = [(t - t0, ln, d) for t, ln, d in raw]
+    return raw, skipped, warnings
+
+
+def match_frame(frame: bytes, server: bytes, port: int | None) -> bool | None:
+    """True for downlink, False for uplink, None when the frame is skipped."""
+    if len(frame) < 14:
+        return None
+    ethertype = struct.unpack_from("!H", frame, 12)[0]
+    l2 = 14
+    if ethertype == 0x8100 and len(frame) >= 18:
+        ethertype = struct.unpack_from("!H", frame, 16)[0]
+        l2 = 18
+    if ethertype != 0x0800:
+        return None
+    ip = frame[l2:]
+    if len(ip) < 20 or ip[0] >> 4 != 4:
+        return None
+    ihl = (ip[0] & 0x0F) * 4
+    proto = ip[9]
+    if proto not in (6, 17) or len(ip) < ihl + 4:
+        return None
+    src = ip[12:16]
+    dst = ip[16:20]
+    sport, dport = struct.unpack_from("!HH", ip, ihl)
+    if src == server and (port is None or sport == port):
+        return DOWNLINK
+    if dst == server and (port is None or dport == port):
+        return UPLINK
+    return None
+
+
+def assign_frames(ts, eligible, dur_th, split_on_small):
+    """Frame id per packet, -1 for non-members. Consecutive eligible packets
+    with gap <= dur_th share a frame."""
+    n = ts.shape[0]
+    fid = np.full(n, -1, dtype=np.int64)
+    cur = -1
+    last_ts = 0.0
+    open_frame = False
+    for i in range(n):
+        if eligible[i]:
+            if (not open_frame) or ts[i] - last_ts > dur_th:
+                cur += 1
+                open_frame = True
+            fid[i] = cur
+            last_ts = ts[i]
+        elif split_on_small:
+            open_frame = False
+    return fid

@@ -141,7 +141,7 @@ class TestCriterion5FrameRecovery:
         # clean trace: exact frame count and byte totals
         clean = TraceSpec(duration=10.0, jitter_std=0.0, background_rate=50.0, seed=4)
         packets, planted = gen_trace(clean)
-        th = estimate_thresholds([p for p in packets if p.ts < 1.0])
+        th = estimate_thresholds(packets[packets.ts < 1.0])
         frames = identify_frames(packets, th)
         assert len(frames) == len(planted)
         assert sum(f.size for f in frames) == sum(f.size for f in planted)
@@ -151,7 +151,7 @@ class TestCriterion5FrameRecovery:
         noisy = TraceSpec(duration=10.0, jitter_std=0.2 * spacing,
                           background_rate=50.0, seed=4)
         packets, planted = gen_trace(noisy)
-        th = estimate_thresholds([p for p in packets if p.ts < 1.0])
+        th = estimate_thresholds(packets[packets.ts < 1.0])
         frames = identify_frames(packets, th)
         assert abs(len(frames) - len(planted)) <= 0.01 * len(planted)
 

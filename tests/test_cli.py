@@ -1,13 +1,16 @@
+import json
 from pathlib import Path
 
 import pytest
 
 from reslearn import cli
 from reslearn.cli import main
-from reslearn.ingest import Direction, EndpointFilter, write_pcap
+from reslearn.ingest import EndpointFilter, write_pcap
 from reslearn.models import Predictor, PredictorConfig, build_predictor
 from reslearn.residual import ResLearnModel, save_reslearn
 from reslearn.seriesprep import Scaler
+
+from oracles import DOWNLINK, UPLINK, table
 
 SMALL_CFG = """
 input_kind = synth-series
@@ -57,9 +60,7 @@ class TestIngest:
     def test_pcap_to_csv(self, tmp_path):
         filt = EndpointFilter("10.0.0.1")
         pcap = tmp_path / "t.pcap"
-        pcap.write_bytes(write_pcap(
-            [(0.0, 1200, Direction.DOWNLINK), (0.005, 900, Direction.UPLINK)], filt
-        ))
+        pcap.write_bytes(write_pcap(table([(0.0, 1200, DOWNLINK), (0.005, 900, UPLINK)]), filt))
         out = tmp_path / "t.csv"
         rc = main(["ingest", "--pcap", str(pcap), "--server", "10.0.0.1",
                    "--out", str(out)])
@@ -95,6 +96,25 @@ class TestFramesAndEda:
         assert (out / "thresholds.json").exists()
         features = (out / "features.csv").read_text()
         assert features.startswith("segment,f_c,f_s,f_iat")
+
+    @pytest.mark.parametrize("sparse", [1, 2])
+    def test_sparse_first_segment_falls_back_to_default_dur_th(self, sparse, tmp_path):
+        # one or two packets in the first 1 s segment, a frame trace after it
+        rows = [f"{0.3 * i!r},1200,down" for i in range(sparse)]
+        rows += [f"{1.0 + k / 72 + j * 2e-4!r},1200,down" for k in range(100) for j in range(8)]
+        trace = tmp_path / "trace.csv"
+        trace.write_text("ts,length,direction\n" + "\n".join(rows) + "\n")
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("segment_duration = 1.0\ndefault_dur_th = 0.003\n")
+        out = tmp_path / "frames"
+        assert main(["frames", "--csv", str(trace), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        thresholds = json.loads((out / "thresholds.json").read_text())
+        assert thresholds["dur_th"] == 0.003
+        assert thresholds["peaks"] == []
+        features = (out / "features.csv").read_text().splitlines()
+        assert features[1] == f"0,{sparse},{1200 * sparse},{'NA' if sparse == 1 else '0.3'}"
+        assert features[2].startswith("1,72,")
 
     def test_eda_over_features(self, tmp_path):
         features = tmp_path / "features.csv"

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from reslearn.errors import BadSpec
-from reslearn.ingest import Direction
 from reslearn.seriesprep import rolling_mean, runs_test
 from reslearn.synth import SeriesSpec, TraceSpec, gen_series, gen_trace
 
@@ -17,9 +16,11 @@ class TestGenTrace:
 
     def test_deterministic(self):
         spec = TraceSpec(jitter_std=0.001, seed=5)
-        a = gen_trace(spec)
-        b = gen_trace(spec)
-        assert a == b
+        (pa, fa), (pb, fb) = gen_trace(spec), gen_trace(spec)
+        assert fa == fb
+        np.testing.assert_array_equal(pa.ts, pb.ts)
+        np.testing.assert_array_equal(pa.length, pb.length)
+        np.testing.assert_array_equal(pa.downlink, pb.downlink)
 
     def test_planted_frame_geometry_no_jitter(self):
         spec = TraceSpec(fps=50.0, packets_per_frame=4, intra_spacing=0.0001,
@@ -33,9 +34,8 @@ class TestGenTrace:
 
     def test_packets_sorted_and_downlink(self):
         packets, _ = gen_trace(TraceSpec(jitter_std=0.002, seed=3))
-        ts = [p.ts for p in packets]
-        assert ts == sorted(ts)
-        assert all(p.direction is Direction.DOWNLINK for p in packets)
+        assert (np.diff(packets.ts) >= 0).all()
+        assert packets.downlink.all()
 
     def test_bad_spec(self):
         with pytest.raises(BadSpec):

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reslearn.errors import DegenerateDistribution, EmptySegment
-from reslearn.ingest import Direction, PacketRecord
 from reslearn.synth import TraceSpec, gen_trace
 from reslearn.viewframe import (
     Frame,
@@ -17,9 +16,11 @@ from reslearn.viewframe import (
     threshold_report,
 )
 
+from oracles import DOWNLINK, UPLINK, assign_frames, table
+
 
 def dl(ts, length):
-    return PacketRecord(ts, length, Direction.DOWNLINK)
+    return (ts, length, DOWNLINK)
 
 
 def brute_force_histogram_threshold(iats, bins):
@@ -45,26 +46,26 @@ def brute_force_histogram_threshold(iats, bins):
 class TestLenThreshold:
     def test_quarter_of_max(self):
         packets = [dl(0, 1400), dl(0.1, 700)]
-        assert estimate_len_threshold(packets) == 350.0
+        assert estimate_len_threshold(table(packets)) == 350.0
 
     def test_all_equal(self):
         packets = [dl(i * 0.1, 100) for i in range(5)]
-        assert estimate_len_threshold(packets) == 25.0
+        assert estimate_len_threshold(table(packets)) == 25.0
 
     def test_planted_max(self):
         rng = np.random.default_rng(0)
         lengths = list(rng.integers(60, 1400, size=99)) + [1500]
         packets = [dl(i * 0.001, int(ln)) for i, ln in enumerate(lengths)]
-        assert estimate_len_threshold(packets) == 375.0
+        assert estimate_len_threshold(table(packets)) == 375.0
 
     def test_empty(self):
         with pytest.raises(EmptySegment):
-            estimate_len_threshold([])
+            estimate_len_threshold(table([]))
 
     def test_scale_consistency(self):
         packets = [dl(i * 0.01, ln) for i, ln in enumerate((120, 460, 990))]
-        scaled = [dl(p.ts, p.length * 3) for p in packets]
-        assert estimate_len_threshold(scaled) == 3 * estimate_len_threshold(packets)
+        scaled = [dl(ts, length * 3) for ts, length, _ in packets]
+        assert estimate_len_threshold(table(scaled)) == 3 * estimate_len_threshold(table(packets))
 
 
 def packets_from_iats(iats):
@@ -81,7 +82,7 @@ class TestDurThreshold:
         ])
         rng.shuffle(iats)
         packets = packets_from_iats(iats)
-        th = estimate_dur_threshold(packets, bins=50)
+        th = estimate_dur_threshold(table(packets), bins=50)
         assert 2e-4 < th < 2e-2
         oracle, width = brute_force_histogram_threshold(iats, 50)
         # agree within one bin width in the log domain
@@ -90,7 +91,7 @@ class TestDurThreshold:
     def test_identical_iats_degenerate(self):
         packets = [dl(i * 0.001, 1000) for i in range(10)]
         with pytest.raises(DegenerateDistribution):
-            estimate_dur_threshold(packets)
+            estimate_dur_threshold(table(packets))
 
     def test_three_mode_mixture_ignores_third(self):
         rng = np.random.default_rng(2)
@@ -101,14 +102,14 @@ class TestDurThreshold:
         ])
         rng.shuffle(iats)
         packets = packets_from_iats(iats)
-        th = estimate_dur_threshold(packets, bins=50)
+        th = estimate_dur_threshold(table(packets), bins=50)
         assert 1e-4 < th < 5e-3
         oracle, width = brute_force_histogram_threshold(iats, 50)
         assert abs(np.log10(th) - np.log10(oracle)) <= width + 1e-12
 
     def test_too_few_packets(self):
         with pytest.raises(EmptySegment):
-            estimate_dur_threshold([dl(0, 100), dl(0.1, 100)])
+            estimate_dur_threshold(table([dl(0, 100), dl(0.1, 100)]))
 
 
 def brute_force_frames(packets, len_th, dur_th, min_packets=1):
@@ -116,18 +117,18 @@ def brute_force_frames(packets, len_th, dur_th, min_packets=1):
     groups = []
     current = []
     last = None
-    for p in packets:
-        if p.direction is not Direction.DOWNLINK or p.length < len_th:
+    for ts, length, downlink in packets:
+        if not downlink or length < len_th:
             continue
-        if last is not None and p.ts - last > dur_th:
+        if last is not None and ts - last > dur_th:
             groups.append(current)
             current = []
-        current.append(p)
-        last = p.ts
+        current.append((ts, length))
+        last = ts
     if current:
         groups.append(current)
     return [
-        Frame(g[0].ts, g[-1].ts, sum(p.length for p in g), len(g))
+        Frame(g[0][0], g[-1][0], sum(length for _, length in g), len(g))
         for g in groups
         if len(g) >= min_packets
     ]
@@ -138,36 +139,36 @@ class TestIdentifyFrames:
 
     def test_two_burst_trace(self):
         packets = [dl(i * 0.0005, 1200) for i in range(10)]
-        t = packets[-1].ts + 0.05
+        t = packets[-1][0] + 0.05
         packets += [dl(t + i * 0.0005, 1200) for i in range(8)]
-        frames = identify_frames(packets, self.TH)
+        frames = identify_frames(table(packets), self.TH)
         assert [f.size for f in frames] == [12000, 9600]
         assert [f.packet_count for f in frames] == [10, 8]
         assert frames == brute_force_frames(packets, 600.0, 0.002)
 
     def test_all_below_threshold(self):
         packets = [dl(i * 0.001, 100) for i in range(50)]
-        assert identify_frames(packets, self.TH) == []
+        assert identify_frames(table(packets), self.TH) == []
 
     def test_single_eligible_packet(self):
-        frames = identify_frames([dl(0.5, 900)], self.TH)
+        frames = identify_frames(table([dl(0.5, 900)]), self.TH)
         assert frames == [Frame(0.5, 0.5, 900, 1)]
 
     def test_min_packets_discards_singletons(self):
         packets = [dl(0.0, 1200), dl(1.0, 1200), dl(1.0005, 1200)]
-        frames = identify_frames(packets, self.TH, min_packets=2)
+        frames = identify_frames(table(packets), self.TH, min_packets=2)
         assert len(frames) == 1
         assert frames[0].packet_count == 2
 
     def test_uplink_ignored_by_default(self):
-        packets = [PacketRecord(0.0, 1200, Direction.UPLINK)]
-        assert identify_frames(packets, self.TH) == []
+        packets = [(0.0, 1200, UPLINK)]
+        assert identify_frames(table(packets), self.TH) == []
 
     def test_split_on_small_packet(self):
         packets = [dl(0.0, 1200), dl(0.0004, 100), dl(0.0008, 1200)]
-        joined = identify_frames(packets, self.TH)
+        joined = identify_frames(table(packets), self.TH)
         assert len(joined) == 1
-        split_frames = identify_frames(packets, self.TH, split_on_small_packet=True)
+        split_frames = identify_frames(table(packets), self.TH, split_on_small_packet=True)
         assert len(split_frames) == 2
 
     @settings(deadline=None, max_examples=50)
@@ -179,24 +180,50 @@ class TestIdentifyFrames:
         for _ in range(rng.integers(1, 150)):
             t += float(rng.exponential(0.002))
             packets.append(dl(t, int(rng.integers(50, 1500))))
-        frames = identify_frames(packets, self.TH)
+        frames = identify_frames(table(packets), self.TH)
         assert frames == brute_force_frames(packets, 600.0, 0.002)
         # frames are time-disjoint and ordered
         for a, b in zip(frames, frames[1:]):
             assert a.end_ts < b.start_ts
         # conservation: total frame size equals total eligible length
-        eligible = sum(p.length for p in packets if p.length >= 600)
+        eligible = sum(length for _, length, _ in packets if length >= 600)
         assert sum(f.size for f in frames) == eligible
 
     def test_recovers_planted_frames(self):
         spec = TraceSpec(duration=5.0, jitter_std=0.0, background_rate=20.0, seed=4)
         packets, planted = gen_trace(spec)
-        th = estimate_thresholds([p for p in packets if p.ts < 1.0])
+        th = estimate_thresholds(packets[packets.ts < 1.0])
         assert spec.intra_spacing <= th.dur_th / 3
         assert 1.0 / spec.fps >= 3 * th.dur_th
         frames = identify_frames(packets, th)
         assert len(frames) == len(planted)
         assert sum(f.size for f in frames) == sum(f.size for f in planted)
+
+
+class TestFrameScanAgainstLoop:
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans(),
+           st.sampled_from([1, 2, 3]))
+    def test_matches_scalar_loop(self, seed, split, min_packets):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 200))
+        packets = table(zip(np.cumsum(rng.exponential(0.002, n)).tolist(),
+                            rng.integers(50, 1500, n).tolist(),
+                            (rng.random(n) < 0.8).tolist()))
+        th = Thresholds(len_th=600.0, dur_th=0.002)
+        ts = packets.ts[packets.downlink]
+        length = packets.length[packets.downlink]
+        fid = assign_frames(ts, length >= th.len_th, th.dur_th, split)
+        expected = []
+        for k in range(fid.max() + 1):
+            member = fid == k
+            if member.sum() >= min_packets:
+                t = ts[member]
+                expected.append(Frame(float(t[0]), float(t[-1]),
+                                      int(length[member].sum()), int(member.sum())))
+        got = identify_frames(packets, th, min_packets=min_packets,
+                              split_on_small_packet=split)
+        assert got == expected
 
 
 class TestSegmentFeatures:
