@@ -9,11 +9,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
-from .config import apply_overrides, load_config
-from .errors import ConfigError, NonFiniteLoss, ResLearnError
-from .harness import (
+# One OpenBLAS thread per process, set before numpy loads: training runs in
+# worker processes (harness.train_models), and more BLAS threads would only
+# oversubscribe the CPUs. A user's own setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .config import apply_overrides, load_config  # noqa: E402
+from .errors import ConfigError, NonFiniteLoss, ResLearnError  # noqa: E402
+from .harness import (  # noqa: E402
     eda_csv,
     feature_series,
     packet_features,
@@ -21,14 +27,15 @@ from .harness import (
     run_experiment,
     series_spec_from_config,
     trace_spec_from_config,
+    train_models,
 )
-from .ingest import EndpointFilter, PacketTable, emit_csv, parse_csv, parse_pcap
-from .metrics import evaluate
-from .report import _f
-from .residual import combine_predictions, load_reslearn
-from .seriesprep import make_windows
-from .synth import gen_series, gen_trace
-from .viewframe import features_csv, threshold_report
+from .ingest import EndpointFilter, PacketTable, parse_csv, parse_pcap, write_csv  # noqa: E402
+from .metrics import evaluate  # noqa: E402
+from .report import _f  # noqa: E402
+from .residual import combine_predictions, load_reslearn, save_reslearn  # noqa: E402
+from .seriesprep import make_windows, segment  # noqa: E402
+from .synth import gen_series, gen_trace  # noqa: E402
+from .viewframe import features_csv, threshold_report  # noqa: E402
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -62,12 +69,20 @@ def _read_packets(args) -> PacketTable:
     raise ConfigError("need --pcap or --csv")
 
 
-def cmd_ingest(args) -> int:
-    text = emit_csv(_read_packets(args))
-    if args.out:
-        Path(args.out).write_text(text)
+@contextmanager
+def _output(path):
+    """The file at `path`, or stdout when no path is given."""
+    if path:
+        with open(path, "w") as fh:
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def cmd_ingest(args) -> int:
+    packets = _read_packets(args)
+    with _output(args.out) as out:
+        write_csv(packets, out)
     return EXIT_OK
 
 
@@ -85,10 +100,8 @@ def cmd_frames(args) -> int:
 def cmd_eda(args) -> int:
     values = read_feature_csv(Path(args.features).read_text(), args.feature)
     text = eda_csv(values, args.window)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args.out) as out:
+        out.write(text)
     return EXIT_OK
 
 
@@ -98,31 +111,24 @@ def cmd_synth(args) -> int:
         cfg.seed = args.seed
     if args.kind == "trace":
         packets, _ = gen_trace(trace_spec_from_config(cfg))
-        text = emit_csv(packets)
+        with _output(args.out) as out:
+            write_csv(packets, out)
     else:
         values, _ = gen_series(series_spec_from_config(cfg))
-        text = "value\n" + "\n".join(repr(v) for v in values) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+        with _output(args.out) as out:
+            out.write("value\n" + "\n".join(repr(v) for v in values) + "\n")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    from .harness import _train_kind, predictor_config  # noqa: PLC0415
-    from .residual import save_reslearn
-    from .seriesprep import SplitSpec, segment
-
     cfg = _load_run_config(args)
     cfg.validate()
     out = Path(args.out or _default_out())
     out.mkdir(parents=True, exist_ok=True)
     values, _, _ = feature_series(cfg)
-    segments = segment(values, cfg.segment_size)
-    split_spec = SplitSpec(cfg.train_ratio, cfg.val_ratio)
+    trained = train_models(cfg, segment(values, cfg.segment_size), keep_models=True)
     for kind in cfg.model_kinds():
-        models, reports = _train_kind(kind, segments, cfg, split_spec)
+        models, reports = trained[kind]
         for i, model in enumerate(models):
             if model is None:
                 print(f"{kind} segment {i}: {reports[i].failed}", file=sys.stderr)

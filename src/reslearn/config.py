@@ -6,7 +6,8 @@ CLI flags override file values; the file overrides defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import os
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -14,6 +15,14 @@ from .errors import ConfigError
 INPUT_KINDS = ("synth-series", "synth-trace", "pcap", "csv", "features")
 FEATURES = ("f_c", "f_s", "f_iat")
 RESLEARN_MODES = ("on", "off")
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:             # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _bool(text: str) -> bool:
@@ -40,7 +49,7 @@ class ExperimentConfig:
     models: str = "transformer"
     reslearn: str = "on"
     seed: int = 7
-    jobs: int = 1
+    jobs: int = field(default_factory=_usable_cpus)   # upper bound on worker processes
     epochs: int = 300
     residual_epochs: int = 300
     hidden_width: int = 64

@@ -15,10 +15,6 @@ class BadMagic(ResLearnError):
     pass
 
 
-class TruncatedPacket(ResLearnError):
-    pass
-
-
 class SchemaMismatch(ResLearnError):
     pass
 
@@ -54,10 +50,6 @@ class SplitTooSmall(ResLearnError):
 
 
 class DegenerateSeries(ResLearnError):
-    pass
-
-
-class ConstantSeries(ResLearnError):
     pass
 
 

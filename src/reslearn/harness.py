@@ -2,13 +2,16 @@
 and deterministic report files.
 
 Outputs carry no timestamps, so a rerun with the same config and seed is
-byte-identical. Parallelism (jobs > 1) fans model kinds out to threads and
-merges results in configured order, which keeps the bytes identical too.
+byte-identical. Training (train_models) runs each (model kind, segment)
+pair as one task; with jobs > 1 the tasks go to forked worker processes and
+the results are merged in configured order, which keeps the bytes identical
+too.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import os
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +30,9 @@ from .ingest import EndpointFilter, PacketTable, parse_csv, parse_pcap
 from .metrics import smape_improvement
 from .models import PredictorConfig
 from .report import comparison_csv, plot_data_csv, render_csv, render_json, report_rows
-from .residual import SegmentReport, train_reslearn
+from .residual import ResLearnModel, SegmentReport, train_segment
 from .seriesprep import (
+    SegmentedSeries,
     SplitSpec,
     impute_absent,
     rolling_mean,
@@ -185,18 +189,72 @@ def eda_csv(values: np.ndarray, window: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _train_kind(kind: str, segments, cfg: ExperimentConfig, split_spec: SplitSpec):
-    base_cfg = predictor_config(cfg, kind, cfg.epochs)
+def train_models(
+    cfg: ExperimentConfig, segments: SegmentedSeries, keep_models: bool = False
+) -> dict[str, tuple[list[ResLearnModel | None], list[SegmentReport]]]:
+    """Train every (kind, segment) pair of the config; returns the models and
+    reports of each kind, in segment order. Models are None unless
+    keep_models is set, and for a failed segment.
+
+    With jobs > 1 and more than one pair, the pairs run in min(jobs, pairs)
+    forked worker processes, all joined before this returns. Each pair's
+    arithmetic is the same in a worker as in-process, so the results are too.
+    """
+    split_spec = SplitSpec(cfg.train_ratio, cfg.val_ratio)
     residual_epochs = cfg.residual_epochs if cfg.reslearn == "on" else 0
     residual_cfg = predictor_config(cfg, "fcnn", residual_epochs)
-    models, reports = train_reslearn(
-        segments, base_cfg, residual_cfg, split_spec,
-        paper_literal_combine=cfg.paper_literal_combine,
-    )
-    if cfg.reslearn == "off":
-        for r in reports:
-            r.combined_val = r.combined_test = None
-    return models, reports
+    kinds = cfg.model_kinds()
+    tasks = [
+        (i, seg, predictor_config(cfg, kind, cfg.epochs), residual_cfg, split_spec,
+         cfg.paper_literal_combine, keep_models)
+        for kind in kinds for i, seg in enumerate(segments.segments)
+    ]
+    workers = min(cfg.jobs, len(tasks))
+    if workers > 1:
+        # imported here: they add about 14 ms to every CLI start
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context, initializer=_end_with_parent,
+                                 initargs=(os.getpid(),)) as pool:
+            results = list(pool.map(_train_task, *zip(*tasks)))
+    else:
+        results = [_train_task(*task) for task in tasks]
+
+    trained = {}
+    n = segments.num_segments
+    for k, kind in enumerate(kinds):
+        done = results[k * n:(k + 1) * n]
+        reports = [r for _, r in done]
+        if cfg.reslearn == "off":
+            for r in reports:
+                r.combined_val = r.combined_test = None
+        trained[kind] = ([m for m, _ in done], reports)
+    return trained
+
+
+PR_SET_PDEATHSIG = 1                   # prctl option, from <sys/prctl.h>
+
+
+def _end_with_parent(parent: int) -> None:
+    """Worker initializer: have the kernel kill this worker when the process
+    that forked it dies, so a killed run leaves no idle worker behind."""
+    import ctypes
+
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:              # Linux only
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:         # died before the request took hold
+        os._exit(1)
+
+
+def _train_task(index, values, base_cfg, residual_cfg, split_spec,
+                paper_literal_combine, keep_model):
+    model, report = train_segment(index, values, base_cfg, residual_cfg, split_spec,
+                                  paper_literal_combine)
+    return (model if keep_model else None), report
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> list[Path]:
@@ -230,25 +288,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[Path]:
     written.append(path)
 
     segments = segment(values, cfg.segment_size)
-    split_spec = SplitSpec(cfg.train_ratio, cfg.val_ratio)
     log.append(f"segments: X={segments.num_segments} N={segments.segment_size} "
                f"dropped={segments.dropped}")
 
-    kinds = cfg.model_kinds()
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = {
-                kind: pool.submit(_train_kind, kind, segments, cfg, split_spec)
-                for kind in kinds
-            }
-            results = {kind: futures[kind].result() for kind in kinds}
-    else:
-        results = {kind: _train_kind(kind, segments, cfg, split_spec) for kind in kinds}
-
     kind_reports: dict[str, list[SegmentReport]] = {}
     any_success = False
-    for kind in kinds:
-        _, reports = results[kind]
+    trained = train_models(cfg, segments)
+    for kind in cfg.model_kinds():
+        reports = trained[kind][1]
         kind_reports[kind] = reports
         any_success = any_success or any(r.failed is None for r in reports)
         rows = report_rows(reports, kind)

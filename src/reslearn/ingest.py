@@ -34,6 +34,7 @@ ETHERTYPE_VLAN = 0x8100
 MAX_LENGTH = 0xFFFFFFFF     # pcap stores lengths as 32-bit fields
 
 CSV_HEADER = "ts,length,direction"
+CSV_BLOCK_ROWS = 16384       # rows formatted per write by write_csv
 DOWN, UP = "down", "up"
 
 
@@ -298,12 +299,16 @@ def parse_csv(text: str) -> PacketTable:
     return PacketTable(ts_col, length_col, down_col)
 
 
-def emit_csv(packets: PacketTable) -> str:
-    """Bit-stable text form: parse_csv(emit_csv(p)) has the same columns exactly."""
-    lines = [CSV_HEADER]
-    rows = zip(packets.ts.tolist(), packets.length.tolist(), packets.downlink.tolist())
-    lines += [f"{ts!r},{length},{DOWN if down else UP}" for ts, length, down in rows]
-    return "\n".join(lines) + "\n"
+def write_csv(packets: PacketTable, out) -> None:
+    """Write the bit-stable text form to a text stream, CSV_BLOCK_ROWS rows
+    at a time: parse_csv of the text has the same columns exactly."""
+    out.write(CSV_HEADER + "\n")
+    for start in range(0, len(packets), CSV_BLOCK_ROWS):
+        block = slice(start, start + CSV_BLOCK_ROWS)
+        rows = zip(packets.ts[block].tolist(), packets.length[block].tolist(),
+                   packets.downlink[block].tolist())
+        out.write("".join(f"{ts!r},{length},{DOWN if down else UP}\n"
+                          for ts, length, down in rows))
 
 
 def inter_arrival(packets: PacketTable) -> np.ndarray:

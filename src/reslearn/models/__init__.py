@@ -12,9 +12,6 @@ __all__ = [
     "PredictorConfig",
     "TrainTrace",
     "build_predictor",
-    "build_transformer",
-    "build_recurrent",
-    "build_fcnn",
 ]
 
 
@@ -26,15 +23,3 @@ def build_predictor(config: PredictorConfig) -> Predictor:
     if config.kind == "fcnn":
         return FCNNPredictor(config)
     raise BadConfig(f"unknown model kind {config.kind!r}")
-
-
-def build_transformer(config: PredictorConfig) -> TransformerPredictor:
-    return TransformerPredictor(config)
-
-
-def build_recurrent(config: PredictorConfig) -> RecurrentPredictor:
-    return RecurrentPredictor(config)
-
-
-def build_fcnn(config: PredictorConfig) -> FCNNPredictor:
-    return FCNNPredictor(config)

@@ -140,28 +140,36 @@ def train_reslearn(
     split_spec: SplitSpec,
     paper_literal_combine: bool = False,
 ) -> tuple[list[ResLearnModel | None], list[SegmentReport]]:
-    """Run the per-segment pipeline: split, scale on train, fit base, fit the
-    residual learner on bias-shifted train residuals, evaluate both stages on
-    val and test in physical units. A failing segment is flagged in its report
-    and the loop continues."""
+    """train_segment over every segment, in order."""
     seg_list = segments.segments if isinstance(segments, SegmentedSeries) else segments
-    models: list[ResLearnModel | None] = []
-    reports: list[SegmentReport] = []
-    for i, seg in enumerate(seg_list):
-        report = SegmentReport(segment_index=i)
-        try:
-            model, report = _train_segment(
-                i, seg, base_cfg, residual_cfg, split_spec, paper_literal_combine
-            )
-        except ResLearnError as exc:
-            model = None
-            report.failed = f"{type(exc).__name__}: {exc}"
-        models.append(model)
-        reports.append(report)
-    return models, reports
+    results = [
+        train_segment(i, seg, base_cfg, residual_cfg, split_spec, paper_literal_combine)
+        for i, seg in enumerate(seg_list)
+    ]
+    return [m for m, _ in results], [r for _, r in results]
 
 
-def _train_segment(
+def train_segment(
+    index: int,
+    values: np.ndarray,
+    base_cfg: PredictorConfig,
+    residual_cfg: PredictorConfig,
+    split_spec: SplitSpec,
+    paper_literal_combine: bool = False,
+) -> tuple[ResLearnModel | None, SegmentReport]:
+    """The per-segment pipeline: split, scale on train, fit base, fit the
+    residual learner on bias-shifted train residuals, evaluate both stages on
+    val and test in physical units. A ResLearnError is recorded in the
+    report's `failed`, with no model, so the caller can go on."""
+    try:
+        return _fit_segment(index, values, base_cfg, residual_cfg, split_spec,
+                            paper_literal_combine)
+    except ResLearnError as exc:
+        return None, SegmentReport(segment_index=index,
+                                   failed=f"{type(exc).__name__}: {exc}")
+
+
+def _fit_segment(
     index: int,
     values: np.ndarray,
     base_cfg: PredictorConfig,

@@ -1,9 +1,16 @@
 import json
+import math
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from reslearn import cli
+from reslearn import cli, harness
 from reslearn.cli import main
 from reslearn.ingest import EndpointFilter, write_pcap
 from reslearn.models import Predictor, PredictorConfig, build_predictor
@@ -170,6 +177,184 @@ class TestRun:
         monkeypatch.setenv("RESLEARN_OUT_DIR", str(target))
         assert main(["run", "--config", str(small_cfg)]) == 0
         assert (target / "run.log").exists()
+
+
+def nan_features(path: Path, nan_at) -> None:
+    """Three 60-value segments of a feature CSV, NaN at the given rows: a
+    segment holding one fails to train (NonFiniteLoss)."""
+    values = [100 + 10 * math.sin(i / 5) for i in range(180)]
+    for i in nan_at:
+        values[i] = float("nan")
+    path.write_text("segment,f_c,f_s,f_iat\n"
+                    + "".join(f"{i},1,{v!r},NA\n" for i, v in enumerate(values)))
+
+
+PARALLEL_CFG = """
+input_kind = features
+segment_size = 60
+lookback = 4
+models = fcnn, gru
+epochs = 5
+residual_epochs = 5
+hidden_width = 8
+"""
+
+# runs in a fresh interpreter: the CLI module must load before numpy does
+BLAS_PROBE = """
+import ctypes, os
+import reslearn.cli
+from reslearn import harness
+from reslearn.config import ExperimentConfig
+from reslearn.residual import SegmentReport
+from reslearn.seriesprep import segment
+
+def blas_threads():
+    for line in open("/proc/self/maps"):
+        if "openblas" in line and line.rstrip().endswith(".so"):
+            lib = ctypes.CDLL(line.split()[-1])
+            for f in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                      "openblas_get_num_threads"):
+                if hasattr(lib, f):
+                    return getattr(lib, f)()
+    return None
+
+def probe(index, *args):
+    return None, SegmentReport(index, failed=f"{os.getpid()} {blas_threads()}")
+
+harness.train_segment = probe
+cfg = ExperimentConfig(models="fcnn", jobs=2, segment_size=10)
+reports = harness.train_models(cfg, segment(list(range(20)), 10))["fcnn"][1]
+print(os.getpid(), os.environ["OPENBLAS_NUM_THREADS"], *(r.failed for r in reports))
+"""
+
+# runs in a fresh interpreter, which the test then kills with SIGKILL
+STUCK_RUN = """
+import os, sys, time
+from reslearn import harness
+from reslearn.config import ExperimentConfig
+from reslearn.seriesprep import segment
+
+def stuck(index, *args):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    time.sleep(120)
+
+harness.train_segment = stuck
+harness.train_models(ExperimentConfig(models="fcnn", jobs=2, segment_size=10),
+                     segment(list(range(20)), 10))
+"""
+
+
+def src_env(**extra) -> dict[str, str]:
+    env = dict(os.environ, **extra)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+    return env
+
+
+needs_proc = pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+
+
+def running(pid: int) -> bool:
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state != "Z"
+
+
+class TestParallelTraining:
+    @pytest.fixture
+    def cfg_path(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text(PARALLEL_CFG + f"input_path = {tmp_path / 'features.csv'}\n")
+        return path
+
+    def test_failed_segment_same_bytes_at_any_jobs(self, cfg_path, tmp_path):
+        nan_features(tmp_path / "features.csv", [70])
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["run", "--config", str(cfg_path), "--jobs", "1", "--out", str(a)]) == 0
+        assert main(["run", "--config", str(cfg_path), "--jobs", "2", "--out", str(b)]) == 0
+        assert read_tree(a) == read_tree(b)
+        assert "segments_ok=2" in (a / "run.log").read_text()
+
+    def test_every_segment_failed_exits_3(self, cfg_path, tmp_path):
+        nan_features(tmp_path / "features.csv", [10, 70, 130])
+        assert main(["run", "--config", str(cfg_path), "--jobs", "2",
+                     "--out", str(tmp_path / "o")]) == 3
+
+    def test_train_jobs_same_checkpoints(self, cfg_path, tmp_path, capsys):
+        nan_features(tmp_path / "features.csv", [70])
+        saved = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"ckpt{jobs}"
+            assert main(["train", "--config", str(cfg_path), "--jobs", jobs,
+                         "--out", str(out)]) == 0
+            err = capsys.readouterr().err.splitlines()
+            saved[jobs] = [Path(line.split()[-1]).name if line.startswith("saved ") else line
+                           for line in err]
+            assert len(list(out.glob("*.npz"))) == 4
+        assert saved["1"] == saved["2"]
+        assert saved["1"][0] == "ckpt_fcnn_seg0.npz"
+        assert saved["1"][1].startswith("fcnn segment 1: NonFiniteLoss")
+        for path in sorted((tmp_path / "ckpt1").glob("*.npz")):
+            with np.load(path) as one, np.load(tmp_path / "ckpt2" / path.name) as two:
+                assert one.files == two.files
+                for key in one.files:
+                    np.testing.assert_array_equal(one[key], two[key])
+
+    def test_worker_error_reaches_caller(self, small_cfg, tmp_path, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("not a toolkit error")
+
+        monkeypatch.setattr(harness, "train_segment", broken)
+        with pytest.raises(RuntimeError, match="not a toolkit error"):
+            main(["run", "--config", str(small_cfg), "--jobs", "2",
+                  "--out", str(tmp_path / "o")])
+
+    @needs_proc
+    def test_killed_run_leaves_no_worker(self, tmp_path):
+        run = subprocess.Popen([sys.executable, "-c", STUCK_RUN, str(tmp_path)],
+                               env=src_env())
+        try:
+            deadline = time.monotonic() + 60
+            while len(list(tmp_path.iterdir())) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+        finally:
+            run.kill()
+            run.wait(timeout=60)
+        workers = [int(p.name) for p in tmp_path.iterdir()]
+        assert len(workers) == 2
+        try:
+            deadline = time.monotonic() + 10
+            while any(map(running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(running, workers))
+        finally:
+            for pid in filter(running, workers):
+                os.kill(pid, signal.SIGKILL)
+
+    @needs_proc
+    def test_worker_runs_one_blas_thread(self):
+        env = src_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        done = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        parent, pinned, *workers = done.stdout.split()
+        assert pinned == "1"
+        assert len(workers) == 4             # (pid, threads) of two tasks
+        pids, threads = workers[0::2], workers[1::2]
+        assert parent not in pids
+        if threads[0] == "None":
+            pytest.skip("no OpenBLAS thread-count symbol in this numpy")
+        assert threads == ["1", "1"]
+
+    def test_users_blas_setting_wins(self):
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import os, reslearn.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+            env=src_env(OPENBLAS_NUM_THREADS="3"), capture_output=True, text=True, timeout=60)
+        assert done.stdout.strip() == "3", done.stderr
 
 
 class TestTrainEvaluate:

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from reslearn.config import ExperimentConfig, apply_overrides, load_config, parse_config
@@ -57,6 +59,9 @@ class TestValidate:
 
     def test_valid_default_passes(self):
         parse_config("").validate()
+
+    def test_jobs_default_to_usable_cpus(self):
+        assert ExperimentConfig().jobs == len(os.sched_getaffinity(0))
 
 
 class TestOverridesAndFiles:

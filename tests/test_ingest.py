@@ -1,4 +1,5 @@
 import io
+import os
 import struct
 import time
 import tracemalloc
@@ -20,10 +21,10 @@ from reslearn.errors import (
 from reslearn.ingest import (
     EndpointFilter,
     PacketTable,
-    emit_csv,
     inter_arrival,
     parse_csv,
     parse_pcap,
+    write_csv,
     write_pcap,
 )
 
@@ -32,6 +33,12 @@ from oracles import DOWNLINK, UPLINK, parse_pcap_records, rows, table
 SERVER = "10.0.0.1"
 FILT = EndpointFilter(SERVER)
 PORT = 7777
+
+
+def csv_text(packets):
+    out = io.StringIO()
+    write_csv(packets, out)
+    return out.getvalue()
 
 
 def global_header(magic=0xA1B2C3D4, network=1, endian="<"):
@@ -345,6 +352,31 @@ class TestParseCsv:
         with pytest.raises(RowParseError):
             parse_csv(f"ts,length,direction\n0,{2**64},down\n")
 
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_blocks_do_not_change_bytes(self, block):
+        packets = table((i * 0.001, 100 + i, i % 3 == 0) for i in range(20))
+        whole = csv_text(packets)
+        with mock.patch.object(ingest, "CSV_BLOCK_ROWS", block):
+            assert csv_text(packets) == whole
+        assert whole.count("\n") == 21
+        assert csv_text(table([])) == "ts,length,direction\n"
+
+    def test_write_memory_bounded_by_block(self):
+        def peak_bytes(n):
+            packets = PacketTable(np.arange(n) * 1e-4, np.full(n, 1200),
+                                  np.ones(n, dtype=bool))
+            with open(os.devnull, "w") as sink:
+                tracemalloc.start()
+                try:
+                    write_csv(packets, sink)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        rows = 2 * ingest.CSV_BLOCK_ROWS
+        # four times the rows: a whole-text writer needs about four times the peak
+        assert peak_bytes(4 * rows) < 1.5 * peak_bytes(rows)
+
     @given(
         st.lists(
             st.tuples(
@@ -360,7 +392,7 @@ class TestParseCsv:
         deltas = sorted(r[0] for r in raw)
         packets = table((t - (deltas[0] if deltas else 0.0), ln, d)
                         for t, (_, ln, d) in zip(deltas, raw))
-        back = parse_csv(emit_csv(packets))
+        back = parse_csv(csv_text(packets))
         np.testing.assert_array_equal(back.ts.view(np.int64), packets.ts.view(np.int64))
         assert rows(back) == rows(packets)
 
@@ -369,7 +401,7 @@ class TestParseCsv:
            st.lists(st.tuples(st.integers(0, 10_000), st.characters()), max_size=6),
            st.integers(0, 10_000))
     def test_mutated_text_returns_or_raises_toolkit_error(self, raw, edits, cut):
-        text = list(emit_csv(table(sorted(raw))))
+        text = list(csv_text(table(sorted(raw))))
         for at, ch in edits:
             text[at % len(text)] = ch
         try:

@@ -215,7 +215,7 @@ class TestFrameScanAgainstLoop:
         length = packets.length[packets.downlink]
         fid = assign_frames(ts, length >= th.len_th, th.dur_th, split)
         expected = []
-        for k in range(fid.max() + 1):
+        for k in range(fid.max() + 1 if fid.size else 0):   # no downlink: no frame
             member = fid == k
             if member.sum() >= min_packets:
                 t = ts[member]
