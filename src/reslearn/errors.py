@@ -25,10 +25,6 @@ class RowParseError(ResLearnError):
         self.line_number = line_number
 
 
-class EmptyTrace(ResLearnError):
-    pass
-
-
 # --- view-frame ---
 
 class EmptySegment(ResLearnError):

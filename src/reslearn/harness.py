@@ -19,9 +19,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .errors import (
     ConfigError,
-    DegenerateDistribution,
     DegenerateSeries,
-    EmptySegment,
     NonFiniteLoss,
     ResLearnError,
     SchemaMismatch,
@@ -44,8 +42,7 @@ from .viewframe import (
     Frame,
     SegmentFeatures,
     Thresholds,
-    _dur_threshold_with_peaks,
-    estimate_len_threshold,
+    estimate_thresholds,
     features_csv,
     identify_frames,
     segment_features,
@@ -111,16 +108,9 @@ def load_packets(cfg: ExperimentConfig) -> PacketTable:
 
 
 def estimate_session_thresholds(packets: PacketTable, cfg: ExperimentConfig) -> Thresholds:
-    """Thresholds from the first segment, falling back to the configured
-    default duration when the IAT histogram is unimodal or the segment holds
-    fewer than 3 packets."""
+    """Thresholds from the first segment of the session."""
     first = packets[packets.ts < cfg.segment_duration]
-    len_th = estimate_len_threshold(first)
-    try:
-        dur_th, peaks = _dur_threshold_with_peaks(first, cfg.bins)
-    except (DegenerateDistribution, EmptySegment):
-        dur_th, peaks = cfg.default_dur_th, []
-    return Thresholds(len_th=len_th, dur_th=dur_th, bins=cfg.bins, peaks=tuple(peaks))
+    return estimate_thresholds(first, cfg.bins, cfg.default_dur_th)
 
 
 def feature_series(cfg: ExperimentConfig):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (
     BadMagic,
-    EmptyTrace,
+    ConfigError,
     RowParseError,
     SchemaMismatch,
     TruncatedHeader,
@@ -68,9 +68,9 @@ class EndpointFilter:
     def __post_init__(self):
         parts = self.server_address.split(".")
         if len(parts) != 4 or not all(p.isdigit() and 0 <= int(p) <= 255 for p in parts):
-            raise ValueError(f"not a dotted-quad IPv4 address: {self.server_address!r}")
+            raise ConfigError(f"not a dotted-quad IPv4 address: {self.server_address!r}")
         if self.port is not None and not 0 <= self.port <= 65535:
-            raise ValueError(f"port out of range: {self.port}")
+            raise ConfigError(f"port out of range: {self.port}")
 
     def packed_address(self) -> bytes:
         return bytes(int(p) for p in self.server_address.split("."))
@@ -218,48 +218,6 @@ def _decode(buf, heads, endian, frac_scale, server, port):
     return (sec + frac * frac_scale, orig_len, down), int(heads.size - keep.size)
 
 
-def write_pcap(
-    packets: PacketTable,
-    filt: EndpointFilter,
-    client_address: str = "192.168.0.2",
-) -> bytes:
-    """Assemble a classic little-endian pcap of `packets`, whose ts are absolute
-    capture times; the inverse of parse_pcap for synthetic fixtures.
-
-    Each length is the captured frame length and must be >= 42
-    (Ethernet + IPv4 + UDP headers).
-    """
-    server = filt.packed_address()
-    client = bytes(int(p) for p in client_address.split("."))
-    port = filt.port if filt.port is not None else 51000
-    out = bytearray()
-    out += struct.pack("<IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, 65535, 1)
-    rows = zip(packets.ts.tolist(), packets.length.tolist(), packets.downlink.tolist())
-    for ts, length, downlink in rows:
-        if length < 42:
-            raise ValueError(f"cannot fit headers in {length} bytes")
-        if downlink:
-            src, dst = server, client
-            sport, dport = port, 52000
-        else:
-            src, dst = client, server
-            sport, dport = 52000, port
-        payload_len = length - 42
-        ip_total = 20 + 8 + payload_len
-        eth = struct.pack("!6s6sH", b"\xaa" * 6, b"\xbb" * 6, ETHERTYPE_IPV4)
-        ip = struct.pack("!BBHHHBBH4s4s", 0x45, 0, ip_total, 0, 0, 64, 17, 0, src, dst)
-        udp = struct.pack("!HHHH", sport, dport, 8 + payload_len, 0)
-        frame = eth + ip + udp + b"\x00" * payload_len
-        assert len(frame) == length
-        sec = int(ts)
-        usec = int(round((ts - sec) * 1e6))
-        if usec == 1_000_000:
-            sec, usec = sec + 1, 0
-        out += struct.pack("<IIII", sec, usec, length, length)
-        out += frame
-    return bytes(out)
-
-
 def parse_csv(text: str) -> PacketTable:
     """Read the `ts,length,direction` trace schema; ts re-based to first row."""
     lines = text.splitlines()
@@ -309,13 +267,3 @@ def write_csv(packets: PacketTable, out) -> None:
                    packets.downlink[block].tolist())
         out.write("".join(f"{ts!r},{length},{DOWN if down else UP}\n"
                           for ts, length, down in rows))
-
-
-def inter_arrival(packets: PacketTable) -> np.ndarray:
-    """Per-packet inter-arrival times; index 0 is defined as 0."""
-    if not len(packets):
-        raise EmptyTrace("inter_arrival needs at least one packet")
-    out = np.empty_like(packets.ts)
-    out[0] = 0.0
-    out[1:] = np.diff(packets.ts)
-    return out

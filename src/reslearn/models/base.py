@@ -1,16 +1,14 @@
 """Predictor interface: seeded init, Adam training loop with early stopping,
-flat-parameter access for gradient checks, and versioned checkpoints."""
+and flat-parameter access for gradient checks. Checkpoints are written by
+residual.save_reslearn."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import BadConfig, CheckpointError, NonFiniteLoss, ShapeMismatch
-
-CHECKPOINT_VERSION = 1
+from ..errors import BadConfig, NonFiniteLoss, ShapeMismatch
 
 # Inference runs over blocks of this many windows, so its memory is bounded by
 # one block's layer caches rather than by the number of windows.
@@ -195,7 +193,7 @@ class Predictor:
             self.params = best_params
         return trace
 
-    # --- flat parameter view (gradient checks, checkpoints) ---
+    # --- flat parameter view (gradient checks) ---
 
     def get_flat_params(self) -> np.ndarray:
         return np.concatenate([self.params[k].ravel() for k in sorted(self.params)])
@@ -211,31 +209,3 @@ class Predictor:
 
     def flat_grad(self, grads: dict) -> np.ndarray:
         return np.concatenate([grads[k].ravel() for k in sorted(grads)])
-
-    # --- checkpoints ---
-
-    def save(self, path) -> None:
-        meta = {"version": CHECKPOINT_VERSION, "config": asdict(self.config)}
-        np.savez(path, __meta__=json.dumps(meta), **self.params)
-
-    @classmethod
-    def load(cls, path) -> "Predictor":
-        from . import build_predictor  # noqa: PLC0415 - avoids a cycle
-
-        with np.load(path, allow_pickle=False) as data:
-            if "__meta__" not in data:
-                raise CheckpointError("missing checkpoint metadata")
-            meta = json.loads(str(data["__meta__"]))
-            if meta.get("version") != CHECKPOINT_VERSION:
-                raise CheckpointError(f"unsupported checkpoint version {meta.get('version')}")
-            config = PredictorConfig(**meta["config"])
-            model = build_predictor(config)
-            for k in model.params:
-                if k not in data:
-                    raise CheckpointError(f"missing parameter {k}")
-                if data[k].shape != model.params[k].shape:
-                    raise CheckpointError(
-                        f"shape mismatch for {k}: {data[k].shape} vs {model.params[k].shape}"
-                    )
-                model.params[k] = data[k].astype(np.float64)
-        return model

@@ -5,13 +5,11 @@ display scaling of SMAPE/MAPE appears only here, in columns labeled _pct."""
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from .metrics import smape_improvement
 from .residual import SegmentReport
 
 ROW_HEADER = "segment,model,stage,rmse,mape,smape,res_b,epochs"
-FORMATS = ("csv", "json", "plotdata")
 
 
 def _f(x: float) -> str:
@@ -73,41 +71,6 @@ def plot_data_csv(actual, predicted) -> str:
     lines = ["actual,predicted"]
     lines += [f"{_f(a)},{_f(p)}" for a, p in zip(actual, predicted)]
     return "\n".join(lines) + "\n"
-
-
-def emit_report(
-    reports: list[SegmentReport],
-    fmt: str,
-    out_dir,
-    model_name: str = "model",
-    plot_series: dict[int, tuple] | None = None,
-) -> list[Path]:
-    """Write report files of the requested format; returns the paths written."""
-    if not reports:
-        raise ValueError("no reports to emit")
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = report_rows(reports, model_name)
-    written = []
-    if fmt == "csv":
-        path = out_dir / f"report_{model_name}.csv"
-        path.write_text(render_csv(rows))
-        written.append(path)
-    elif fmt == "json":
-        path = out_dir / f"report_{model_name}.json"
-        path.write_text(render_json(rows))
-        written.append(path)
-    else:
-        if not plot_series:
-            raise ValueError("plotdata format needs per-segment (actual, predicted) series")
-        for seg_index in sorted(plot_series):
-            actual, predicted = plot_series[seg_index]
-            path = out_dir / f"plot_{model_name}_seg{seg_index}.csv"
-            path.write_text(plot_data_csv(actual, predicted))
-            written.append(path)
-    return written
 
 
 def comparison_csv(kind_reports: dict[str, list[SegmentReport]]) -> str:

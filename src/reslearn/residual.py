@@ -3,16 +3,17 @@ bias-shifted residuals, combined into one forecaster per segment."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import json
+import zipfile
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import LengthMismatch, ResLearnError
+from .errors import BadConfig, CheckpointError, LengthMismatch, ResLearnError
 from .metrics import MetricsResult, evaluate
 from .models import Predictor, PredictorConfig, build_predictor
 from .seriesprep import (
     Scaler,
-    SegmentedSeries,
     SplitSpec,
     make_windows,
     minmax_scale,
@@ -44,16 +45,13 @@ class SegmentReport:
     test_series: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
-RESLEARN_CHECKPOINT_VERSION = 1
+FORMAT_VERSION = 1
 
 
 def save_reslearn(model: ResLearnModel, path) -> None:
     """Bundle base, residual, scaler, and the residual bias in one file."""
-    import json
-    from dataclasses import asdict
-
     meta = {
-        "version": RESLEARN_CHECKPOINT_VERSION,
+        "version": FORMAT_VERSION,
         "res_b": model.res_b,
         "scaler": {"lo": model.scaler.lo, "hi": model.scaler.hi,
                    "identity": model.scaler.identity},
@@ -67,29 +65,42 @@ def save_reslearn(model: ResLearnModel, path) -> None:
 
 
 def load_reslearn(path) -> ResLearnModel:
-    import json
-
-    from .errors import CheckpointError
-
-    with np.load(path, allow_pickle=False) as data:
-        if "__meta__" not in data:
-            raise CheckpointError("missing checkpoint metadata")
-        meta = json.loads(str(data["__meta__"]))
-        if meta.get("version") != RESLEARN_CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {meta.get('version')}")
+    """The model that save_reslearn wrote to `path`. A file that is not such a
+    checkpoint, in any part, raises CheckpointError."""
+    try:
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise CheckpointError("not an npz archive")
+        with data:
+            arrays = {k: data[k] for k in data.files}
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"not an npz archive: {exc}") from None
+    if "__meta__" not in arrays:
+        raise CheckpointError("missing checkpoint metadata")
+    try:
+        meta = json.loads(str(arrays["__meta__"]))
+    except ValueError:
+        raise CheckpointError("checkpoint metadata is not JSON") from None
+    version = meta.get("version") if isinstance(meta, dict) else None
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    try:
         base = build_predictor(PredictorConfig(**meta["base_config"]))
         residual = build_predictor(PredictorConfig(**meta["residual_config"]))
-        for prefix, model in (("base__", base), ("residual__", residual)):
-            for k in model.params:
-                key = prefix + k
-                if key not in data:
-                    raise CheckpointError(f"missing parameter {key}")
-                if data[key].shape != model.params[k].shape:
-                    raise CheckpointError(f"shape mismatch for {key}")
-                model.params[k] = data[key].astype(np.float64)
-        scaler = Scaler(**meta["scaler"])
-    return ResLearnModel(base, residual, float(meta["res_b"]), scaler,
-                         bool(meta["paper_literal_combine"]))
+        s = meta["scaler"]
+        scaler = Scaler(float(s["lo"]), float(s["hi"]), bool(s["identity"]))
+        res_b, literal = float(meta["res_b"]), bool(meta["paper_literal_combine"])
+    except (KeyError, TypeError, ValueError, BadConfig) as exc:
+        raise CheckpointError(f"malformed metadata: {type(exc).__name__}: {exc}") from None
+    for prefix, model in (("base__", base), ("residual__", residual)):
+        for k in model.params:
+            key = prefix + k
+            if key not in arrays:
+                raise CheckpointError(f"missing parameter {key}")
+            if arrays[key].shape != model.params[k].shape or arrays[key].dtype.kind != "f":
+                raise CheckpointError(f"shape or dtype mismatch for {key}")
+            model.params[k] = arrays[key].astype(np.float64)
+    return ResLearnModel(base, residual, res_b, scaler, literal)
 
 
 def residual_targets(
@@ -111,42 +122,14 @@ def residual_targets(
 
 
 def combine_predictions(
-    model: ResLearnModel, base_pred: np.ndarray, residual_pred: np.ndarray,
-    scaled: bool = False,
+    model: ResLearnModel, base_pred: np.ndarray, residual_pred: np.ndarray
 ) -> np.ndarray:
     """Base + residual predictions with the training-time bias removed
-    (kept when paper_literal_combine is set). Physical units by default."""
+    (kept when paper_literal_combine is set), in physical units."""
     combined = base_pred + residual_pred
     if not model.paper_literal_combine:
         combined = combined - model.res_b
-    if scaled:
-        return combined
     return model.scaler.inverse(combined)
-
-
-def predict_combined(
-    model: ResLearnModel, inputs: np.ndarray, scaled: bool = False
-) -> np.ndarray:
-    """The combined forecast for `inputs`; see combine_predictions."""
-    return combine_predictions(
-        model, model.base.predict(inputs), model.residual.predict(inputs), scaled
-    )
-
-
-def train_reslearn(
-    segments: SegmentedSeries | list[np.ndarray],
-    base_cfg: PredictorConfig,
-    residual_cfg: PredictorConfig,
-    split_spec: SplitSpec,
-    paper_literal_combine: bool = False,
-) -> tuple[list[ResLearnModel | None], list[SegmentReport]]:
-    """train_segment over every segment, in order."""
-    seg_list = segments.segments if isinstance(segments, SegmentedSeries) else segments
-    results = [
-        train_segment(i, seg, base_cfg, residual_cfg, split_spec, paper_literal_combine)
-        for i, seg in enumerate(seg_list)
-    ]
-    return [m for m, _ in results], [r for _, r in results]
 
 
 def train_segment(

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSeries, SeriesTooShort, SplitTooSmall
+from .errors import ConfigError, DegenerateSeries, SeriesTooShort, SplitTooSmall
 
 MIN_SEGMENT_SIZE = 8
 
@@ -19,9 +19,9 @@ class SplitSpec:
 
     def __post_init__(self):
         if not 0 < self.train_ratio < 1:
-            raise ValueError("train_ratio must be in (0,1)")
+            raise ConfigError("train_ratio must be in (0,1)")
         if not 0 < self.val_ratio_within_train < 1:
-            raise ValueError("val_ratio_within_train must be in (0,1)")
+            raise ConfigError("val_ratio_within_train must be in (0,1)")
 
 
 @dataclass
@@ -79,7 +79,7 @@ def impute_absent(values: list[float | None]) -> np.ndarray:
 def segment(values: np.ndarray, n: int) -> SegmentedSeries:
     values = np.asarray(values, dtype=np.float64)
     if n < MIN_SEGMENT_SIZE:
-        raise ValueError(f"segment size must be >= {MIN_SEGMENT_SIZE}")
+        raise ConfigError(f"segment size must be >= {MIN_SEGMENT_SIZE}")
     if values.size < n:
         raise SeriesTooShort(f"{values.size} values cannot fill one segment of {n}")
     x = values.size // n
@@ -114,7 +114,7 @@ def split(
 def rolling_mean(values: np.ndarray, window: int = 20) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if window < 1:
-        raise ValueError("window must be >= 1")
+        raise ConfigError("window must be >= 1")
     if values.size < window:
         raise SeriesTooShort(f"{values.size} values < window {window}")
     view = np.lib.stride_tricks.sliding_window_view(values, window)

@@ -51,13 +51,7 @@ def estimate_len_threshold(packets: PacketTable) -> float:
     return LEN_FRACTION * int(packets.length.max())
 
 
-def estimate_dur_threshold(packets: PacketTable, bins: int = DEFAULT_BINS) -> float:
-    return _dur_threshold_with_peaks(packets, bins)[0]
-
-
-def _dur_threshold_with_peaks(
-    packets: PacketTable, bins: int = DEFAULT_BINS
-) -> tuple[float, list[float]]:
+def _dur_threshold_with_peaks(packets: PacketTable, bins: int) -> tuple[float, list[float]]:
     """Histogram log10(IAT) and return the geometric midpoint between the
     centers of the first two peaks, plus the peak IATs for reporting."""
     if len(packets) < 3:
@@ -81,16 +75,20 @@ def _dur_threshold_with_peaks(
     )
     peak_idx = np.nonzero(is_peak)[0]
     if peak_idx.size < 2:
-        raise DegenerateDistribution(
-            f"found {peak_idx.size} IAT peak(s); caller should fall back to a default dur_th"
-        )
+        raise DegenerateDistribution(f"found {peak_idx.size} IAT peak(s), need 2")
     mid = 0.5 * (centers[peak_idx[0]] + centers[peak_idx[1]])
     return float(10.0 ** mid), [float(10.0 ** centers[i]) for i in peak_idx]
 
 
-def estimate_thresholds(packets: PacketTable, bins: int = DEFAULT_BINS) -> Thresholds:
+def estimate_thresholds(packets: PacketTable, bins: int, default_dur_th: float) -> Thresholds:
+    """Thresholds of the packets of a first segment. When their IAT histogram
+    has fewer than two peaks, or they are fewer than 3, dur_th falls back to
+    `default_dur_th` and no peaks are reported."""
     len_th = estimate_len_threshold(packets)
-    dur_th, peaks = _dur_threshold_with_peaks(packets, bins)
+    try:
+        dur_th, peaks = _dur_threshold_with_peaks(packets, bins)
+    except (DegenerateDistribution, EmptySegment):
+        dur_th, peaks = default_dur_th, []
     return Thresholds(len_th=len_th, dur_th=dur_th, bins=bins, peaks=tuple(peaks))
 
 

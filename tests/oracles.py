@@ -1,10 +1,10 @@
 """Reference implementations the tests compare the vectorized code against,
-and a builder of packet tables from rows.
+and builders of packet tables from rows and of captures from packet tables.
 
 `parse_pcap_records` decodes a classic pcap one record at a time with plain
 `struct` calls; `assign_frames` is the scalar frame scan. Both state the rules
 in the most direct form and must agree exactly with the columnar parser and
-the cumsum scan.
+the cumsum scan. `write_pcap` builds the classic pcap test captures.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import struct
 import numpy as np
 
 from reslearn.errors import BadMagic, TruncatedHeader
-from reslearn.ingest import PacketTable
+from reslearn.ingest import EndpointFilter, PacketTable
 
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_NS_MAGIC = 0xA1B23C4D
@@ -31,6 +31,47 @@ def table(rows) -> PacketTable:
 def rows(packets: PacketTable) -> list[tuple[float, int, bool]]:
     return list(zip(packets.ts.tolist(), packets.length.tolist(),
                     packets.downlink.tolist()))
+
+
+def write_pcap(
+    packets: PacketTable,
+    filt: EndpointFilter,
+    client_address: str = "192.168.0.2",
+) -> bytes:
+    """Assemble a classic little-endian pcap of `packets`, whose ts are absolute
+    capture times; the inverse of parse_pcap for synthetic fixtures.
+
+    Each length is the captured frame length and must be >= 42
+    (Ethernet + IPv4 + UDP headers).
+    """
+    server = filt.packed_address()
+    client = bytes(int(p) for p in client_address.split("."))
+    port = filt.port if filt.port is not None else 51000
+    out = bytearray()
+    out += struct.pack("<IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, 65535, 1)
+    for ts, length, downlink in rows(packets):
+        if length < 42:
+            raise ValueError(f"cannot fit headers in {length} bytes")
+        if downlink:
+            src, dst = server, client
+            sport, dport = port, 52000
+        else:
+            src, dst = client, server
+            sport, dport = 52000, port
+        payload_len = length - 42
+        ip_total = 20 + 8 + payload_len
+        eth = struct.pack("!6s6sH", b"\xaa" * 6, b"\xbb" * 6, 0x0800)
+        ip = struct.pack("!BBHHHBBH4s4s", 0x45, 0, ip_total, 0, 0, 64, 17, 0, src, dst)
+        udp = struct.pack("!HHHH", sport, dport, 8 + payload_len, 0)
+        frame = eth + ip + udp + b"\x00" * payload_len
+        assert len(frame) == length
+        sec = int(ts)
+        usec = int(round((ts - sec) * 1e6))
+        if usec == 1_000_000:
+            sec, usec = sec + 1, 0
+        out += struct.pack("<IIII", sec, usec, length, length)
+        out += frame
+    return bytes(out)
 
 
 def parse_pcap_records(data: bytes, server: bytes, port: int | None):

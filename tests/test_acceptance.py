@@ -11,12 +11,7 @@ from hypothesis import given, settings, strategies as st
 from reslearn.cli import main as cli_main
 from reslearn.metrics import mape, rmse, smape, smape_improvement
 from reslearn.models import KINDS, PredictorConfig, build_predictor
-from reslearn.residual import (
-    ResLearnModel,
-    predict_combined,
-    residual_targets,
-    train_reslearn,
-)
+from reslearn.residual import ResLearnModel, residual_targets
 from reslearn.seriesprep import (
     Scaler,
     SplitSpec,
@@ -30,6 +25,7 @@ from reslearn.synth import SeriesSpec, TraceSpec, gen_series, gen_trace
 from reslearn.viewframe import estimate_thresholds, identify_frames
 
 from test_models import grad_fixture, max_relative_grad_error, small_config
+from test_residual import forecast, train_all
 
 
 def criterion(label):
@@ -132,7 +128,7 @@ class TestCriterion4CombineIdentity:
             base = build_predictor(small_config(kind, seed=3))
             _, res_b, shifted = residual_targets(y, base.predict(x))
             model = ResLearnModel(base, _StubPredictor(shifted), res_b, Scaler(0.0, 1.0))
-            np.testing.assert_allclose(predict_combined(model, x), y, atol=1e-9)
+            np.testing.assert_allclose(forecast(model, x), y, atol=1e-9)
 
 
 class TestCriterion5FrameRecovery:
@@ -141,7 +137,8 @@ class TestCriterion5FrameRecovery:
         # clean trace: exact frame count and byte totals
         clean = TraceSpec(duration=10.0, jitter_std=0.0, background_rate=50.0, seed=4)
         packets, planted = gen_trace(clean)
-        th = estimate_thresholds(packets[packets.ts < 1.0])
+        th = estimate_thresholds(packets[packets.ts < 1.0], 50, 0.002)
+        assert len(th.peaks) >= 2          # estimated, not the fallback
         frames = identify_frames(packets, th)
         assert len(frames) == len(planted)
         assert sum(f.size for f in frames) == sum(f.size for f in planted)
@@ -151,7 +148,8 @@ class TestCriterion5FrameRecovery:
         noisy = TraceSpec(duration=10.0, jitter_std=0.2 * spacing,
                           background_rate=50.0, seed=4)
         packets, planted = gen_trace(noisy)
-        th = estimate_thresholds(packets[packets.ts < 1.0])
+        th = estimate_thresholds(packets[packets.ts < 1.0], 50, 0.002)
+        assert len(th.peaks) >= 2          # estimated, not the fallback
         frames = identify_frames(packets, th)
         assert abs(len(frames) - len(planted)) <= 0.01 * len(planted)
 
@@ -171,7 +169,7 @@ class TestCriterion6ResidualGain:
                                        early_stop_patience=20, seed=5)
         spec = SplitSpec(0.5, 0.2)
         segments = segment(series, 500)
-        models, reports = train_reslearn(segments, base_cfg, residual_cfg, spec)
+        models, reports = train_all(segments.segments, base_cfg, residual_cfg, spec)
         ok = [r for r in reports if r.failed is None]
         assert len(ok) == 4
 
@@ -187,7 +185,7 @@ class TestCriterion6ResidualGain:
             x, y = make_windows(model.scaler.transform(test), 32)
             actual = model.scaler.inverse(y)
             base_pred = model.scaler.inverse(model.base.predict(x))
-            comb_pred = predict_combined(model, x)
+            comb_pred = forecast(model, x)
             hi = actual >= np.quantile(actual, 0.9)
             base_err.append(np.abs(base_pred[hi] - actual[hi]))
             comb_err.append(np.abs(comb_pred[hi] - actual[hi]))

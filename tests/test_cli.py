@@ -12,12 +12,13 @@ import pytest
 
 from reslearn import cli, harness
 from reslearn.cli import main
-from reslearn.ingest import EndpointFilter, write_pcap
+from reslearn.ingest import EndpointFilter
 from reslearn.models import Predictor, PredictorConfig, build_predictor
 from reslearn.residual import ResLearnModel, save_reslearn
 from reslearn.seriesprep import Scaler
 
-from oracles import DOWNLINK, UPLINK, table
+from oracles import DOWNLINK, UPLINK, table, write_pcap
+from test_models import MALFORMED, checkpoint
 
 SMALL_CFG = """
 input_kind = synth-series
@@ -34,6 +35,9 @@ ffn_width = 8
 eda_window = 20
 seed = 7
 """
+
+
+FEATURES_CSV = "segment,f_c,f_s,f_iat\n" + "".join(f"{i},1,{100 + i % 7},NA\n" for i in range(30))
 
 
 @pytest.fixture
@@ -365,9 +369,7 @@ class TestTrainEvaluate:
         assert len(ckpts) == 2
 
         features = tmp_path / "features.csv"
-        rows = ["segment,f_c,f_s,f_iat"]
-        rows += [f"{i},1,{100 + (i % 7)},NA" for i in range(30)]
-        features.write_text("\n".join(rows) + "\n")
+        features.write_text(FEATURES_CSV)
         rc = main(["evaluate", "--model", str(ckpts[0]),
                    "--features", str(features), "--feature", "f_s"])
         assert rc == 0
@@ -380,9 +382,7 @@ class TestTrainEvaluate:
         out = tmp_path / "ckpts"
         assert main(["train", "--config", str(small_cfg), "--out", str(out)]) == 0
         features = tmp_path / "features.csv"
-        rows = ["segment,f_c,f_s,f_iat"]
-        rows += [f"{i},1,{100 + (i % 7)},NA" for i in range(30)]
-        features.write_text("\n".join(rows) + "\n")
+        features.write_text(FEATURES_CSV)
         loaded, calls = [], []
         real_load, real_predict = cli.load_reslearn, Predictor.predict
         monkeypatch.setattr(cli, "load_reslearn",
@@ -415,4 +415,50 @@ class TestBadFeatureCsv:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "SchemaMismatch: line 2:" in err
+        assert "Traceback" not in err
+
+
+class TestBadCheckpoint:
+    @pytest.mark.parametrize("case", ["not_npz", "meta_not_json", "no_base_config"])
+    def test_malformed_checkpoint_is_data_error(self, case, tmp_path, capsys):
+        if case == "not_npz":
+            ckpt = tmp_path / "ckpt.npz"
+            ckpt.write_text("not a checkpoint\n")
+        else:
+            ckpt = checkpoint(tmp_path, MALFORMED[case])
+        features = tmp_path / "features.csv"
+        features.write_text(FEATURES_CSV)
+        assert main(["evaluate", "--model", str(ckpt), "--features", str(features)]) == 2
+        err = capsys.readouterr().err
+        assert "CheckpointError" in err
+        assert "Traceback" not in err
+
+
+class TestBadUserInput:
+    @pytest.mark.parametrize("argv, config", [
+        (["ingest", "--server", "999.1.1.1"], None),
+        (["ingest", "--server", "10.0.0.1", "--port", "70000"], None),
+        (["run"], "input_kind = pcap\nserver = nope\n"),
+        (["run"], SMALL_CFG + "train_ratio = 2\n"),
+        (["run"], SMALL_CFG + "segment_size = 4\n"),
+        (["eda", "--window", "0"], None),
+        (["run"], SMALL_CFG + "eda_window = 0\n"),
+    ], ids=["server", "port", "config_server", "train_ratio", "segment_size",
+            "eda_window_flag", "eda_window_key"])
+    def test_exits_1_without_traceback(self, argv, config, tmp_path, capsys):
+        pcap = tmp_path / "t.pcap"
+        pcap.write_bytes(write_pcap(table([(0.0, 1200, DOWNLINK)]), EndpointFilter("10.0.0.1")))
+        features = tmp_path / "features.csv"
+        features.write_text(FEATURES_CSV)
+        if argv[0] == "ingest":
+            argv = argv + ["--pcap", str(pcap)]
+        elif argv[0] == "eda":
+            argv = argv + ["--features", str(features)]
+        else:
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(config + f"input_path = {pcap}\n")
+            argv = argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
         assert "Traceback" not in err

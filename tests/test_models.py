@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from reslearn.errors import BadConfig, CheckpointError, NonFiniteLoss, ShapeMismatch
 from reslearn.models import KINDS, PredictorConfig, build_predictor
 from reslearn.models.transformer import _softmax, positional_encoding
+from reslearn.residual import ResLearnModel, load_reslearn, save_reslearn
+from reslearn.seriesprep import Scaler
 
 
 def small_config(kind, **overrides):
@@ -217,38 +220,92 @@ class TestArchitectures:
         assert np.all(np.isfinite(pred))
 
 
+def two_stage(base_kind="fcnn"):
+    return ResLearnModel(build_predictor(small_config(base_kind, epochs=2)),
+                         build_predictor(small_config("fcnn", seed=2)), 0.25, Scaler(1.0, 3.0))
+
+
+def checkpoint(tmp_path, edit=None):
+    """A saved two-stage checkpoint, its arrays first changed by `edit`."""
+    path = tmp_path / "ckpt.npz"
+    save_reslearn(two_stage(), path)
+    if edit is not None:
+        with np.load(path) as data:
+            arrays = dict(data)
+        edit(arrays)
+        np.savez(path, **arrays)
+    return path
+
+
+def meta_edit(change):
+    """An `edit` that applies `change` to the checkpoint's metadata dict."""
+    def edit(arrays):
+        meta = json.loads(str(arrays["__meta__"]))
+        change(meta)
+        arrays["__meta__"] = json.dumps(meta)
+
+    return edit
+
+
+MALFORMED = {
+    "meta_missing": lambda arrays: arrays.pop("__meta__"),
+    "meta_not_json": lambda arrays: arrays.update(__meta__="{not json"),
+    "meta_not_object": lambda arrays: arrays.update(__meta__="[1]"),
+    "no_base_config": meta_edit(lambda meta: meta.pop("base_config")),
+    "unknown_config_key": meta_edit(lambda meta: meta["base_config"].update(colour=1)),
+    "bad_config_value": meta_edit(lambda meta: meta["residual_config"].update(kind="cnn")),
+    "scaler_not_object": meta_edit(lambda meta: meta.update(scaler=[1.0, 3.0])),
+    "scaler_bad_bound": meta_edit(lambda meta: meta["scaler"].update(lo="low")),
+    "scaler_missing_bound": meta_edit(lambda meta: meta["scaler"].pop("hi")),
+    "res_b_missing": meta_edit(lambda meta: meta.pop("res_b")),
+    "parameter_missing": lambda arrays: arrays.pop("residual__b3"),
+    "parameter_not_float": lambda arrays: arrays.update(base__b1=np.array(["x"] * 8)),
+}
+
+
 class TestCheckpoints:
+    """save_reslearn / load_reslearn, the one checkpoint codec."""
+
     def test_round_trip(self, tmp_path):
         X, y = grad_fixture()
-        model = build_predictor(small_config("transformer", epochs=2))
-        model.fit(X, y)
+        model = two_stage("transformer")
+        model.base.fit(X, y)
         path = tmp_path / "model.npz"
-        model.save(path)
-        loaded = type(model).load(path)
-        np.testing.assert_array_equal(loaded.get_flat_params(), model.get_flat_params())
-        np.testing.assert_array_equal(loaded.predict(X), model.predict(X))
+        save_reslearn(model, path)
+        loaded = load_reslearn(path)
+        for stage in ("base", "residual"):
+            np.testing.assert_array_equal(getattr(loaded, stage).get_flat_params(),
+                                          getattr(model, stage).get_flat_params())
+            assert getattr(loaded, stage).config == getattr(model, stage).config
+        np.testing.assert_array_equal(loaded.base.predict(X), model.base.predict(X))
+        assert (loaded.res_b, loaded.scaler) == (model.res_b, model.scaler)
 
     def test_version_rejected(self, tmp_path):
-        import json
-
-        model = build_predictor(small_config("fcnn"))
-        path = tmp_path / "model.npz"
-        meta = {"version": 99, "config": {"kind": "fcnn"}}
-        np.savez(path, __meta__=json.dumps(meta), **model.params)
-        with pytest.raises(CheckpointError):
-            type(model).load(path)
+        path = checkpoint(tmp_path, meta_edit(lambda meta: meta.update(version=99)))
+        with pytest.raises(CheckpointError, match="version 99"):
+            load_reslearn(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
-        import json
+        path = checkpoint(tmp_path, lambda arrays: arrays.update(base__W1=np.zeros((2, 2))))
+        with pytest.raises(CheckpointError, match="base__W1"):
+            load_reslearn(path)
 
-        model = build_predictor(small_config("fcnn"))
-        path = tmp_path / "model.npz"
-        from dataclasses import asdict
-
-        broken = {k: v for k, v in model.params.items()}
-        first = sorted(broken)[0]
-        broken[first] = np.zeros((2, 2))
-        meta = {"version": 1, "config": asdict(model.config)}
-        np.savez(path, __meta__=json.dumps(meta), **broken)
+    @pytest.mark.parametrize("content", [b"", b"not a checkpoint\n", b"PK\x03\x04 cut"],
+                             ids=["empty", "text", "truncated_zip"])
+    def test_not_an_npz_rejected(self, content, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        path.write_bytes(content)
         with pytest.raises(CheckpointError):
-            type(model).load(path)
+            load_reslearn(path)
+
+    def test_npy_array_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.npy"
+        np.save(path, np.zeros(3))
+        with pytest.raises(CheckpointError):
+            load_reslearn(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_checkpoint_rejected(self, case, tmp_path):
+        path = checkpoint(tmp_path, MALFORMED[case])
+        with pytest.raises(CheckpointError):
+            load_reslearn(path)

@@ -1,10 +1,13 @@
 import json
 
+import pytest
+
+from reslearn import harness
+from reslearn.config import ExperimentConfig
 from reslearn.metrics import MetricsResult
 from reslearn.report import (
     ROW_HEADER,
     comparison_csv,
-    emit_report,
     plot_data_csv,
     render_csv,
     render_json,
@@ -93,26 +96,36 @@ class TestPlotData:
 
 
 class TestEmit:
-    def test_csv_and_json_files(self, tmp_path):
-        reports = [sample_report()]
-        (csv_path,) = emit_report(reports, "csv", tmp_path, "gru")
-        (json_path,) = emit_report(reports, "json", tmp_path, "gru")
-        assert csv_path.name == "report_gru.csv"
-        assert json_path.name == "report_gru.json"
-        assert csv_path.read_text().startswith(ROW_HEADER)
+    """The report files that run_experiment, the one report writer, emits."""
 
-    def test_plotdata_files(self, tmp_path):
-        paths = emit_report(
-            [sample_report()], "plotdata", tmp_path, "gru",
-            plot_series={0: ([1.0], [1.5]), 2: ([2.0], [2.5])},
-        )
-        assert [p.name for p in paths] == ["plot_gru_seg0.csv", "plot_gru_seg2.csv"]
+    @pytest.fixture
+    def run(self, tmp_path, monkeypatch):
+        def run(report):
+            monkeypatch.setattr(harness, "train_models",
+                                lambda cfg, segments: {"gru": ([None], [report])})
+            cfg = ExperimentConfig(models="gru", synth_length=40, segment_size=40,
+                                   eda_window=4)
+            return [p.name for p in harness.run_experiment(cfg, tmp_path)]
 
-    def test_unknown_format(self, tmp_path):
-        import pytest
+        return run
 
-        with pytest.raises(ValueError):
-            emit_report([sample_report()], "xml", tmp_path)
+    def test_csv_and_json_files(self, run, tmp_path):
+        report = sample_report()
+        written = run(report)
+        assert {"report_gru.csv", "report_gru.json"} <= set(written)
+        rows = report_rows([report], "gru")
+        assert (tmp_path / "report_gru.csv").read_text() == render_csv(rows)
+        assert (tmp_path / "report_gru.json").read_text() == render_json(rows)
+        assert (tmp_path / "report_gru.csv").read_text().startswith(ROW_HEADER)
+
+    def test_plotdata_files(self, run, tmp_path):
+        actual, base, combined = [1.0, 2.0], [1.5, 2.5], [1.25, 2.25]
+        report = sample_report(2)
+        report.test_series = (actual, base, combined)
+        plots = sorted(n for n in run(report) if n.startswith("plot_"))
+        assert plots == ["plot_gru_reslearn_seg2.csv", "plot_gru_seg2.csv"]
+        assert (tmp_path / plots[1]).read_text() == plot_data_csv(actual, base)
+        assert (tmp_path / plots[0]).read_text() == plot_data_csv(actual, combined)
 
 
 class TestComparison:

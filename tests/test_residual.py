@@ -5,11 +5,11 @@ from reslearn.errors import LengthMismatch
 from reslearn.models import KINDS, Predictor, PredictorConfig, build_predictor
 from reslearn.residual import (
     ResLearnModel,
+    combine_predictions,
     load_reslearn,
-    predict_combined,
     residual_targets,
     save_reslearn,
-    train_reslearn,
+    train_segment,
 )
 from reslearn.seriesprep import Scaler, SplitSpec, make_windows, split
 
@@ -67,6 +67,18 @@ class _StubPredictor:
 IDENTITY = Scaler(0.0, 1.0)
 
 
+def forecast(model, inputs):
+    """The combined forecast of `inputs`, formed as the CLI forms it."""
+    return combine_predictions(model, model.base.predict(inputs), model.residual.predict(inputs))
+
+
+def train_all(segments, base_cfg, residual_cfg, split_spec):
+    """train_segment over every segment, in order: (models, reports)."""
+    results = [train_segment(i, seg, base_cfg, residual_cfg, split_spec)
+               for i, seg in enumerate(segments)]
+    return [m for m, _ in results], [r for _, r in results]
+
+
 class TestPredictCombined:
     @pytest.mark.parametrize("kind", KINDS)
     def test_perfect_residual_recovers_targets(self, kind):
@@ -79,13 +91,13 @@ class TestPredictCombined:
                                                d_model=8, ffn_width=12, seed=3))
         _, res_b, shifted = residual_targets(y, base.predict(x))
         model = ResLearnModel(base, _StubPredictor(shifted), res_b, IDENTITY)
-        np.testing.assert_allclose(predict_combined(model, x), y, atol=1e-9)
+        np.testing.assert_allclose(forecast(model, x), y, atol=1e-9)
 
     def test_zero_residual_stub_reproduces_base(self):
         base = _StubPredictor(np.array([1.0, 2.0, 3.0]))
         model = ResLearnModel(base, _StubPredictor(np.full(3, 0.4)), 0.4, IDENTITY)
         np.testing.assert_allclose(
-            predict_combined(model, np.zeros((3, 8))), [1.0, 2.0, 3.0], atol=1e-12
+            forecast(model, np.zeros((3, 8))), [1.0, 2.0, 3.0], atol=1e-12
         )
 
     def test_literal_combine_keeps_bias(self):
@@ -94,17 +106,14 @@ class TestPredictCombined:
         shifted = ResLearnModel(base, residual, 1.0, IDENTITY)
         literal = ResLearnModel(base, residual, 1.0, IDENTITY, paper_literal_combine=True)
         x = np.zeros((2, 8))
-        np.testing.assert_allclose(predict_combined(shifted, x), [0.0, 0.0])
-        np.testing.assert_allclose(predict_combined(literal, x), [1.0, 1.0])
+        np.testing.assert_allclose(forecast(shifted, x), [0.0, 0.0])
+        np.testing.assert_allclose(forecast(literal, x), [1.0, 1.0])
 
     def test_inverse_scaling_applied(self):
         base = _StubPredictor(np.array([0.5]))
         model = ResLearnModel(base, _StubPredictor(np.array([0.0])), 0.0,
                               Scaler(100.0, 300.0))
-        np.testing.assert_allclose(predict_combined(model, np.zeros((1, 8))), [200.0])
-        np.testing.assert_allclose(
-            predict_combined(model, np.zeros((1, 8)), scaled=True), [0.5]
-        )
+        np.testing.assert_allclose(forecast(model, np.zeros((1, 8))), [200.0])
 
 
 def tiny_configs(**base_overrides):
@@ -120,9 +129,8 @@ class TestTrainReslearn:
         t = np.arange(200)
         series = 10 + np.sin(2 * np.pi * t / 20) + rng.normal(0, 0.05, 200)
         base_cfg, res_cfg = tiny_configs()
-        models, reports = train_reslearn(
-            [series[:100], series[100:]], base_cfg, res_cfg, SplitSpec(0.5, 0.2)
-        )
+        models, reports = train_all([series[:100], series[100:]], base_cfg, res_cfg,
+                                    SplitSpec(0.5, 0.2))
         assert len(models) == len(reports) == 2
         for m, r in zip(models, reports):
             assert m is not None
@@ -136,9 +144,7 @@ class TestTrainReslearn:
         good = np.sin(np.arange(100) / 5.0) + 5.0
         short = np.arange(20, dtype=float)   # cannot satisfy the window split
         base_cfg, res_cfg = tiny_configs()
-        models, reports = train_reslearn(
-            [short, good], base_cfg, res_cfg, SplitSpec(0.5, 0.2)
-        )
+        models, reports = train_all([short, good], base_cfg, res_cfg, SplitSpec(0.5, 0.2))
         assert models[0] is None
         assert "SplitTooSmall" in reports[0].failed
         assert models[1] is not None
@@ -147,9 +153,7 @@ class TestTrainReslearn:
     def test_segment_models_get_distinct_seeds(self):
         series = np.sin(np.arange(100) / 5.0) + 5.0
         base_cfg, res_cfg = tiny_configs(epochs=0)
-        models, _ = train_reslearn(
-            [series, series], base_cfg, res_cfg, SplitSpec(0.5, 0.2)
-        )
+        models, _ = train_all([series, series], base_cfg, res_cfg, SplitSpec(0.5, 0.2))
         a = models[0].base.get_flat_params()
         b = models[1].base.get_flat_params()
         assert not np.array_equal(a, b)
@@ -157,16 +161,14 @@ class TestTrainReslearn:
     def test_checkpoint_round_trip(self, tmp_path):
         series = np.sin(np.arange(100) / 5.0) + 5.0
         base_cfg, res_cfg = tiny_configs(epochs=5)
-        models, _ = train_reslearn([series], base_cfg, res_cfg, SplitSpec(0.5, 0.2))
+        models, _ = train_all([series], base_cfg, res_cfg, SplitSpec(0.5, 0.2))
         path = tmp_path / "bundle.npz"
         save_reslearn(models[0], path)
         loaded = load_reslearn(path)
         assert loaded.res_b == models[0].res_b
         assert loaded.scaler == models[0].scaler
         x, _ = make_windows(np.sin(np.arange(40) / 5.0), 8)
-        np.testing.assert_array_equal(
-            predict_combined(loaded, x), predict_combined(models[0], x)
-        )
+        np.testing.assert_array_equal(forecast(loaded, x), forecast(models[0], x))
 
     def test_one_predict_per_split_and_plots_from_it(self, monkeypatch):
         series = np.sin(np.arange(100) / 5.0) + 5.0
@@ -181,7 +183,7 @@ class TestTrainReslearn:
 
         monkeypatch.setattr(Predictor, "predict", spy)
         segments = [series, series + 1.0]
-        models, reports = train_reslearn(segments, base_cfg, res_cfg, spec)
+        models, reports = train_all(segments, base_cfg, res_cfg, spec)
         monkeypatch.setattr(Predictor, "predict", real_predict)
         assert len(calls) == 5 * len(segments)
         for seg, m, r in zip(segments, models, reports):
@@ -192,4 +194,4 @@ class TestTrainReslearn:
             actual, base_pred, combined = r.test_series
             np.testing.assert_array_equal(actual, m.scaler.inverse(y_test))
             np.testing.assert_array_equal(base_pred, m.scaler.inverse(m.base.predict(x_test)))
-            np.testing.assert_array_equal(combined, predict_combined(m, x_test))
+            np.testing.assert_array_equal(combined, forecast(m, x_test))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reslearn.errors import DegenerateSeries, SeriesTooShort, SplitTooSmall
+from reslearn.errors import ConfigError, DegenerateSeries, SeriesTooShort, SplitTooSmall
 from reslearn.seriesprep import (
     SplitSpec,
     impute_absent,
@@ -27,7 +27,7 @@ class TestSegment:
         np.testing.assert_array_equal(seg.segments[0], np.arange(8))
 
     def test_rejects_tiny_segment_size(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             segment(np.arange(20), 4)
 
     def test_exact_fit(self):

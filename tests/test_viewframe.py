@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reslearn.errors import DegenerateDistribution, EmptySegment
+from reslearn.errors import EmptySegment
 from reslearn.synth import TraceSpec, gen_trace
 from reslearn.viewframe import (
     Frame,
     Thresholds,
-    estimate_dur_threshold,
     estimate_len_threshold,
     estimate_thresholds,
     features_csv,
@@ -68,6 +67,9 @@ class TestLenThreshold:
         assert estimate_len_threshold(table(scaled)) == 3 * estimate_len_threshold(table(packets))
 
 
+DEFAULT_DUR_TH = 0.003
+
+
 def packets_from_iats(iats):
     ts = np.concatenate([[0.0], np.cumsum(iats)])
     return [dl(float(t), 1000) for t in ts]
@@ -82,16 +84,17 @@ class TestDurThreshold:
         ])
         rng.shuffle(iats)
         packets = packets_from_iats(iats)
-        th = estimate_dur_threshold(table(packets), bins=50)
-        assert 2e-4 < th < 2e-2
+        th = estimate_thresholds(table(packets), 50, DEFAULT_DUR_TH)
+        assert len(th.peaks) >= 2
+        assert 2e-4 < th.dur_th < 2e-2
         oracle, width = brute_force_histogram_threshold(iats, 50)
         # agree within one bin width in the log domain
-        assert abs(np.log10(th) - np.log10(oracle)) <= width + 1e-12
+        assert abs(np.log10(th.dur_th) - np.log10(oracle)) <= width + 1e-12
 
     def test_identical_iats_degenerate(self):
         packets = [dl(i * 0.001, 1000) for i in range(10)]
-        with pytest.raises(DegenerateDistribution):
-            estimate_dur_threshold(table(packets))
+        th = estimate_thresholds(table(packets), 50, DEFAULT_DUR_TH)
+        assert (th.dur_th, th.peaks) == (DEFAULT_DUR_TH, ())
 
     def test_three_mode_mixture_ignores_third(self):
         rng = np.random.default_rng(2)
@@ -102,14 +105,15 @@ class TestDurThreshold:
         ])
         rng.shuffle(iats)
         packets = packets_from_iats(iats)
-        th = estimate_dur_threshold(table(packets), bins=50)
-        assert 1e-4 < th < 5e-3
+        th = estimate_thresholds(table(packets), 50, DEFAULT_DUR_TH)
+        assert len(th.peaks) >= 2
+        assert 1e-4 < th.dur_th < 5e-3
         oracle, width = brute_force_histogram_threshold(iats, 50)
-        assert abs(np.log10(th) - np.log10(oracle)) <= width + 1e-12
+        assert abs(np.log10(th.dur_th) - np.log10(oracle)) <= width + 1e-12
 
     def test_too_few_packets(self):
-        with pytest.raises(EmptySegment):
-            estimate_dur_threshold(table([dl(0, 100), dl(0.1, 100)]))
+        th = estimate_thresholds(table([dl(0, 100), dl(0.1, 100)]), 50, DEFAULT_DUR_TH)
+        assert (th.len_th, th.dur_th, th.peaks) == (25.0, DEFAULT_DUR_TH, ())
 
 
 def brute_force_frames(packets, len_th, dur_th, min_packets=1):
@@ -192,7 +196,8 @@ class TestIdentifyFrames:
     def test_recovers_planted_frames(self):
         spec = TraceSpec(duration=5.0, jitter_std=0.0, background_rate=20.0, seed=4)
         packets, planted = gen_trace(spec)
-        th = estimate_thresholds(packets[packets.ts < 1.0])
+        th = estimate_thresholds(packets[packets.ts < 1.0], 50, DEFAULT_DUR_TH)
+        assert len(th.peaks) >= 2
         assert spec.intra_spacing <= th.dur_th / 3
         assert 1.0 / spec.fps >= 3 * th.dur_th
         frames = identify_frames(packets, th)
