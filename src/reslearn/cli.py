@@ -88,6 +88,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_frames(args) -> int:
     cfg = load_config(args.config) if args.config else _default_cfg()
+    cfg.validate_frames()
     thresholds, frames, feats = packet_features(_read_packets(args), cfg)
     out = Path(args.out or _default_out())
     out.mkdir(parents=True, exist_ok=True)

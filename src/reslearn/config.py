@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .models import PredictorConfig
 
 INPUT_KINDS = ("synth-series", "synth-trace", "pcap", "csv", "features")
 FEATURES = ("f_c", "f_s", "f_iat")
@@ -85,7 +86,42 @@ class ExperimentConfig:
     def model_kinds(self) -> list[str]:
         return [m.strip() for m in self.models.split(",") if m.strip()]
 
+    def model_configs(self) -> tuple[dict[str, PredictorConfig], PredictorConfig]:
+        """The base model settings of each configured kind, and the residual
+        FCNN's, which trains no epoch with reslearn off."""
+        def one(kind: str, epochs: int) -> PredictorConfig:
+            return PredictorConfig(
+                kind=kind,
+                lookback=self.lookback,
+                epochs=epochs,
+                hidden_width=self.hidden_width,
+                d_model=self.d_model,
+                n_heads=self.n_heads,
+                n_layers=self.n_layers,
+                ffn_width=self.ffn_width,
+                learning_rate=self.learning_rate,
+                batch_size=self.batch_size,
+                early_stop_patience=self.patience,
+                early_stop_min_delta=self.min_delta,
+                seed=self.seed,
+            )
+
+        residual_epochs = self.residual_epochs if self.reslearn == "on" else 0
+        return ({kind: one(kind, self.epochs) for kind in self.model_kinds()},
+                one("fcnn", residual_epochs))
+
+    def validate_frames(self) -> None:
+        """The settings that turn packets into frames and segment features."""
+        if self.bins < 1:
+            raise ConfigError("bins must be >= 1")
+        if not self.segment_duration > 0:
+            raise ConfigError("segment_duration must be positive")
+        if not self.default_dur_th > 0:
+            raise ConfigError("default_dur_th must be positive")
+
     def validate(self) -> None:
+        """Every setting of a run or train, model settings included, so a bad
+        one fails before any input is read."""
         if self.input_kind not in INPUT_KINDS:
             raise ConfigError(f"input_kind must be one of {INPUT_KINDS}")
         if self.feature not in FEATURES:
@@ -100,6 +136,8 @@ class ExperimentConfig:
             raise ConfigError("models must name at least one kind")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        self.validate_frames()
+        self.model_configs()
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}

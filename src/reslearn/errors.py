@@ -51,10 +51,6 @@ class DegenerateSeries(ResLearnError):
 
 # --- models ---
 
-class BadConfig(ResLearnError):
-    pass
-
-
 class ShapeMismatch(ResLearnError):
     pass
 
@@ -88,10 +84,6 @@ class ZeroBase(ResLearnError):
 
 
 # --- harness ---
-
-class BadSpec(ResLearnError):
-    pass
-
 
 class ConfigError(ResLearnError):
     pass

@@ -26,7 +26,6 @@ from .errors import (
 )
 from .ingest import EndpointFilter, PacketTable, parse_csv, parse_pcap
 from .metrics import smape_improvement
-from .models import PredictorConfig
 from .report import comparison_csv, plot_data_csv, render_csv, render_json, report_rows
 from .residual import ResLearnModel, SegmentReport, train_segment
 from .seriesprep import (
@@ -73,24 +72,6 @@ def series_spec_from_config(cfg: ExperimentConfig) -> SeriesSpec:
         noise_std=cfg.synth_noise_std,
         spike_rate=cfg.synth_spike_rate,
         spike_height=cfg.synth_spike_height,
-        seed=cfg.seed,
-    )
-
-
-def predictor_config(cfg: ExperimentConfig, kind: str, epochs: int) -> PredictorConfig:
-    return PredictorConfig(
-        kind=kind,
-        lookback=cfg.lookback,
-        epochs=epochs,
-        hidden_width=cfg.hidden_width,
-        d_model=cfg.d_model,
-        n_heads=cfg.n_heads,
-        n_layers=cfg.n_layers,
-        ffn_width=cfg.ffn_width,
-        learning_rate=cfg.learning_rate,
-        batch_size=cfg.batch_size,
-        early_stop_patience=cfg.patience,
-        early_stop_min_delta=cfg.min_delta,
         seed=cfg.seed,
     )
 
@@ -191,11 +172,10 @@ def train_models(
     arithmetic is the same in a worker as in-process, so the results are too.
     """
     split_spec = SplitSpec(cfg.train_ratio, cfg.val_ratio)
-    residual_epochs = cfg.residual_epochs if cfg.reslearn == "on" else 0
-    residual_cfg = predictor_config(cfg, "fcnn", residual_epochs)
+    base_cfgs, residual_cfg = cfg.model_configs()
     kinds = cfg.model_kinds()
     tasks = [
-        (i, seg, predictor_config(cfg, kind, cfg.epochs), residual_cfg, split_spec,
+        (i, seg, base_cfgs[kind], residual_cfg, split_spec,
          cfg.paper_literal_combine, keep_models)
         for kind in kinds for i, seg in enumerate(segments.segments)
     ]

@@ -1,6 +1,5 @@
 """Trainable sequence predictors behind one interface."""
 
-from ..errors import BadConfig
 from .base import KINDS, Predictor, PredictorConfig, TrainTrace
 from .fcnn import FCNNPredictor
 from .recurrent import RecurrentPredictor
@@ -20,6 +19,4 @@ def build_predictor(config: PredictorConfig) -> Predictor:
         return TransformerPredictor(config)
     if config.kind in ("lstm", "gru", "stacked_lstm"):
         return RecurrentPredictor(config)
-    if config.kind == "fcnn":
-        return FCNNPredictor(config)
-    raise BadConfig(f"unknown model kind {config.kind!r}")
+    return FCNNPredictor(config)

@@ -1,6 +1,9 @@
-"""Predictor interface: seeded init, Adam training loop with early stopping,
-and flat-parameter access for gradient checks. Checkpoints are written by
-residual.save_reslearn."""
+"""Predictor interface: seeded init, Adam training loop with early stopping.
+
+Each predictor keeps its weights in one float64 vector, `flat`; `params` maps
+each weight's name to a reshaped view of its slice, so the layers read named
+arrays while Adam, the best-epoch snapshot and the gradient checks work on the
+one vector. Checkpoints are written by residual.save_reslearn."""
 
 from __future__ import annotations
 
@@ -8,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import BadConfig, NonFiniteLoss, ShapeMismatch
+from ..errors import ConfigError, NonFiniteLoss, ShapeMismatch
 
 # Inference runs over blocks of this many windows, so its memory is bounded by
 # one block's layer caches rather than by the number of windows.
@@ -35,17 +38,17 @@ class PredictorConfig:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise BadConfig(f"unknown model kind {self.kind!r}")
+            raise ConfigError(f"unknown model kind {self.kind!r}")
         if self.d_model % self.n_heads != 0:
-            raise BadConfig(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
+            raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         for name in ("lookback", "hidden_width", "d_model", "n_heads", "n_layers",
                      "ffn_width", "batch_size"):
             if getattr(self, name) < 1:
-                raise BadConfig(f"{name} must be >= 1")
+                raise ConfigError(f"{name} must be >= 1")
         if self.learning_rate <= 0:
-            raise BadConfig("learning_rate must be positive")
+            raise ConfigError("learning_rate must be positive")
         if self.epochs < 0:
-            raise BadConfig("epochs must be >= 0")
+            raise ConfigError("epochs must be >= 0")
 
 
 @dataclass
@@ -69,8 +72,22 @@ class Predictor:
 
     def __init__(self, config: PredictorConfig):
         self.config = config
-        rng = np.random.default_rng(config.seed)
-        self.params: dict[str, np.ndarray] = self.init_params(rng)
+        init = self.init_params(np.random.default_rng(config.seed))
+        self.flat = np.concatenate([v.ravel() for v in init.values()])
+        self.params: dict[str, np.ndarray] = {}
+        offset = 0
+        for k, v in init.items():
+            self.params[k] = self.flat[offset:offset + v.size].reshape(v.shape)
+            offset += v.size
+
+    # Pickling (the models that training workers send back) keeps the config
+    # and the one vector; unpickling lays out the views again.
+    def __getstate__(self):
+        return {"config": self.config, "flat": self.flat}
+
+    def __setstate__(self, state):
+        self.__init__(state["config"])
+        self.flat[...] = state["flat"]
 
     # --- subclass surface ---
 
@@ -119,7 +136,7 @@ class Predictor:
         loss = float(np.mean(diff ** 2))
         d_pred = 2.0 * diff / diff.size
         grads = self._backward(self.params, cache, d_pred)
-        return loss, grads
+        return loss, np.concatenate([grads[k].ravel() for k in self.params])
 
     def fit(
         self,
@@ -145,8 +162,8 @@ class Predictor:
             return trace
 
         rng = np.random.default_rng(cfg.seed + 1)
-        adam_m = {k: np.zeros_like(v) for k, v in self.params.items()}
-        adam_v = {k: np.zeros_like(v) for k, v in self.params.items()}
+        adam_m = np.zeros_like(self.flat)
+        adam_v = np.zeros_like(self.flat)
         step = 0
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         best_val = np.inf
@@ -159,19 +176,18 @@ class Predictor:
             epoch_loss = 0.0
             for start in range(0, n, cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
-                loss, grads = self.loss_and_grad(inputs[idx], targets[idx])
+                loss, g = self.loss_and_grad(inputs[idx], targets[idx])
                 if not np.isfinite(loss):
                     raise NonFiniteLoss(
                         f"diverged at epoch {epoch}; last finite epochs: {trace.train_loss}"
                     )
                 epoch_loss += loss * idx.size
                 step += 1
-                for k, g in grads.items():
-                    adam_m[k] = beta1 * adam_m[k] + (1 - beta1) * g
-                    adam_v[k] = beta2 * adam_v[k] + (1 - beta2) * g * g
-                    m_hat = adam_m[k] / (1 - beta1 ** step)
-                    v_hat = adam_v[k] / (1 - beta2 ** step)
-                    self.params[k] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+                adam_m = beta1 * adam_m + (1 - beta1) * g
+                adam_v = beta2 * adam_v + (1 - beta2) * g * g
+                m_hat = adam_m / (1 - beta1 ** step)
+                v_hat = adam_v / (1 - beta2 ** step)
+                self.flat -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
             trace.train_loss.append(epoch_loss / n)
 
             if has_val:
@@ -182,7 +198,7 @@ class Predictor:
                 trace.val_loss.append(val_loss)
                 if val_loss < best_val - cfg.early_stop_min_delta:
                     best_val = val_loss
-                    best_params = {k: v.copy() for k, v in self.params.items()}
+                    best_params = self.flat.copy()
                     trace.best_epoch = epoch
                     stall = 0
                 else:
@@ -190,22 +206,5 @@ class Predictor:
                     if stall >= cfg.early_stop_patience:
                         break
         if has_val and best_params is not None:
-            self.params = best_params
+            self.flat[...] = best_params
         return trace
-
-    # --- flat parameter view (gradient checks) ---
-
-    def get_flat_params(self) -> np.ndarray:
-        return np.concatenate([self.params[k].ravel() for k in sorted(self.params)])
-
-    def set_flat_params(self, flat: np.ndarray) -> None:
-        offset = 0
-        for k in sorted(self.params):
-            size = self.params[k].size
-            self.params[k] = flat[offset:offset + size].reshape(self.params[k].shape).copy()
-            offset += size
-        if offset != flat.size:
-            raise ShapeMismatch(f"flat vector has {flat.size} entries, expected {offset}")
-
-    def flat_grad(self, grads: dict) -> np.ndarray:
-        return np.concatenate([grads[k].ravel() for k in sorted(grads)])

@@ -4,16 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import BadConfig
-from .base import Predictor, PredictorConfig, uniform_init
+from .base import Predictor, uniform_init
 
 
 class FCNNPredictor(Predictor):
-    def __init__(self, config: PredictorConfig):
-        if config.kind != "fcnn":
-            raise BadConfig(f"FCNNPredictor got kind {config.kind!r}")
-        super().__init__(config)
-
     def init_params(self, rng):
         w = self.config.lookback
         d = self.config.hidden_width

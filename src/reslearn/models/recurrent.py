@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import BadConfig
 from .base import Predictor, PredictorConfig, uniform_init
 
 
@@ -22,7 +21,7 @@ def lstm_forward(x, wx, wh, b):
     h = np.zeros((n, d))
     c = np.zeros((n, d))
     for t in range(t_len):
-        xt = np.ascontiguousarray(x[:, t, :])
+        xt = x[:, t, :]
         z = xt @ wx + h @ wh + b
         gi = 1.0 / (1.0 + np.exp(-z[:, :d]))
         gf = 1.0 / (1.0 + np.exp(-z[:, d:2 * d]))
@@ -49,20 +48,20 @@ def lstm_backward(x, wx, wh, gates, c_all, h_all, dh_out):
     dh = np.zeros((n, d))
     dc = np.zeros((n, d))
     for t in range(t_len - 1, -1, -1):
-        dh_t = dh + np.ascontiguousarray(dh_out[:, t, :])
-        gi = np.ascontiguousarray(gates[:, t, :d])
-        gf = np.ascontiguousarray(gates[:, t, d:2 * d])
-        gg = np.ascontiguousarray(gates[:, t, 2 * d:3 * d])
-        go = np.ascontiguousarray(gates[:, t, 3 * d:])
-        c = np.ascontiguousarray(c_all[:, t, :])
+        dh_t = dh + dh_out[:, t, :]
+        gi = gates[:, t, :d]
+        gf = gates[:, t, d:2 * d]
+        gg = gates[:, t, 2 * d:3 * d]
+        go = gates[:, t, 3 * d:]
+        c = c_all[:, t, :]
         tc = np.tanh(c)
         do = dh_t * tc
         dc = dc + dh_t * go * (1.0 - tc * tc)
         di = dc * gg
         dg = dc * gi
         if t > 0:
-            c_prev = np.ascontiguousarray(c_all[:, t - 1, :])
-            h_prev = np.ascontiguousarray(h_all[:, t - 1, :])
+            c_prev = c_all[:, t - 1, :]
+            h_prev = h_all[:, t - 1, :]
         else:
             c_prev = np.zeros((n, d))
             h_prev = np.zeros((n, d))
@@ -72,7 +71,7 @@ def lstm_backward(x, wx, wh, gates, c_all, h_all, dh_out):
         dz[:, d:2 * d] = df * gf * (1.0 - gf)
         dz[:, 2 * d:3 * d] = dg * (1.0 - gg * gg)
         dz[:, 3 * d:] = do * go * (1.0 - go)
-        xt = np.ascontiguousarray(x[:, t, :])
+        xt = x[:, t, :]
         dwx += xt.T @ dz
         dwh += h_prev.T @ dz
         db += dz.sum(axis=0)
@@ -89,7 +88,7 @@ def gru_forward(x, wxg, whg, bg, wxn, whn, bn):
     h_all = np.zeros((n, t_len, d))
     h = np.zeros((n, d))
     for t in range(t_len):
-        xt = np.ascontiguousarray(x[:, t, :])
+        xt = x[:, t, :]
         zg = xt @ wxg + h @ whg + bg
         gz = 1.0 / (1.0 + np.exp(-zg[:, :d]))
         gr = 1.0 / (1.0 + np.exp(-zg[:, d:]))
@@ -114,19 +113,19 @@ def gru_backward(x, wxg, whg, wxn, whn, gates, h_all, dh_out):
     dx = np.zeros_like(x)
     dh = np.zeros((n, d))
     for t in range(t_len - 1, -1, -1):
-        dh_t = dh + np.ascontiguousarray(dh_out[:, t, :])
-        gz = np.ascontiguousarray(gates[:, t, :d])
-        gr = np.ascontiguousarray(gates[:, t, d:2 * d])
-        gn = np.ascontiguousarray(gates[:, t, 2 * d:])
+        dh_t = dh + dh_out[:, t, :]
+        gz = gates[:, t, :d]
+        gr = gates[:, t, d:2 * d]
+        gn = gates[:, t, 2 * d:]
         if t > 0:
-            h_prev = np.ascontiguousarray(h_all[:, t - 1, :])
+            h_prev = h_all[:, t - 1, :]
         else:
             h_prev = np.zeros((n, d))
         dz_gate = dh_t * (h_prev - gn)
         dn = dh_t * (1.0 - gz)
         dh_prev = dh_t * gz
         d_pre_n = dn * (1.0 - gn * gn)
-        xt = np.ascontiguousarray(x[:, t, :])
+        xt = x[:, t, :]
         dwxn += xt.T @ d_pre_n
         dwhn += (gr * h_prev).T @ d_pre_n
         dbn += d_pre_n.sum(axis=0)
@@ -150,8 +149,6 @@ class RecurrentPredictor(Predictor):
     hidden state feeds a linear head."""
 
     def __init__(self, config: PredictorConfig):
-        if config.kind not in ("lstm", "gru", "stacked_lstm"):
-            raise BadConfig(f"RecurrentPredictor got kind {config.kind!r}")
         self.n_layers = 2 if config.kind == "stacked_lstm" else 1
         super().__init__(config)
 
@@ -176,7 +173,7 @@ class RecurrentPredictor(Predictor):
         return params
 
     def _forward(self, params, inputs):
-        x = np.ascontiguousarray(inputs[:, :, None])
+        x = inputs[:, :, None]
         layer_caches = []
         for layer in range(self.n_layers):
             if self.config.kind == "gru":
@@ -192,7 +189,7 @@ class RecurrentPredictor(Predictor):
                 )
                 layer_caches.append((x, gates, c_all, h_all))
             x = h_all
-        final_h = np.ascontiguousarray(x[:, -1, :])
+        final_h = x[:, -1, :]
         pred = (final_h @ params["head_W"] + params["head_b"])[:, 0]
         return pred, (layer_caches, final_h)
 

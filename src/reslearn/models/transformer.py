@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import BadConfig
 from .base import Predictor, PredictorConfig, uniform_init
 
 LN_EPS = 1e-5
@@ -56,8 +55,6 @@ def _softmax(scores):
 
 class TransformerPredictor(Predictor):
     def __init__(self, config: PredictorConfig):
-        if config.kind != "transformer":
-            raise BadConfig(f"TransformerPredictor got kind {config.kind!r}")
         self.head_dim = config.d_model // config.n_heads
         self.pe = positional_encoding(config.lookback, config.d_model)
         super().__init__(config)

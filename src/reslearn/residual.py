@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import BadConfig, CheckpointError, LengthMismatch, ResLearnError
+from .errors import CheckpointError, ConfigError, LengthMismatch, ResLearnError
 from .metrics import MetricsResult, evaluate
 from .models import Predictor, PredictorConfig, build_predictor
 from .seriesprep import (
@@ -90,7 +90,7 @@ def load_reslearn(path) -> ResLearnModel:
         s = meta["scaler"]
         scaler = Scaler(float(s["lo"]), float(s["hi"]), bool(s["identity"]))
         res_b, literal = float(meta["res_b"]), bool(meta["paper_literal_combine"])
-    except (KeyError, TypeError, ValueError, BadConfig) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise CheckpointError(f"malformed metadata: {type(exc).__name__}: {exc}") from None
     for prefix, model in (("base__", base), ("residual__", residual)):
         for k in model.params:
@@ -99,7 +99,7 @@ def load_reslearn(path) -> ResLearnModel:
                 raise CheckpointError(f"missing parameter {key}")
             if arrays[key].shape != model.params[k].shape or arrays[key].dtype.kind != "f":
                 raise CheckpointError(f"shape or dtype mismatch for {key}")
-            model.params[k] = arrays[key].astype(np.float64)
+            model.params[k][...] = arrays[key]
     return ResLearnModel(base, residual, res_b, scaler, literal)
 
 

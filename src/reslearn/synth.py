@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSpec
+from .errors import ConfigError
 from .ingest import PacketTable
 from .viewframe import Frame
 
@@ -28,9 +28,9 @@ class TraceSpec:
         for name in ("fps", "mean_frame_size", "packets_per_frame",
                      "intra_spacing", "duration"):
             if getattr(self, name) <= 0:
-                raise BadSpec(f"{name} must be positive")
+                raise ConfigError(f"{name} must be positive")
         if self.background_rate < 0 or self.jitter_std < 0:
-            raise BadSpec("background_rate and jitter_std must be non-negative")
+            raise ConfigError("background_rate and jitter_std must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,13 @@ class SeriesSpec:
 
     def __post_init__(self):
         if self.length < 1:
-            raise BadSpec("length must be >= 1")
+            raise ConfigError("length must be >= 1")
         if self.period <= 0:
-            raise BadSpec("period must be positive")
+            raise ConfigError("period must be positive")
         if self.noise_std < 0 or self.spike_rate < 0 or self.spike_height < 0:
-            raise BadSpec("noise_std, spike_rate, spike_height must be non-negative")
+            raise ConfigError("noise_std, spike_rate, spike_height must be non-negative")
         if self.spike_rate > 1:
-            raise BadSpec("spike_rate is a probability")
+            raise ConfigError("spike_rate is a probability")
 
 
 # a spike rises over a few samples so that peaks are visible in the lookback

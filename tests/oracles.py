@@ -5,6 +5,8 @@ and builders of packet tables from rows and of captures from packet tables.
 `struct` calls; `assign_frames` is the scalar frame scan. Both state the rules
 in the most direct form and must agree exactly with the columnar parser and
 the cumsum scan. `write_pcap` builds the classic pcap test captures.
+`dict_adam_fit` is Adam with early stopping over a dict of separate arrays,
+one key at a time, which the one-vector update of `Predictor.fit` must match.
 """
 
 from __future__ import annotations
@@ -164,3 +166,41 @@ def assign_frames(ts, eligible, dur_th, split_on_small):
         elif split_on_small:
             open_frame = False
     return fid
+
+
+def dict_adam_fit(model, inputs, targets, val_inputs, val_targets) -> dict[str, np.ndarray]:
+    """The parameters that `model.fit(inputs, targets, val_inputs, val_targets)`
+    must end with, from Adam run key by key on copies of `model.params`; the
+    model itself is not changed. The validation windows must fit in one
+    inference block, so that one forward gives the validation predictions."""
+    cfg = model.config
+    params = {k: v.copy() for k, v in model.params.items()}
+    rng = np.random.default_rng(cfg.seed + 1)
+    adam_m = {k: np.zeros_like(v) for k, v in params.items()}
+    adam_v = {k: np.zeros_like(v) for k, v in params.items()}
+    step = 0
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    best_val, best_params, stall = np.inf, None, 0
+    n = inputs.shape[0]
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            pred, cache = model._forward(params, inputs[idx])
+            diff = pred - targets[idx]
+            grads = model._backward(params, cache, 2.0 * diff / diff.size)
+            step += 1
+            for k, g in grads.items():
+                adam_m[k] = beta1 * adam_m[k] + (1 - beta1) * g
+                adam_v[k] = beta2 * adam_v[k] + (1 - beta2) * g * g
+                m_hat = adam_m[k] / (1 - beta1 ** step)
+                v_hat = adam_v[k] / (1 - beta2 ** step)
+                params[k] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        val_loss = float(np.mean((model._forward(params, val_inputs)[0] - val_targets) ** 2))
+        if val_loss < best_val - cfg.early_stop_min_delta:
+            best_val, best_params, stall = val_loss, {k: v.copy() for k, v in params.items()}, 0
+        else:
+            stall += 1
+            if stall >= cfg.early_stop_patience:
+                break
+    return best_params if best_params is not None else params

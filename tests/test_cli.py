@@ -443,8 +443,20 @@ class TestBadUserInput:
         (["run"], SMALL_CFG + "segment_size = 4\n"),
         (["eda", "--window", "0"], None),
         (["run"], SMALL_CFG + "eda_window = 0\n"),
+        # model settings fail before the input is read: read as a feature
+        # CSV, the capture would be a data error
+        (["run"], SMALL_CFG + "input_kind = features\nlookback = 0\n"),
+        (["run"], SMALL_CFG + "input_kind = features\nepochs = -1\n"),
+        (["train"], SMALL_CFG + "input_kind = features\nlookback = 0\n"),
+        (["run"], SMALL_CFG + "synth_length = 0\n"),
+        *[(argv, config + setting) for argv, config in (
+            (["run"], SMALL_CFG + "input_kind = pcap\nserver = 10.0.0.1\n"),
+            (["frames"], ""),
+        ) for setting in ("bins = 0\n", "segment_duration = 0\n", "default_dur_th = -1\n")],
     ], ids=["server", "port", "config_server", "train_ratio", "segment_size",
-            "eda_window_flag", "eda_window_key"])
+            "eda_window_flag", "eda_window_key", "lookback", "epochs", "train_lookback",
+            "synth_length", "bins", "segment_duration", "default_dur_th",
+            "frames_bins", "frames_segment_duration", "frames_default_dur_th"])
     def test_exits_1_without_traceback(self, argv, config, tmp_path, capsys):
         pcap = tmp_path / "t.pcap"
         pcap.write_bytes(write_pcap(table([(0.0, 1200, DOWNLINK)]), EndpointFilter("10.0.0.1")))
@@ -458,7 +470,10 @@ class TestBadUserInput:
             cfg = tmp_path / "exp.cfg"
             cfg.write_text(config + f"input_path = {pcap}\n")
             argv = argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]
+            if argv[0] == "frames":
+                argv += ["--pcap", str(pcap), "--server", "10.0.0.1"]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert "Traceback" not in err
+

@@ -1,14 +1,17 @@
 import json
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from reslearn.errors import BadConfig, CheckpointError, NonFiniteLoss, ShapeMismatch
+from reslearn.errors import CheckpointError, ConfigError, NonFiniteLoss, ShapeMismatch
 from reslearn.models import KINDS, PredictorConfig, build_predictor
 from reslearn.models.transformer import _softmax, positional_encoding
 from reslearn.residual import ResLearnModel, load_reslearn, save_reslearn
 from reslearn.seriesprep import Scaler
+
+from oracles import dict_adam_fit
 
 
 def small_config(kind, **overrides):
@@ -36,20 +39,16 @@ def grad_fixture():
 
 
 def max_relative_grad_error(model, X, y, eps=1e-4):
-    _, grads = model.loss_and_grad(X, y)
-    analytic = model.flat_grad(grads)
-    flat = model.get_flat_params()
-    numeric = np.empty_like(flat)
-    for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] += eps
-        model.set_flat_params(bumped)
+    _, analytic = model.loss_and_grad(X, y)
+    numeric = np.empty_like(model.flat)
+    for i in range(model.flat.size):
+        saved = model.flat[i]
+        model.flat[i] += eps
         up, _ = model.loss_and_grad(X, y)
-        bumped[i] -= 2 * eps
-        model.set_flat_params(bumped)
+        model.flat[i] -= 2 * eps
         down, _ = model.loss_and_grad(X, y)
+        model.flat[i] = saved
         numeric[i] = (up - down) / (2 * eps)
-    model.set_flat_params(flat)
     scale = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / scale))
 
@@ -64,15 +63,15 @@ class TestGradients:
 
 class TestConfig:
     def test_unknown_kind(self):
-        with pytest.raises(BadConfig):
+        with pytest.raises(ConfigError):
             PredictorConfig(kind="rnn")
 
     def test_heads_must_divide_d_model(self):
-        with pytest.raises(BadConfig):
+        with pytest.raises(ConfigError):
             PredictorConfig(kind="transformer", d_model=10, n_heads=3)
 
     def test_negative_lr(self):
-        with pytest.raises(BadConfig):
+        with pytest.raises(ConfigError):
             PredictorConfig(kind="fcnn", learning_rate=-1.0)
 
 
@@ -87,12 +86,56 @@ class TestDeterminism:
         ta = a.fit(X, y)
         tb = b.fit(X, y)
         assert ta.train_loss == tb.train_loss
-        np.testing.assert_array_equal(a.get_flat_params(), b.get_flat_params())
+        np.testing.assert_array_equal(a.flat, b.flat)
 
     def test_different_seed_different_init(self):
         a = build_predictor(small_config("fcnn", seed=1))
         b = build_predictor(small_config("fcnn", seed=2))
-        assert not np.array_equal(a.get_flat_params(), b.get_flat_params())
+        assert not np.array_equal(a.flat, b.flat)
+
+
+def assert_views_of_flat(model):
+    """Every named parameter is a view of the model's one vector, and the
+    views tile it in order."""
+    for k, v in model.params.items():
+        assert np.shares_memory(v, model.flat), k
+    np.testing.assert_array_equal(
+        np.concatenate([v.ravel() for v in model.params.values()]), model.flat)
+    assert sum(v.size for v in model.params.values()) == model.flat.size
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_init_lays_out_the_same_draws(self, kind):
+        model = build_predictor(small_config(kind))
+        assert_views_of_flat(model)
+        drawn = model.init_params(np.random.default_rng(model.config.seed))
+        assert list(drawn) == list(model.params)
+        for k, v in drawn.items():
+            np.testing.assert_array_equal(model.params[k], v)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fit_matches_per_key_adam(self, kind):
+        rng = np.random.default_rng(6)
+        X, Xv = rng.uniform(0.1, 0.9, (40, 8)), rng.uniform(0.1, 0.9, (12, 8))
+        y, yv = X.mean(axis=1), Xv.mean(axis=1)
+        model = build_predictor(small_config(kind, epochs=3, batch_size=16))
+        expected = dict_adam_fit(model, X, y, Xv, yv)
+        model.fit(X, y, Xv, yv)
+        np.testing.assert_array_equal(
+            model.flat, np.concatenate([expected[k].ravel() for k in model.params]))
+        assert_views_of_flat(model)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pickle_round_trip_keeps_views(self, kind):
+        model = build_predictor(small_config(kind, epochs=2))
+        X, y = grad_fixture()
+        model.fit(X, y)
+        copy = pickle.loads(pickle.dumps(model))
+        assert copy.config == model.config
+        np.testing.assert_array_equal(copy.flat, model.flat)
+        assert_views_of_flat(copy)
+        np.testing.assert_array_equal(copy.predict(X), model.predict(X))
 
 
 class TestTraining:
@@ -118,21 +161,24 @@ class TestTraining:
 
     def test_zero_epochs_no_update(self):
         model = build_predictor(small_config("fcnn", epochs=0))
-        before = model.get_flat_params().copy()
+        before = model.flat.copy()
         X, y = grad_fixture()
         trace = model.fit(X, y)
         assert trace.epochs_run == 0
-        np.testing.assert_array_equal(model.get_flat_params(), before)
+        np.testing.assert_array_equal(model.flat, before)
 
     def test_early_stopping_with_unreachable_delta(self):
         # min_delta so large no epoch ever counts as an improvement after the
-        # first, so training stops after exactly patience more epochs
+        # first, so training stops after exactly patience more epochs and
+        # writes the first epoch's parameters back
         cfg = small_config("fcnn", epochs=100, early_stop_patience=3,
                            early_stop_min_delta=1e9)
         model = build_predictor(cfg)
         X, y = grad_fixture()
         trace = model.fit(X, y, X, y)
-        assert trace.epochs_run == 4
+        assert (trace.epochs_run, trace.best_epoch) == (4, 0)
+        assert_views_of_flat(model)
+        assert float(np.mean((model.predict(X) - y) ** 2)) == trace.val_loss[0]
 
     def test_best_val_params_restored(self):
         rng = np.random.default_rng(3)
@@ -196,7 +242,7 @@ class TestArchitectures:
     def test_stacked_lstm_has_more_params_than_lstm(self):
         lstm = build_predictor(small_config("lstm"))
         stacked = build_predictor(small_config("stacked_lstm"))
-        assert stacked.get_flat_params().size > lstm.get_flat_params().size
+        assert stacked.flat.size > lstm.flat.size
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(5)
@@ -274,8 +320,9 @@ class TestCheckpoints:
         save_reslearn(model, path)
         loaded = load_reslearn(path)
         for stage in ("base", "residual"):
-            np.testing.assert_array_equal(getattr(loaded, stage).get_flat_params(),
-                                          getattr(model, stage).get_flat_params())
+            np.testing.assert_array_equal(getattr(loaded, stage).flat,
+                                          getattr(model, stage).flat)
+            assert_views_of_flat(getattr(loaded, stage))
             assert getattr(loaded, stage).config == getattr(model, stage).config
         np.testing.assert_array_equal(loaded.base.predict(X), model.base.predict(X))
         assert (loaded.res_b, loaded.scaler) == (model.res_b, model.scaler)

@@ -154,8 +154,8 @@ class TestTrainReslearn:
         series = np.sin(np.arange(100) / 5.0) + 5.0
         base_cfg, res_cfg = tiny_configs(epochs=0)
         models, _ = train_all([series, series], base_cfg, res_cfg, SplitSpec(0.5, 0.2))
-        a = models[0].base.get_flat_params()
-        b = models[1].base.get_flat_params()
+        a = models[0].base.flat
+        b = models[1].base.flat
         assert not np.array_equal(a, b)
 
     def test_checkpoint_round_trip(self, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reslearn.errors import BadSpec
+from reslearn.errors import ConfigError
 from reslearn.seriesprep import rolling_mean, runs_test
 from reslearn.synth import SeriesSpec, TraceSpec, gen_series, gen_trace
 
@@ -38,9 +38,9 @@ class TestGenTrace:
         assert packets.downlink.all()
 
     def test_bad_spec(self):
-        with pytest.raises(BadSpec):
+        with pytest.raises(ConfigError):
             TraceSpec(fps=0)
-        with pytest.raises(BadSpec):
+        with pytest.raises(ConfigError):
             TraceSpec(jitter_std=-1)
 
 
@@ -84,7 +84,7 @@ class TestGenSeries:
         assert hits >= 36
 
     def test_bad_spec(self):
-        with pytest.raises(BadSpec):
+        with pytest.raises(ConfigError):
             SeriesSpec(length=0)
-        with pytest.raises(BadSpec):
+        with pytest.raises(ConfigError):
             SeriesSpec(spike_rate=1.5)
