@@ -17,6 +17,31 @@ from pathlib import Path
 # oversubscribe the CPUs. A user's own setting wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3     # mallopt options, from <malloc.h>
+MALLOC_THRESHOLD = 256 << 20
+MALLOC_VARS = ("GLIBC_TUNABLES", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
+
+
+def _keep_freed_memory() -> None:
+    """Have glibc keep freed memory below 256 MiB in the heap. By default it
+    maps a large block afresh on each allocation and gives the heap top back
+    on each free, by a threshold that moves with the allocation history, so
+    every training step page-faults its temporaries in again. Set here, before
+    any worker is forked, so the workers inherit it; a user's own malloc
+    settings win."""
+    if sys.platform != "linux" or any(v in os.environ for v in MALLOC_VARS):
+        return
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:            # glibc only
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(M_MMAP_THRESHOLD, MALLOC_THRESHOLD)
+        mallopt(M_TRIM_THRESHOLD, MALLOC_THRESHOLD)
+
+
+_keep_freed_memory()
+
 from .config import apply_overrides, load_config  # noqa: E402
 from .errors import ConfigError, NonFiniteLoss, ResLearnError  # noqa: E402
 from .harness import (  # noqa: E402
@@ -25,8 +50,6 @@ from .harness import (  # noqa: E402
     packet_features,
     read_feature_csv,
     run_experiment,
-    series_spec_from_config,
-    trace_spec_from_config,
     train_models,
 )
 from .ingest import EndpointFilter, PacketTable, parse_csv, parse_pcap, write_csv  # noqa: E402
@@ -89,12 +112,13 @@ def cmd_ingest(args) -> int:
 def cmd_frames(args) -> int:
     cfg = load_config(args.config) if args.config else _default_cfg()
     cfg.validate_frames()
-    thresholds, frames, feats = packet_features(_read_packets(args), cfg)
+    thresholds, frames, feats, partial = packet_features(_read_packets(args), cfg)
     out = Path(args.out or _default_out())
     out.mkdir(parents=True, exist_ok=True)
     (out / "thresholds.json").write_text(threshold_report(thresholds))
     (out / "features.csv").write_text(features_csv(feats))
-    print(f"{len(frames)} frames over {len(feats)} segments -> {out}", file=sys.stderr)
+    print(f"{len(frames)} frames over {len(feats)} segments -> {out}; dropped the partial "
+          f"segment after them ({partial} packets)", file=sys.stderr)
     return EXIT_OK
 
 
@@ -111,11 +135,11 @@ def cmd_synth(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     if args.kind == "trace":
-        packets, _ = gen_trace(trace_spec_from_config(cfg))
+        packets, _ = gen_trace(cfg.trace_spec())
         with _output(args.out) as out:
             write_csv(packets, out)
     else:
-        values, _ = gen_series(series_spec_from_config(cfg))
+        values, _ = gen_series(cfg.series_spec())
         with _output(args.out) as out:
             out.write("value\n" + "\n".join(repr(v) for v in values) + "\n")
     return EXIT_OK
@@ -126,7 +150,7 @@ def cmd_train(args) -> int:
     cfg.validate()
     out = Path(args.out or _default_out())
     out.mkdir(parents=True, exist_ok=True)
-    values, _, _ = feature_series(cfg)
+    values = feature_series(cfg)[0]
     trained = train_models(cfg, segment(values, cfg.segment_size), keep_models=True)
     for kind in cfg.model_kinds():
         models, reports = trained[kind]

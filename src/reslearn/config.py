@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .models import PredictorConfig
+from .synth import SeriesSpec, TraceSpec
 
 INPUT_KINDS = ("synth-series", "synth-trace", "pcap", "csv", "features")
 FEATURES = ("f_c", "f_s", "f_iat")
@@ -110,6 +111,22 @@ class ExperimentConfig:
         return ({kind: one(kind, self.epochs) for kind in self.model_kinds()},
                 one("fcnn", residual_epochs))
 
+    def series_spec(self) -> SeriesSpec:
+        return self._synth_spec(SeriesSpec)
+
+    def trace_spec(self) -> TraceSpec:
+        return self._synth_spec(TraceSpec)
+
+    def _synth_spec(self, spec_type):
+        """The spec built from the synth_<field> settings and the seed; a bad
+        setting is reported under its config key."""
+        values = {f.name: getattr(self, "synth_" + f.name)
+                  for f in fields(spec_type) if f.name != "seed"}
+        try:
+            return spec_type(**values, seed=self.seed)
+        except ConfigError as exc:     # each message starts with the field name
+            raise ConfigError(f"synth_{exc}") from None
+
     def validate_frames(self) -> None:
         """The settings that turn packets into frames and segment features."""
         if self.bins < 1:
@@ -136,6 +153,10 @@ class ExperimentConfig:
             raise ConfigError("models must name at least one kind")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if self.input_kind == "synth-series":
+            self.series_spec()
+        if self.input_kind == "synth-trace":
+            self.trace_spec()
         self.validate_frames()
         self.model_configs()
 

@@ -35,6 +35,10 @@ class DegenerateDistribution(ResLearnError):
     pass
 
 
+class CaptureTooShort(ResLearnError):
+    pass
+
+
 # --- series preparation ---
 
 class SeriesTooShort(ResLearnError):

@@ -18,6 +18,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import (
+    CaptureTooShort,
     ConfigError,
     DegenerateSeries,
     NonFiniteLoss,
@@ -36,7 +37,7 @@ from .seriesprep import (
     runs_test,
     segment,
 )
-from .synth import SeriesSpec, TraceSpec, gen_series, gen_trace
+from .synth import gen_series, gen_trace
 from .viewframe import (
     Frame,
     SegmentFeatures,
@@ -49,36 +50,9 @@ from .viewframe import (
 )
 
 
-def trace_spec_from_config(cfg: ExperimentConfig) -> TraceSpec:
-    return TraceSpec(
-        fps=cfg.synth_fps,
-        mean_frame_size=cfg.synth_mean_frame_size,
-        packets_per_frame=cfg.synth_packets_per_frame,
-        intra_spacing=cfg.synth_intra_spacing,
-        background_rate=cfg.synth_background_rate,
-        jitter_std=cfg.synth_jitter_std,
-        duration=cfg.synth_duration,
-        seed=cfg.seed,
-    )
-
-
-def series_spec_from_config(cfg: ExperimentConfig) -> SeriesSpec:
-    return SeriesSpec(
-        length=cfg.synth_length,
-        level=cfg.synth_level,
-        amplitude=cfg.synth_amplitude,
-        period=cfg.synth_period,
-        slope=cfg.synth_slope,
-        noise_std=cfg.synth_noise_std,
-        spike_rate=cfg.synth_spike_rate,
-        spike_height=cfg.synth_spike_height,
-        seed=cfg.seed,
-    )
-
-
 def load_packets(cfg: ExperimentConfig) -> PacketTable:
     if cfg.input_kind == "synth-trace":
-        return gen_trace(trace_spec_from_config(cfg))[0]
+        return gen_trace(cfg.trace_spec())[0]
     if cfg.input_kind == "pcap":
         filt = EndpointFilter(cfg.server, cfg.port if cfg.port >= 0 else None)
         with open(cfg.input_path, "rb") as stream:
@@ -95,27 +69,35 @@ def estimate_session_thresholds(packets: PacketTable, cfg: ExperimentConfig) -> 
 
 
 def feature_series(cfg: ExperimentConfig):
-    """Resolve the configured input into (values, thresholds, features); the
-    latter two are None for series inputs."""
+    """Resolve the configured input into (values, thresholds, features, packets
+    of the dropped partial segment); the latter three are None for series
+    inputs."""
     if cfg.input_kind == "synth-series":
-        return gen_series(series_spec_from_config(cfg))[0], None, None
+        return gen_series(cfg.series_spec())[0], None, None, None
     if cfg.input_kind == "features":
-        return read_feature_csv(Path(cfg.input_path).read_text(), cfg.feature), None, None
-    thresholds, _, feats = packet_features(load_packets(cfg), cfg)
-    values = _feature_column(feats, cfg.feature)
-    return values, thresholds, feats
+        values = read_feature_csv(Path(cfg.input_path).read_text(), cfg.feature)
+        return values, None, None, None
+    thresholds, _, feats, partial = packet_features(load_packets(cfg), cfg)
+    return _feature_column(feats, cfg.feature), thresholds, feats, partial
 
 
 def packet_features(
     packets: PacketTable, cfg: ExperimentConfig
-) -> tuple[Thresholds, list[Frame], list[SegmentFeatures]]:
-    """Session thresholds, frames and per-segment features of a packet table."""
+) -> tuple[Thresholds, list[Frame], list[SegmentFeatures], int]:
+    """Session thresholds, frames, the features of each full segment, and the
+    number of packets in the partial last segment. Only the segments that end
+    by the last packet count; the partial one after them is dropped, as
+    `segment()` drops the trailing samples of a series."""
+    last_ts = packets.ts[-1] if len(packets) else 0.0
+    num_segments = int(last_ts // cfg.segment_duration)
+    if num_segments == 0:
+        raise CaptureTooShort(f"the capture ends at {last_ts:.6g} s, within its first "
+                              f"{cfg.segment_duration:g} s segment")
     thresholds = estimate_session_thresholds(packets, cfg)
     frames = identify_frames(packets, thresholds, min_packets=cfg.min_packets)
-    last_ts = packets.ts[-1] if len(packets) else 0.0
-    num_segments = int(last_ts // cfg.segment_duration) + 1
     feats = segment_features(frames, 0.0, cfg.segment_duration, num_segments)
-    return thresholds, frames, feats
+    partial = int(np.count_nonzero(packets.ts >= num_segments * cfg.segment_duration))
+    return thresholds, frames, feats, partial
 
 
 def _feature_column(feats, feature: str) -> np.ndarray:
@@ -238,7 +220,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[Path]:
     written: list[Path] = []
 
     try:
-        values, thresholds, feats = feature_series(cfg)
+        values, thresholds, feats, partial = feature_series(cfg)
     except (ResLearnError, OSError) as exc:
         log.append(f"error: {type(exc).__name__}: {exc}")
         (out_dir / "run.log").write_text("\n".join(log) + "\n")
@@ -251,7 +233,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[Path]:
         path = out_dir / "features.csv"
         path.write_text(features_csv(feats))
         written.append(path)
-        log.append(f"frames: len_th={thresholds.len_th:.6g} dur_th={thresholds.dur_th:.6g}")
+        log.append(f"frames: len_th={thresholds.len_th:.6g} dur_th={thresholds.dur_th:.6g} "
+                   f"segments={len(feats)} partial_segment_dropped_packets={partial}")
 
     path = out_dir / "eda.csv"
     path.write_text(eda_csv(values, cfg.eda_window))

@@ -3,7 +3,12 @@
 Each predictor keeps its weights in one float64 vector, `flat`; `params` maps
 each weight's name to a reshaped view of its slice, so the layers read named
 arrays while Adam, the best-epoch snapshot and the gradient checks work on the
-one vector. Checkpoints are written by residual.save_reslearn."""
+one vector. Checkpoints are written by residual.save_reslearn.
+
+Training steps run in float32 over these float64 master weights: each
+minibatch step copies `flat` into a float32 vector laid out the same way and
+computes the loss and gradient from it, and Adam updates `flat` in float64.
+Validation, early stopping and `predict` run in float64."""
 
 from __future__ import annotations
 
@@ -74,11 +79,7 @@ class Predictor:
         self.config = config
         init = self.init_params(np.random.default_rng(config.seed))
         self.flat = np.concatenate([v.ravel() for v in init.values()])
-        self.params: dict[str, np.ndarray] = {}
-        offset = 0
-        for k, v in init.items():
-            self.params[k] = self.flat[offset:offset + v.size].reshape(v.shape)
-            offset += v.size
+        self.params = _views(self.flat, init)
 
     # Pickling (the models that training workers send back) keeps the config
     # and the one vector; unpickling lays out the views again.
@@ -130,13 +131,17 @@ class Predictor:
             out[start:stop] = self._forward(self.params, inputs[start:stop])[0]
         return out
 
-    def loss_and_grad(self, inputs: np.ndarray, targets: np.ndarray):
-        pred, cache = self._forward(self.params, inputs)
+    def loss_and_grad(self, inputs: np.ndarray, targets: np.ndarray, params: dict | None = None):
+        """MSE loss and its gradient as one vector laid out like `flat`, in the
+        dtype of `inputs` and `params` (default: the model's own)."""
+        if params is None:
+            params = self.params
+        pred, cache = self._forward(params, inputs)
         diff = pred - targets
         loss = float(np.mean(diff ** 2))
         d_pred = 2.0 * diff / diff.size
-        grads = self._backward(self.params, cache, d_pred)
-        return loss, np.concatenate([grads[k].ravel() for k in self.params])
+        grads = self._backward(params, cache, d_pred)
+        return loss, np.concatenate([grads[k].ravel() for k in params])
 
     def fit(
         self,
@@ -160,6 +165,10 @@ class Predictor:
         trace = TrainTrace()
         if cfg.epochs == 0:
             return trace
+        inputs32 = inputs.astype(np.float32)
+        targets32 = targets.astype(np.float32)
+        work = np.empty(self.flat.size, dtype=np.float32)
+        work_params = _views(work, self.params)
 
         rng = np.random.default_rng(cfg.seed + 1)
         adam_m = np.zeros_like(self.flat)
@@ -176,12 +185,14 @@ class Predictor:
             epoch_loss = 0.0
             for start in range(0, n, cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
-                loss, g = self.loss_and_grad(inputs[idx], targets[idx])
+                work[...] = self.flat
+                loss, g = self.loss_and_grad(inputs32[idx], targets32[idx], params=work_params)
                 if not np.isfinite(loss):
                     raise NonFiniteLoss(
                         f"diverged at epoch {epoch}; last finite epochs: {trace.train_loss}"
                     )
                 epoch_loss += loss * idx.size
+                g = g.astype(np.float64)
                 step += 1
                 adam_m = beta1 * adam_m + (1 - beta1) * g
                 adam_v = beta2 * adam_v + (1 - beta2) * g * g
@@ -208,3 +219,13 @@ class Predictor:
         if has_val and best_params is not None:
             self.flat[...] = best_params
         return trace
+
+
+def _views(vector: np.ndarray, shapes: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Views into `vector`, one per entry of `shapes` and shaped like it,
+    tiling the vector in order."""
+    views, offset = {}, 0
+    for k, v in shapes.items():
+        views[k] = vector[offset:offset + v.size].reshape(v.shape)
+        offset += v.size
+    return views

@@ -2,7 +2,8 @@
 
 The per-timestep recurrences loop over the lookback steps and vectorize over
 the batch. Gate math follows the classic formulations; gradients are exact
-BPTT and covered by finite-difference checks in the test suite.
+BPTT and covered by finite-difference checks in the test suite. Every buffer
+takes the dtype of the input, so a float32 training step stays float32.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from .base import Predictor, PredictorConfig, uniform_init
 def lstm_forward(x, wx, wh, b):
     n, t_len, _ = x.shape
     d = wh.shape[0]
-    gates = np.zeros((n, t_len, 4 * d))
-    c_all = np.zeros((n, t_len, d))
-    h_all = np.zeros((n, t_len, d))
-    h = np.zeros((n, d))
-    c = np.zeros((n, d))
+    gates = np.zeros((n, t_len, 4 * d), dtype=x.dtype)
+    c_all = np.zeros((n, t_len, d), dtype=x.dtype)
+    h_all = np.zeros((n, t_len, d), dtype=x.dtype)
+    h = np.zeros((n, d), dtype=x.dtype)
+    c = np.zeros((n, d), dtype=x.dtype)
     for t in range(t_len):
         xt = x[:, t, :]
         z = xt @ wx + h @ wh + b
@@ -43,10 +44,10 @@ def lstm_backward(x, wx, wh, gates, c_all, h_all, dh_out):
     d = wh.shape[0]
     dwx = np.zeros_like(wx)
     dwh = np.zeros_like(wh)
-    db = np.zeros(4 * d)
+    db = np.zeros(4 * d, dtype=x.dtype)
     dx = np.zeros_like(x)
-    dh = np.zeros((n, d))
-    dc = np.zeros((n, d))
+    dh = np.zeros((n, d), dtype=x.dtype)
+    dc = np.zeros((n, d), dtype=x.dtype)
     for t in range(t_len - 1, -1, -1):
         dh_t = dh + dh_out[:, t, :]
         gi = gates[:, t, :d]
@@ -63,10 +64,10 @@ def lstm_backward(x, wx, wh, gates, c_all, h_all, dh_out):
             c_prev = c_all[:, t - 1, :]
             h_prev = h_all[:, t - 1, :]
         else:
-            c_prev = np.zeros((n, d))
-            h_prev = np.zeros((n, d))
+            c_prev = np.zeros((n, d), dtype=x.dtype)
+            h_prev = np.zeros((n, d), dtype=x.dtype)
         df = dc * c_prev
-        dz = np.zeros((n, 4 * d))
+        dz = np.zeros((n, 4 * d), dtype=x.dtype)
         dz[:, :d] = di * gi * (1.0 - gi)
         dz[:, d:2 * d] = df * gf * (1.0 - gf)
         dz[:, 2 * d:3 * d] = dg * (1.0 - gg * gg)
@@ -84,9 +85,9 @@ def lstm_backward(x, wx, wh, gates, c_all, h_all, dh_out):
 def gru_forward(x, wxg, whg, bg, wxn, whn, bn):
     n, t_len, _ = x.shape
     d = whn.shape[0]
-    gates = np.zeros((n, t_len, 3 * d))   # [z, r, n]
-    h_all = np.zeros((n, t_len, d))
-    h = np.zeros((n, d))
+    gates = np.zeros((n, t_len, 3 * d), dtype=x.dtype)   # [z, r, n]
+    h_all = np.zeros((n, t_len, d), dtype=x.dtype)
+    h = np.zeros((n, d), dtype=x.dtype)
     for t in range(t_len):
         xt = x[:, t, :]
         zg = xt @ wxg + h @ whg + bg
@@ -106,12 +107,12 @@ def gru_backward(x, wxg, whg, wxn, whn, gates, h_all, dh_out):
     d = whn.shape[0]
     dwxg = np.zeros_like(wxg)
     dwhg = np.zeros_like(whg)
-    dbg = np.zeros(2 * d)
+    dbg = np.zeros(2 * d, dtype=x.dtype)
     dwxn = np.zeros_like(wxn)
     dwhn = np.zeros_like(whn)
-    dbn = np.zeros(d)
+    dbn = np.zeros(d, dtype=x.dtype)
     dx = np.zeros_like(x)
-    dh = np.zeros((n, d))
+    dh = np.zeros((n, d), dtype=x.dtype)
     for t in range(t_len - 1, -1, -1):
         dh_t = dh + dh_out[:, t, :]
         gz = gates[:, t, :d]
@@ -120,7 +121,7 @@ def gru_backward(x, wxg, whg, wxn, whn, gates, h_all, dh_out):
         if t > 0:
             h_prev = h_all[:, t - 1, :]
         else:
-            h_prev = np.zeros((n, d))
+            h_prev = np.zeros((n, d), dtype=x.dtype)
         dz_gate = dh_t * (h_prev - gn)
         dn = dh_t * (1.0 - gz)
         dh_prev = dh_t * gz
@@ -132,7 +133,7 @@ def gru_backward(x, wxg, whg, wxn, whn, gates, h_all, dh_out):
         d_rh = d_pre_n @ whn.T
         dr = d_rh * h_prev
         dh_prev = dh_prev + d_rh * gr
-        dzg = np.zeros((n, 2 * d))
+        dzg = np.zeros((n, 2 * d), dtype=x.dtype)
         dzg[:, :d] = dz_gate * gz * (1.0 - gz)
         dzg[:, d:] = dr * gr * (1.0 - gr)
         dwxg += xt.T @ dzg
@@ -201,7 +202,7 @@ class RecurrentPredictor(Predictor):
         grads["head_b"] = d_out.sum(axis=0)
         n, t_len = layer_caches[0][0].shape[:2]
         d = self.config.hidden_width
-        dh_out = np.zeros((n, t_len, d))
+        dh_out = np.zeros((n, t_len, d), dtype=d_pred.dtype)
         dh_out[:, -1, :] = d_out @ params["head_W"].T
         for layer in range(self.n_layers - 1, -1, -1):
             x, gates, c_all, h_all = layer_caches[layer]

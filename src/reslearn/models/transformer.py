@@ -8,6 +8,8 @@ All gradients are derived by hand and verified against finite differences.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .base import Predictor, PredictorConfig, uniform_init
@@ -96,14 +98,15 @@ class TransformerPredictor(Predictor):
     def _forward(self, params, inputs):
         cfg = self.config
         x_in = inputs[:, :, None]
-        h = x_in @ params["in_W"] + params["in_b"] + self.pe
+        h = x_in @ params["in_W"] + params["in_b"] + self.pe.astype(inputs.dtype, copy=False)
         layer_caches = []
         for layer in range(cfg.n_layers):
             p = f"l{layer}_"
             q = self._split_heads(h @ params[p + "Wq"] + params[p + "bq"])
             k = self._split_heads(h @ params[p + "Wk"] + params[p + "bk"])
             v = self._split_heads(h @ params[p + "Wv"] + params[p + "bv"])
-            scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(self.head_dim)
+            # a Python float scale: a numpy float64 one would upcast float32
+            scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(self.head_dim)
             attn = _softmax(scores)
             ctx = self._merge_heads(attn @ v)
             attn_out = ctx @ params[p + "Wo"] + params[p + "bo"]
@@ -159,7 +162,7 @@ class TransformerPredictor(Predictor):
             d_attn = d_ctx @ v.transpose(0, 1, 3, 2)
             d_v = attn.transpose(0, 1, 3, 2) @ d_ctx
             d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
-            d_scores /= np.sqrt(self.head_dim)
+            d_scores /= math.sqrt(self.head_dim)
             d_q = d_scores @ k
             d_k = d_scores.transpose(0, 1, 3, 2) @ q
             d_q = self._merge_heads(d_q)

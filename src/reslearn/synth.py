@@ -1,6 +1,9 @@
 """Synthetic fixtures: packet traces with planted frames, and feature series
 with known components. Both stand in for external captures at desk scale and
-return their ground truth so recovery can be asserted exactly."""
+return their ground truth so recovery can be asserted exactly.
+
+Each check of a spec names the one field it rejects, at the start of its
+message; ExperimentConfig reports it under the field's config key."""
 
 from __future__ import annotations
 
@@ -27,10 +30,11 @@ class TraceSpec:
     def __post_init__(self):
         for name in ("fps", "mean_frame_size", "packets_per_frame",
                      "intra_spacing", "duration"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.background_rate < 0 or self.jitter_std < 0:
-            raise ConfigError("background_rate and jitter_std must be non-negative")
+        for name in ("background_rate", "jitter_std"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -48,12 +52,13 @@ class SeriesSpec:
     def __post_init__(self):
         if self.length < 1:
             raise ConfigError("length must be >= 1")
-        if self.period <= 0:
+        if not self.period > 0:
             raise ConfigError("period must be positive")
-        if self.noise_std < 0 or self.spike_rate < 0 or self.spike_height < 0:
-            raise ConfigError("noise_std, spike_rate, spike_height must be non-negative")
+        for name in ("noise_std", "spike_rate", "spike_height"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be non-negative")
         if self.spike_rate > 1:
-            raise ConfigError("spike_rate is a probability")
+            raise ConfigError("spike_rate must be <= 1")
 
 
 # a spike rises over a few samples so that peaks are visible in the lookback

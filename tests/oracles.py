@@ -6,7 +6,8 @@ and builders of packet tables from rows and of captures from packet tables.
 in the most direct form and must agree exactly with the columnar parser and
 the cumsum scan. `write_pcap` builds the classic pcap test captures.
 `dict_adam_fit` is Adam with early stopping over a dict of separate arrays,
-one key at a time, which the one-vector update of `Predictor.fit` must match.
+one key at a time, each gradient taken from float32 copies of the arrays and
+windows, which the one-vector update of `Predictor.fit` must match.
 """
 
 from __future__ import annotations
@@ -171,8 +172,10 @@ def assign_frames(ts, eligible, dur_th, split_on_small):
 def dict_adam_fit(model, inputs, targets, val_inputs, val_targets) -> dict[str, np.ndarray]:
     """The parameters that `model.fit(inputs, targets, val_inputs, val_targets)`
     must end with, from Adam run key by key on copies of `model.params`; the
-    model itself is not changed. The validation windows must fit in one
-    inference block, so that one forward gives the validation predictions."""
+    model itself is not changed. Each step's gradient comes from float32
+    copies of the params and the batch, and Adam updates the float64 copies.
+    The validation windows must fit in one inference block, so that one
+    forward gives the validation predictions."""
     cfg = model.config
     params = {k: v.copy() for k, v in model.params.items()}
     rng = np.random.default_rng(cfg.seed + 1)
@@ -182,15 +185,18 @@ def dict_adam_fit(model, inputs, targets, val_inputs, val_targets) -> dict[str, 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     best_val, best_params, stall = np.inf, None, 0
     n = inputs.shape[0]
+    inputs32, targets32 = inputs.astype(np.float32), targets.astype(np.float32)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            pred, cache = model._forward(params, inputs[idx])
-            diff = pred - targets[idx]
-            grads = model._backward(params, cache, 2.0 * diff / diff.size)
+            params32 = {k: v.astype(np.float32) for k, v in params.items()}
+            pred, cache = model._forward(params32, inputs32[idx])
+            diff = pred - targets32[idx]
+            grads = model._backward(params32, cache, 2.0 * diff / diff.size)
             step += 1
             for k, g in grads.items():
+                g = g.astype(np.float64)
                 adam_m[k] = beta1 * adam_m[k] + (1 - beta1) * g
                 adam_v[k] = beta2 * adam_v[k] + (1 - beta2) * g * g
                 m_hat = adam_m[k] / (1 - beta1 ** step)

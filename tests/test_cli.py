@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import platform
 import signal
 import subprocess
 import sys
@@ -126,6 +127,41 @@ class TestFramesAndEda:
         features = (out / "features.csv").read_text().splitlines()
         assert features[1] == f"0,{sparse},{1200 * sparse},{'NA' if sparse == 1 else '0.3'}"
         assert features[2].startswith("1,72,")
+
+    def test_partial_last_segment_is_dropped(self, tmp_path, capsys):
+        # 72 fps for 2.5 s: two full 1 s segments, then half of a third
+        rows = [f"{k / 72 + j * 2e-4!r},1200,down" for k in range(180) for j in range(4)]
+        trace = tmp_path / "trace.csv"
+        trace.write_text("ts,length,direction\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "frames"
+        assert main(["frames", "--csv", str(trace), "--out", str(out)]) == 0
+        features = (out / "features.csv").read_text().splitlines()
+        assert [r.split(",")[:2] for r in features[1:]] == [["0", "72"], ["1", "72"]]
+        assert "dropped the partial segment after them (144 packets)" in capsys.readouterr().err
+
+    def test_run_logs_the_dropped_partial_segment(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG + "input_kind = synth-trace\nsynth_duration = 60.5\n"
+                       "synth_jitter_std = 0.002\nsynth_background_rate = 0\n"
+                       "feature = f_iat\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len((out / "features.csv").read_text().splitlines()) == 1 + 60
+        log = (out / "run.log").read_text().splitlines()
+        frames_line = next(ln for ln in log if ln.startswith("frames:"))
+        # the last half second holds about 36 frames of 10 packets; the jitter
+        # moves a few packets across the boundary
+        assert frames_line.endswith(" segments=60 partial_segment_dropped_packets=357")
+
+    @pytest.mark.parametrize("rows", [[], ["0.0,1200,down", "0.75,1200,down"]],
+                             ids=["empty", "under_one_segment"])
+    def test_capture_shorter_than_one_segment_is_data_error(self, rows, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("ts,length,direction\n" + "".join(r + "\n" for r in rows))
+        assert main(["frames", "--csv", str(trace), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: CaptureTooShort: ")
+        assert "Traceback" not in err
 
     def test_eda_over_features(self, tmp_path):
         features = tmp_path / "features.csv"
@@ -361,6 +397,43 @@ class TestParallelTraining:
         assert done.stdout.strip() == "3", done.stderr
 
 
+# Minor page faults of CYCLES rounds of one op on a 1 MiB array, the array and
+# its result both freed, in a process that has imported the CLI. glibc's default
+# gives the freed heap top back to the kernel on each round.
+ALLOC_CYCLES = 200
+ALLOC_FAULTS = (
+    "import resource, reslearn.cli, numpy as np\n"
+    "def faults(cycles):\n"
+    "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+    "    for _ in range(cycles):\n"
+    "        a = np.ones(1 << 17)\n"
+    "        b = a + 1.0\n"
+    "        del a, b\n"
+    "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+    "faults(1)\n"
+    f"print(faults({ALLOC_CYCLES}))\n"
+)
+
+needs_glibc = pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc")
+
+
+@needs_glibc
+class TestAllocator:
+    def alloc_faults(self, **env) -> int:
+        env = {k: v for k, v in src_env(**env).items() if k not in cli.MALLOC_VARS or k in env}
+        done = subprocess.run([sys.executable, "-c", ALLOC_FAULTS], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return int(done.stdout)
+
+    def test_freed_memory_stays_mapped(self):
+        assert self.alloc_faults() < 1000
+
+    def test_users_malloc_setting_wins(self):
+        faults = self.alloc_faults(GLIBC_TUNABLES="glibc.malloc.mmap_threshold=131072")
+        assert faults > 100 * ALLOC_CYCLES
+
+
 class TestTrainEvaluate:
     def test_round_trip(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "ckpts"
@@ -416,6 +489,26 @@ class TestBadFeatureCsv:
         err = capsys.readouterr().err
         assert "SchemaMismatch: line 2:" in err
         assert "Traceback" not in err
+
+
+class TestBadSynthSetting:
+    @pytest.mark.parametrize("argv, setting", [
+        (["run"], "synth_length = 0"),
+        (["run"], "synth_period = 0"),
+        (["run"], "input_kind = synth-trace\nsynth_fps = 0"),
+        (["run"], "input_kind = synth-trace\nsynth_jitter_std = -1"),
+        (["synth", "--kind", "series"], "synth_spike_rate = 2"),
+        (["synth", "--kind", "trace"], "synth_duration = 0"),
+    ], ids=["run-length", "run-period", "run-fps", "run-jitter_std", "synth-spike_rate",
+            "synth-duration"])
+    def test_named_by_config_key(self, argv, setting, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CFG + setting + "\n")
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+        key = setting.splitlines()[-1].split(" = ")[0]
+        assert capsys.readouterr().err.startswith(f"config error: {key} ")
+        assert not out.exists()
 
 
 class TestBadCheckpoint:

@@ -61,6 +61,39 @@ class TestGradients:
         assert max_relative_grad_error(model, X, y) < 1e-3
 
 
+class TestFloat32Step:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_kernels_keep_float32(self, kind):
+        model = build_predictor(small_config(kind))
+        X, y = grad_fixture()
+        params = {k: v.astype(np.float32) for k, v in model.params.items()}
+        pred, cache = model._forward(params, X.astype(np.float32))
+        assert pred.dtype == np.float32
+        grads = model._backward(params, cache, pred - y.astype(np.float32))
+        assert {k: g.dtype for k, g in grads.items()} == {k: np.float32 for k in params}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fit_steps_in_float32_over_float64_weights(self, kind, monkeypatch):
+        model = build_predictor(small_config(kind, epochs=2, batch_size=3))
+        X, y = grad_fixture()
+        steps = []
+
+        def spy(inputs, targets, params=None, step=model.loss_and_grad):
+            loss, grad = step(inputs, targets, params=params)
+            steps.append((inputs.dtype, targets.dtype, grad.dtype,
+                          {v.dtype for v in params.values()}))
+            return loss, grad
+
+        monkeypatch.setattr(model, "loss_and_grad", spy)
+        model.fit(X, y, X, y)
+        f32 = np.dtype(np.float32)
+        assert steps == [(f32, f32, f32, {f32})] * 4   # 2 epochs of 2 batches
+        assert model.flat.dtype == np.float64
+        assert_views_of_flat(model)
+        assert model.predict(X).dtype == np.float64
+        assert model.predict(X.astype(np.float32)).dtype == np.float64
+
+
 class TestConfig:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
