@@ -53,9 +53,8 @@ from .harness import (  # noqa: E402
     train_models,
 )
 from .ingest import EndpointFilter, PacketTable, parse_csv, parse_pcap, write_csv  # noqa: E402
-from .metrics import evaluate  # noqa: E402
 from .report import _f  # noqa: E402
-from .residual import combine_predictions, load_reslearn, save_reslearn  # noqa: E402
+from .residual import load_reslearn, save_reslearn, score  # noqa: E402
 from .seriesprep import make_windows, segment  # noqa: E402
 from .synth import gen_series, gen_trace  # noqa: E402
 from .viewframe import features_csv, threshold_report  # noqa: E402
@@ -141,7 +140,7 @@ def cmd_synth(args) -> int:
     else:
         values, _ = gen_series(cfg.series_spec())
         with _output(args.out) as out:
-            out.write("value\n" + "\n".join(repr(v) for v in values) + "\n")
+            out.write("value\n" + "\n".join(repr(v) for v in values.tolist()) + "\n")
     return EXIT_OK
 
 
@@ -167,12 +166,8 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     model = load_reslearn(args.model)
     values = read_feature_csv(Path(args.features).read_text(), args.feature)
-    w = model.base.config.lookback
-    x, y = make_windows(model.scaler.transform(values), w)
-    actual = model.scaler.inverse(y)
-    base_pred = model.base.predict(x)
-    base_m = evaluate(actual, model.scaler.inverse(base_pred))
-    comb_m = evaluate(actual, combine_predictions(model, base_pred, model.residual.predict(x)))
+    x, y = make_windows(model.scaler.transform(values), model.base.config.lookback)
+    base_m, comb_m, _ = score(model, x, y, model.base.predict(x))
     print("model,rmse,mape,smape")
     print(f"base,{_f(base_m.rmse)},{_f(base_m.mape)},{_f(base_m.smape)}")
     print(f"reslearn,{_f(comb_m.rmse)},{_f(comb_m.mape)},{_f(comb_m.smape)}")

@@ -10,13 +10,15 @@ import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .errors import ConfigError
+import numpy as np
+
+from .errors import ConfigError, SplitTooSmall
 from .models import PredictorConfig
+from .seriesprep import SplitSpec, split
 from .synth import SeriesSpec, TraceSpec
 
 INPUT_KINDS = ("synth-series", "synth-trace", "pcap", "csv", "features")
 FEATURES = ("f_c", "f_s", "f_iat")
-RESLEARN_MODES = ("on", "off")
 
 
 def _usable_cpus() -> int:
@@ -49,7 +51,6 @@ class ExperimentConfig:
     train_ratio: float = 0.5
     val_ratio: float = 0.2
     models: str = "transformer"
-    reslearn: str = "on"
     seed: int = 7
     jobs: int = field(default_factory=_usable_cpus)   # upper bound on worker processes
     epochs: int = 300
@@ -89,7 +90,7 @@ class ExperimentConfig:
 
     def model_configs(self) -> tuple[dict[str, PredictorConfig], PredictorConfig]:
         """The base model settings of each configured kind, and the residual
-        FCNN's, which trains no epoch with reslearn off."""
+        FCNN's."""
         def one(kind: str, epochs: int) -> PredictorConfig:
             return PredictorConfig(
                 kind=kind,
@@ -107,9 +108,11 @@ class ExperimentConfig:
                 seed=self.seed,
             )
 
-        residual_epochs = self.residual_epochs if self.reslearn == "on" else 0
         return ({kind: one(kind, self.epochs) for kind in self.model_kinds()},
-                one("fcnn", residual_epochs))
+                one("fcnn", self.residual_epochs))
+
+    def split_spec(self) -> SplitSpec:
+        return SplitSpec(self.train_ratio, self.val_ratio)
 
     def series_spec(self) -> SeriesSpec:
         return self._synth_spec(SeriesSpec)
@@ -143,8 +146,6 @@ class ExperimentConfig:
             raise ConfigError(f"input_kind must be one of {INPUT_KINDS}")
         if self.feature not in FEATURES:
             raise ConfigError(f"feature must be one of {FEATURES}")
-        if self.reslearn not in RESLEARN_MODES:
-            raise ConfigError(f"reslearn must be one of {RESLEARN_MODES}")
         if self.input_kind in ("pcap", "csv", "features") and not self.input_path:
             raise ConfigError(f"input_kind {self.input_kind} needs input_path")
         if self.input_kind == "pcap" and not self.server:
@@ -159,6 +160,14 @@ class ExperimentConfig:
             self.trace_spec()
         self.validate_frames()
         self.model_configs()
+        if self.residual_epochs < 1:
+            raise ConfigError("residual_epochs must be >= 1")
+        # every segment has segment_size values, so one stands for them all
+        try:
+            split(np.empty(max(self.segment_size, 0)), self.split_spec(), self.lookback)
+        except SplitTooSmall as exc:
+            raise ConfigError(f"segment_size {self.segment_size} is too short for "
+                              f"lookback {self.lookback}: {exc}") from None
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}

@@ -31,7 +31,6 @@ from .report import comparison_csv, plot_data_csv, render_csv, render_json, repo
 from .residual import ResLearnModel, SegmentReport, train_segment
 from .seriesprep import (
     SegmentedSeries,
-    SplitSpec,
     impute_absent,
     rolling_mean,
     runs_test,
@@ -153,7 +152,7 @@ def train_models(
     forked worker processes, all joined before this returns. Each pair's
     arithmetic is the same in a worker as in-process, so the results are too.
     """
-    split_spec = SplitSpec(cfg.train_ratio, cfg.val_ratio)
+    split_spec = cfg.split_spec()
     base_cfgs, residual_cfg = cfg.model_configs()
     kinds = cfg.model_kinds()
     tasks = [
@@ -178,11 +177,7 @@ def train_models(
     n = segments.num_segments
     for k, kind in enumerate(kinds):
         done = results[k * n:(k + 1) * n]
-        reports = [r for _, r in done]
-        if cfg.reslearn == "off":
-            for r in reports:
-                r.combined_val = r.combined_test = None
-        trained[kind] = ([m for m, _ in done], reports)
+        trained[kind] = ([m for m, _ in done], [r for _, r in done])
     return trained
 
 
@@ -212,84 +207,62 @@ def _train_task(index, values, base_cfg, residual_cfg, split_spec,
 def run_experiment(cfg: ExperimentConfig, out_dir) -> list[Path]:
     """Full pipeline; returns the report files written. Raises ConfigError,
     data-stage ResLearnError/OSError, or NonFiniteLoss for the CLI to map to
-    exit codes."""
+    exit codes. Once the output directory exists, `run.log` is written however
+    the run ends, with the error last if one ended it."""
     cfg.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log = [f"input_kind={cfg.input_kind}", f"feature={cfg.feature}", f"seed={cfg.seed}"]
     written: list[Path] = []
 
+    def write(name: str, text: str) -> None:
+        path = out_dir / name
+        path.write_text(text)
+        written.append(path)
+
     try:
         values, thresholds, feats, partial = feature_series(cfg)
+        if thresholds is not None:
+            write("thresholds.json", threshold_report(thresholds))
+            write("features.csv", features_csv(feats))
+            log.append(f"frames: len_th={thresholds.len_th:.6g} dur_th={thresholds.dur_th:.6g} "
+                       f"segments={len(feats)} partial_segment_dropped_packets={partial}")
+        write("eda.csv", eda_csv(values, cfg.eda_window))
+
+        segments = segment(values, cfg.segment_size)
+        log.append(f"segments: X={segments.num_segments} N={segments.segment_size} "
+                   f"dropped={segments.dropped}")
+
+        trained = train_models(cfg, segments)
+        kind_reports = {kind: trained[kind][1] for kind in cfg.model_kinds()}
+        for kind, reports in kind_reports.items():
+            rows = report_rows(reports, kind)
+            write(f"report_{kind}.csv", render_csv(rows))
+            write(f"report_{kind}.json", render_json(rows))
+            for r in reports:
+                if r.test_series is not None:
+                    actual, base_pred, combined_pred = r.test_series
+                    i = r.segment_index
+                    write(f"plot_{kind}_seg{i}.csv", plot_data_csv(actual, base_pred))
+                    write(f"plot_{kind}_reslearn_seg{i}.csv",
+                          plot_data_csv(actual, combined_pred))
+            ok = [r for r in reports if r.failed is None]
+            if ok:
+                improvement = smape_improvement(
+                    sum(r.base_val.smape for r in ok) / len(ok),
+                    sum(r.combined_val.smape for r in ok) / len(ok),
+                )
+                log.append(f"{kind}: segments_ok={len(ok)} val_smape_improvement="
+                           f"{improvement:.4g}%")
+            else:
+                log.append(f"{kind}: segments_ok=0")
+
+        if not any(r.failed is None for reports in kind_reports.values() for r in reports):
+            raise NonFiniteLoss("every segment failed to train")
+        write("comparison.csv", comparison_csv(kind_reports))
+        return written
     except (ResLearnError, OSError) as exc:
         log.append(f"error: {type(exc).__name__}: {exc}")
-        (out_dir / "run.log").write_text("\n".join(log) + "\n")
         raise
-
-    if thresholds is not None:
-        path = out_dir / "thresholds.json"
-        path.write_text(threshold_report(thresholds))
-        written.append(path)
-        path = out_dir / "features.csv"
-        path.write_text(features_csv(feats))
-        written.append(path)
-        log.append(f"frames: len_th={thresholds.len_th:.6g} dur_th={thresholds.dur_th:.6g} "
-                   f"segments={len(feats)} partial_segment_dropped_packets={partial}")
-
-    path = out_dir / "eda.csv"
-    path.write_text(eda_csv(values, cfg.eda_window))
-    written.append(path)
-
-    segments = segment(values, cfg.segment_size)
-    log.append(f"segments: X={segments.num_segments} N={segments.segment_size} "
-               f"dropped={segments.dropped}")
-
-    kind_reports: dict[str, list[SegmentReport]] = {}
-    any_success = False
-    trained = train_models(cfg, segments)
-    for kind in cfg.model_kinds():
-        reports = trained[kind][1]
-        kind_reports[kind] = reports
-        any_success = any_success or any(r.failed is None for r in reports)
-        rows = report_rows(reports, kind)
-        path = out_dir / f"report_{kind}.csv"
-        path.write_text(render_csv(rows))
-        written.append(path)
-        path = out_dir / f"report_{kind}.json"
-        path.write_text(render_json(rows))
-        written.append(path)
-        plotted = [r for r in reports if r.test_series is not None]
-        for r in plotted:
-            actual, base_pred, _ = r.test_series
-            path = out_dir / f"plot_{kind}_seg{r.segment_index}.csv"
-            path.write_text(plot_data_csv(actual, base_pred))
-            written.append(path)
-        if cfg.reslearn == "on":
-            for r in plotted:
-                actual, _, combined_pred = r.test_series
-                path = out_dir / f"plot_{kind}_reslearn_seg{r.segment_index}.csv"
-                path.write_text(plot_data_csv(actual, combined_pred))
-                written.append(path)
-        ok = [r for r in reports if r.failed is None]
-        if ok and cfg.reslearn == "on":
-            improvement = smape_improvement(
-                sum(r.base_val.smape for r in ok) / len(ok),
-                sum(r.combined_val.smape for r in ok) / len(ok),
-            )
-            log.append(f"{kind}: segments_ok={len(ok)} val_smape_improvement="
-                       f"{improvement:.4g}%")
-        else:
-            log.append(f"{kind}: segments_ok={len(ok)}")
-
-    if not any_success:
-        log.append("error: every segment failed to train")
+    finally:
         (out_dir / "run.log").write_text("\n".join(log) + "\n")
-        raise NonFiniteLoss("every segment failed to train")
-
-    if cfg.reslearn == "on":
-        path = out_dir / "comparison.csv"
-        path.write_text(comparison_csv(kind_reports))
-        written.append(path)
-
-    (out_dir / "run.log").write_text("\n".join(log) + "\n")
-    return written

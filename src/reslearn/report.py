@@ -23,16 +23,14 @@ def report_rows(reports: list[SegmentReport], model_name: str) -> list[dict]:
             rows.append({"segment": r.segment_index, "model": model_name,
                          "stage": "failed", "error": r.failed})
             continue
-        for stage, metrics, epochs in (
-            ("val", r.base_val, r.base_epochs),
-            ("test", r.base_test, r.base_epochs),
+        both = r.base_epochs + r.residual_epochs
+        for model, stage, metrics, epochs in (
+            (model_name, "val", r.base_val, r.base_epochs),
+            (model_name, "test", r.base_test, r.base_epochs),
+            (f"{model_name}+reslearn", "val", r.combined_val, both),
+            (f"{model_name}+reslearn", "test", r.combined_test, both),
         ):
-            if metrics is not None:
-                rows.append(_row(r, model_name, stage, metrics, epochs))
-        for stage, metrics in (("val", r.combined_val), ("test", r.combined_test)):
-            if metrics is not None:
-                rows.append(_row(r, f"{model_name}+reslearn", stage, metrics,
-                                 r.base_epochs + r.residual_epochs))
+            rows.append(_row(r, model, stage, metrics, epochs))
     return rows
 
 

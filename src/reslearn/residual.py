@@ -132,6 +132,17 @@ def combine_predictions(
     return model.scaler.inverse(combined)
 
 
+def score(
+    model: ResLearnModel, inputs: np.ndarray, targets: np.ndarray, base_pred: np.ndarray
+) -> tuple[MetricsResult, MetricsResult, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The base and combined metrics of `model` on the windows `inputs`, given
+    their scaled targets and the base model's predictions of them, and the
+    (actual, base, combined) series in physical units."""
+    actual, base = model.scaler.inverse(targets), model.scaler.inverse(base_pred)
+    combined = combine_predictions(model, base_pred, model.residual.predict(inputs))
+    return evaluate(actual, base), evaluate(actual, combined), (actual, base, combined)
+
+
 def train_segment(
     index: int,
     values: np.ndarray,
@@ -141,59 +152,41 @@ def train_segment(
     paper_literal_combine: bool = False,
 ) -> tuple[ResLearnModel | None, SegmentReport]:
     """The per-segment pipeline: split, scale on train, fit base, fit the
-    residual learner on bias-shifted train residuals, evaluate both stages on
+    residual learner on bias-shifted train residuals, score both stages on
     val and test in physical units. A ResLearnError is recorded in the
     report's `failed`, with no model, so the caller can go on."""
     try:
-        return _fit_segment(index, values, base_cfg, residual_cfg, split_spec,
-                            paper_literal_combine)
+        w = base_cfg.lookback
+        train, val, test = split(values, split_spec, lookback=w)
+        train_scaled, scaler = minmax_scale(train)
+        x_train, y_train = make_windows(train_scaled, w)
+        x_val, y_val = make_windows(scaler.transform(val), w)
+        x_test, y_test = make_windows(scaler.transform(test), w)
+
+        # fresh parameters per segment, with a segment-derived seed
+        base = build_predictor(replace(base_cfg, seed=base_cfg.seed + 1000 * index))
+        base_trace = base.fit(x_train, y_train, x_val, y_val)
+        base_train, base_val, base_test = (base.predict(x) for x in (x_train, x_val, x_test))
+        _, res_b, shifted = residual_targets(y_train, base_train)
+
+        residual = build_predictor(replace(residual_cfg,
+                                           seed=residual_cfg.seed + 1000 * index + 1))
+        res_trace = residual.fit(x_train, shifted, x_val, (y_val - base_val) + res_b)
+
+        model = ResLearnModel(base, residual, res_b, scaler, paper_literal_combine)
+        base_val_m, combined_val_m, _ = score(model, x_val, y_val, base_val)
+        base_test_m, combined_test_m, test_series = score(model, x_test, y_test, base_test)
     except ResLearnError as exc:
         return None, SegmentReport(segment_index=index,
                                    failed=f"{type(exc).__name__}: {exc}")
-
-
-def _fit_segment(
-    index: int,
-    values: np.ndarray,
-    base_cfg: PredictorConfig,
-    residual_cfg: PredictorConfig,
-    split_spec: SplitSpec,
-    paper_literal_combine: bool,
-) -> tuple[ResLearnModel, SegmentReport]:
-    w = base_cfg.lookback
-    train, val, test = split(values, split_spec, lookback=w)
-    train_scaled, scaler = minmax_scale(train)
-    val_scaled = scaler.transform(val)
-    test_scaled = scaler.transform(test)
-
-    x_train, y_train = make_windows(train_scaled, w)
-    x_val, y_val = make_windows(val_scaled, w)
-    x_test, y_test = make_windows(test_scaled, w)
-
-    # fresh parameters per segment, with a segment-derived seed
-    base = build_predictor(replace(base_cfg, seed=base_cfg.seed + 1000 * index))
-    base_trace = base.fit(x_train, y_train, x_val, y_val)
-    base_train, base_val, base_test = (base.predict(x) for x in (x_train, x_val, x_test))
-    _, res_b, shifted = residual_targets(y_train, base_train)
-
-    residual = build_predictor(replace(residual_cfg, seed=residual_cfg.seed + 1000 * index + 1))
-    res_trace = residual.fit(x_train, shifted, x_val, (y_val - base_val) + res_b)
-
-    model = ResLearnModel(base, residual, res_b, scaler, paper_literal_combine)
-    actual_val, actual_test = scaler.inverse(y_val), scaler.inverse(y_test)
-    combined_val = combine_predictions(model, base_val, residual.predict(x_val))
-    combined_test = combine_predictions(model, base_test, residual.predict(x_test))
-    base_test_phys = scaler.inverse(base_test)
-
-    report = SegmentReport(
+    return model, SegmentReport(
         segment_index=index,
         res_b=res_b,
         base_epochs=base_trace.epochs_run,
         residual_epochs=res_trace.epochs_run,
-        base_val=evaluate(actual_val, scaler.inverse(base_val)),
-        base_test=evaluate(actual_test, base_test_phys),
-        combined_val=evaluate(actual_val, combined_val),
-        combined_test=evaluate(actual_test, combined_test),
-        test_series=(actual_test, base_test_phys, combined_test),
+        base_val=base_val_m,
+        base_test=base_test_m,
+        combined_val=combined_val_m,
+        combined_test=combined_test_m,
+        test_series=test_series,
     )
-    return model, report

@@ -96,11 +96,9 @@ def identify_frames(
     packets: PacketTable,
     thresholds: Thresholds,
     min_packets: int = 1,
-    split_on_small_packet: bool = False,
 ) -> list[Frame]:
     """Group frame-eligible downlink packets into frames: consecutive eligible
-    packets with a gap <= dur_th share a frame, and with
-    `split_on_small_packet` an ineligible packet between them also closes it."""
+    packets with a gap <= dur_th share a frame."""
     ts = packets.ts[packets.downlink]
     length = packets.length[packets.downlink]
     index = np.flatnonzero(length.astype(np.float64) >= thresholds.len_th)
@@ -110,8 +108,6 @@ def identify_frames(
     new = np.empty(index.size, dtype=bool)
     new[0] = True
     new[1:] = np.diff(t) > thresholds.dur_th
-    if split_on_small_packet:
-        new[1:] |= np.diff(index) > 1
     first = np.flatnonzero(new)
     last = np.append(first[1:], index.size) - 1
     counts = last - first + 1

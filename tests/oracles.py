@@ -149,23 +149,19 @@ def match_frame(frame: bytes, server: bytes, port: int | None) -> bool | None:
     return None
 
 
-def assign_frames(ts, eligible, dur_th, split_on_small):
+def assign_frames(ts, eligible, dur_th):
     """Frame id per packet, -1 for non-members. Consecutive eligible packets
     with gap <= dur_th share a frame."""
     n = ts.shape[0]
     fid = np.full(n, -1, dtype=np.int64)
     cur = -1
-    last_ts = 0.0
-    open_frame = False
+    last_ts = None
     for i in range(n):
         if eligible[i]:
-            if (not open_frame) or ts[i] - last_ts > dur_th:
+            if last_ts is None or ts[i] - last_ts > dur_th:
                 cur += 1
-                open_frame = True
             fid[i] = cur
             last_ts = ts[i]
-        elif split_on_small:
-            open_frame = False
     return fid
 
 

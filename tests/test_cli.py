@@ -13,10 +13,12 @@ import pytest
 
 from reslearn import cli, harness
 from reslearn.cli import main
+from reslearn.config import ExperimentConfig
 from reslearn.ingest import EndpointFilter
 from reslearn.models import Predictor, PredictorConfig, build_predictor
-from reslearn.residual import ResLearnModel, save_reslearn
+from reslearn.residual import ResLearnModel, load_reslearn, save_reslearn
 from reslearn.seriesprep import Scaler
+from reslearn.synth import gen_series
 
 from oracles import DOWNLINK, UPLINK, table, write_pcap
 from test_models import MALFORMED, checkpoint
@@ -59,6 +61,9 @@ class TestSynth:
         lines = out.read_text().splitlines()
         assert lines[0] == "value"
         assert len(lines) == 2001   # default series length
+        values, _ = gen_series(ExperimentConfig(seed=3).series_spec())
+        written = np.array([float(line) for line in lines[1:]])
+        assert written.tobytes() == values.tobytes()
 
     def test_deterministic(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -211,6 +216,27 @@ class TestRun:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("input_kind = features\ninput_path = missing.csv\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    def test_data_error_after_features_is_logged(self, tmp_path):
+        # the 10 values fill no EDA window of 20: a data error once the
+        # output directory exists
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(SMALL_CFG + "synth_length = 10\nsegment_size = 8\nlookback = 1\n"
+                       "val_ratio = 0.5\neda_window = 20\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert (out / "run.log").read_text().splitlines()[-1].startswith(
+            "error: SeriesTooShort: ")
+
+    def test_every_run_trains_and_saves_the_residual_stage(self, small_cfg, tmp_path):
+        out = tmp_path / "ckpts"
+        assert main(["train", "--config", str(small_cfg), "--out", str(out)]) == 0
+        ckpts = sorted(out.glob("*.npz"))
+        assert ckpts
+        for path in ckpts:
+            residual = load_reslearn(path).residual
+            fresh = build_predictor(residual.config)
+            assert not np.array_equal(residual.flat, fresh.flat)
 
     def test_out_dir_env_default(self, small_cfg, tmp_path, monkeypatch):
         target = tmp_path / "envout"
@@ -569,4 +595,21 @@ class TestBadUserInput:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("setting, message", [
+        ("reslearn = off\n", "unknown key 'reslearn'"),
+        ("residual_epochs = 0\n", "residual_epochs must be >= 1"),
+        ("segment_size = 60\nlookback = 8\n", "segment_size 60 is too short for lookback 8"),
+    ], ids=["reslearn_off", "residual_epochs", "segment_too_short"])
+    @pytest.mark.parametrize("command", ["run", "train"])
+    def test_residual_stage_settings(self, command, setting, message, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CFG + setting)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
 

@@ -104,7 +104,7 @@ class TestEmit:
             monkeypatch.setattr(harness, "train_models",
                                 lambda cfg, segments: {"gru": ([None], [report])})
             cfg = ExperimentConfig(models="gru", synth_length=40, segment_size=40,
-                                   eda_window=4)
+                                   lookback=3, eda_window=4)
             return [p.name for p in harness.run_experiment(cfg, tmp_path)]
 
         return run

@@ -168,13 +168,6 @@ class TestIdentifyFrames:
         packets = [(0.0, 1200, UPLINK)]
         assert identify_frames(table(packets), self.TH) == []
 
-    def test_split_on_small_packet(self):
-        packets = [dl(0.0, 1200), dl(0.0004, 100), dl(0.0008, 1200)]
-        joined = identify_frames(table(packets), self.TH)
-        assert len(joined) == 1
-        split_frames = identify_frames(table(packets), self.TH, split_on_small_packet=True)
-        assert len(split_frames) == 2
-
     @settings(deadline=None, max_examples=50)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_matches_brute_force_on_random_traces(self, seed):
@@ -207,9 +200,8 @@ class TestIdentifyFrames:
 
 class TestFrameScanAgainstLoop:
     @settings(deadline=None, max_examples=100)
-    @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans(),
-           st.sampled_from([1, 2, 3]))
-    def test_matches_scalar_loop(self, seed, split, min_packets):
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([1, 2, 3]))
+    def test_matches_scalar_loop(self, seed, min_packets):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 200))
         packets = table(zip(np.cumsum(rng.exponential(0.002, n)).tolist(),
@@ -218,7 +210,7 @@ class TestFrameScanAgainstLoop:
         th = Thresholds(len_th=600.0, dur_th=0.002)
         ts = packets.ts[packets.downlink]
         length = packets.length[packets.downlink]
-        fid = assign_frames(ts, length >= th.len_th, th.dur_th, split)
+        fid = assign_frames(ts, length >= th.len_th, th.dur_th)
         expected = []
         for k in range(fid.max() + 1 if fid.size else 0):   # no downlink: no frame
             member = fid == k
@@ -226,9 +218,7 @@ class TestFrameScanAgainstLoop:
                 t = ts[member]
                 expected.append(Frame(float(t[0]), float(t[-1]),
                                       int(length[member].sum()), int(member.sum())))
-        got = identify_frames(packets, th, min_packets=min_packets,
-                              split_on_small_packet=split)
-        assert got == expected
+        assert identify_frames(packets, th, min_packets=min_packets) == expected
 
 
 class TestSegmentFeatures:
