@@ -151,6 +151,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     values = feature_series(cfg)[0]
     trained = train_models(cfg, segment(values, cfg.segment_size), keep_models=True)
+    saved = 0
     for kind in cfg.model_kinds():
         models, reports = trained[kind]
         for i, model in enumerate(models):
@@ -159,7 +160,10 @@ def cmd_train(args) -> int:
                 continue
             path = out / f"ckpt_{kind}_seg{i}.npz"
             save_reslearn(model, path)
+            saved += 1
             print(f"saved {path}", file=sys.stderr)
+    if not saved:
+        raise NonFiniteLoss("every segment failed to train")
     return EXIT_OK
 
 

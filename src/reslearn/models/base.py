@@ -19,8 +19,14 @@ import numpy as np
 from ..errors import ConfigError, NonFiniteLoss, ShapeMismatch
 
 # Inference runs over blocks of this many windows, so its memory is bounded by
-# one block's layer caches rather than by the number of windows.
-PREDICT_BLOCK = 256
+# one block's layer caches rather than by the number of windows. At 32 windows
+# a transformer block's activations (32 x 32 x 64 float64, 0.5 MB each) stay in
+# L2. The block must stay a multiple of 16: BLAS computes a row of a product by
+# a different kernel depending on its place in the row tiling, so only blocks
+# that start on a tile edge keep `predict` bit-identical to one whole-batch
+# forward. With OpenBLAS 0.3.31 on AVX-512 a block of 30 changed bits and one
+# of 20 did not; 16 leaves room for wider tiles.
+PREDICT_BLOCK = 32
 
 KINDS = ("transformer", "lstm", "gru", "stacked_lstm", "fcnn")
 

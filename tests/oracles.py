@@ -8,10 +8,14 @@ the cumsum scan. `write_pcap` builds the classic pcap test captures.
 `dict_adam_fit` is Adam with early stopping over a dict of separate arrays,
 one key at a time, each gradient taken from float32 copies of the arrays and
 windows, which the one-vector update of `Predictor.fit` must match.
+`transformer_forward`/`transformer_backward` are the transformer's kernels
+written out of place, one new array per expression, which the in-place
+kernels of `models.transformer` must match bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -206,3 +210,117 @@ def dict_adam_fit(model, inputs, targets, val_inputs, val_targets) -> dict[str, 
             if stall >= cfg.early_stop_patience:
                 break
     return best_params if best_params is not None else params
+
+
+LN_EPS = 1e-5
+
+
+def layernorm_forward(x, gain, bias):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = xc * inv
+    return gain * xhat + bias, (xhat, inv)
+
+
+def layernorm_backward(d_out, gain, cache):
+    xhat, inv = cache
+    d_gain = (d_out * xhat).sum(axis=(0, 1))
+    d_bias = d_out.sum(axis=(0, 1))
+    d_xhat = d_out * gain
+    d_x = inv * (
+        d_xhat
+        - d_xhat.mean(axis=-1, keepdims=True)
+        - xhat * (d_xhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    return d_x, d_gain, d_bias
+
+
+def softmax(scores):
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _flat(x):
+    return x.reshape(-1, x.shape[-1])
+
+
+def transformer_forward(model, params, inputs):
+    """(predictions, cache) of `model`, a TransformerPredictor, on `inputs`."""
+    cfg = model.config
+    x_in = inputs[:, :, None]
+    h = x_in @ params["in_W"] + params["in_b"] + model.pe.astype(inputs.dtype, copy=False)
+    layer_caches = []
+    for layer in range(cfg.n_layers):
+        p = f"l{layer}_"
+        q = model._split_heads(h @ params[p + "Wq"] + params[p + "bq"])
+        k = model._split_heads(h @ params[p + "Wk"] + params[p + "bk"])
+        v = model._split_heads(h @ params[p + "Wv"] + params[p + "bv"])
+        scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(model.head_dim)
+        attn = softmax(scores)
+        ctx = model._merge_heads(attn @ v)
+        attn_out = ctx @ params[p + "Wo"] + params[p + "bo"]
+        res1 = h + attn_out
+        h1, ln1_cache = layernorm_forward(res1, params[p + "ln1_g"], params[p + "ln1_b"])
+        z1 = h1 @ params[p + "ffn_W1"] + params[p + "ffn_b1"]
+        a1 = np.maximum(z1, 0.0)
+        ffn_out = a1 @ params[p + "ffn_W2"] + params[p + "ffn_b2"]
+        res2 = h1 + ffn_out
+        h_next, ln2_cache = layernorm_forward(res2, params[p + "ln2_g"], params[p + "ln2_b"])
+        layer_caches.append((h, q, k, v, attn, ctx, ln1_cache, h1, z1, a1, ln2_cache))
+        h = h_next
+    pooled = h.mean(axis=1)
+    pred = (pooled @ params["head_W"] + params["head_b"])[:, 0]
+    return pred, (x_in, layer_caches, pooled)
+
+
+def transformer_backward(model, params, cache, d_pred):
+    """Gradients keyed like `params`, from a `transformer_forward` cache."""
+    cfg = model.config
+    x_in, layer_caches, pooled = cache
+    grads = {}
+    d_out = d_pred[:, None]
+    grads["head_W"] = pooled.T @ d_out
+    grads["head_b"] = d_out.sum(axis=0)
+    d_pooled = d_out @ params["head_W"].T
+    w = cfg.lookback
+    d_h = np.repeat(d_pooled[:, None, :], w, axis=1) / w
+    for layer in range(cfg.n_layers - 1, -1, -1):
+        p = f"l{layer}_"
+        h_in, q, k, v, attn, ctx, ln1_cache, h1, z1, a1, ln2_cache = layer_caches[layer]
+        d_res2, grads[p + "ln2_g"], grads[p + "ln2_b"] = layernorm_backward(
+            d_h, params[p + "ln2_g"], ln2_cache)
+        d_ffn = d_res2
+        grads[p + "ffn_W2"] = _flat(a1).T @ _flat(d_ffn)
+        grads[p + "ffn_b2"] = d_ffn.sum(axis=(0, 1))
+        d_a1 = d_ffn @ params[p + "ffn_W2"].T
+        d_z1 = d_a1 * (z1 > 0)
+        grads[p + "ffn_W1"] = _flat(h1).T @ _flat(d_z1)
+        grads[p + "ffn_b1"] = d_z1.sum(axis=(0, 1))
+        d_h1 = d_res2 + d_z1 @ params[p + "ffn_W1"].T
+        d_res1, grads[p + "ln1_g"], grads[p + "ln1_b"] = layernorm_backward(
+            d_h1, params[p + "ln1_g"], ln1_cache)
+        d_attn_out = d_res1
+        grads[p + "Wo"] = _flat(ctx).T @ _flat(d_attn_out)
+        grads[p + "bo"] = d_attn_out.sum(axis=(0, 1))
+        d_ctx = model._split_heads(d_attn_out @ params[p + "Wo"].T)
+        d_attn = d_ctx @ v.transpose(0, 1, 3, 2)
+        d_v = attn.transpose(0, 1, 3, 2) @ d_ctx
+        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+        d_scores = d_scores / math.sqrt(model.head_dim)
+        d_q = model._merge_heads(d_scores @ k)
+        d_k = model._merge_heads(d_scores.transpose(0, 1, 3, 2) @ q)
+        d_v = model._merge_heads(d_v)
+        grads[p + "Wq"] = _flat(h_in).T @ _flat(d_q)
+        grads[p + "bq"] = d_q.sum(axis=(0, 1))
+        grads[p + "Wk"] = _flat(h_in).T @ _flat(d_k)
+        grads[p + "bk"] = d_k.sum(axis=(0, 1))
+        grads[p + "Wv"] = _flat(h_in).T @ _flat(d_v)
+        grads[p + "bv"] = d_v.sum(axis=(0, 1))
+        d_h = (d_res1 + d_q @ params[p + "Wq"].T + d_k @ params[p + "Wk"].T
+               + d_v @ params[p + "Wv"].T)
+    grads["in_W"] = _flat(x_in).T @ _flat(d_h)
+    grads["in_b"] = d_h.sum(axis=(0, 1))
+    return grads

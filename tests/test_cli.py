@@ -348,6 +348,15 @@ class TestParallelTraining:
         assert main(["run", "--config", str(cfg_path), "--jobs", "2",
                      "--out", str(tmp_path / "o")]) == 3
 
+    def test_train_with_every_segment_failed_exits_3(self, cfg_path, tmp_path, capsys):
+        nan_features(tmp_path / "features.csv", [10, 70, 130])
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count(": NonFiniteLoss") == 6       # 2 kinds x 3 segments
+        assert err.rstrip().endswith("training failure: every segment failed to train")
+        assert not list(out.iterdir())
+
     def test_train_jobs_same_checkpoints(self, cfg_path, tmp_path, capsys):
         nan_features(tmp_path / "features.csv", [70])
         saved = {}
