@@ -42,22 +42,23 @@ def _keep_freed_memory() -> None:
 
 _keep_freed_memory()
 
-from .config import apply_overrides, load_config  # noqa: E402
+from .config import ExperimentConfig, apply_overrides, load_config  # noqa: E402
 from .errors import ConfigError, NonFiniteLoss, ResLearnError  # noqa: E402
 from .harness import (  # noqa: E402
     eda_csv,
     feature_series,
+    load_packets,
     packet_features,
     read_feature_csv,
     run_experiment,
     train_models,
+    write_frame_files,
 )
-from .ingest import EndpointFilter, PacketTable, parse_csv, parse_pcap, write_csv  # noqa: E402
+from .ingest import PacketTable, write_csv  # noqa: E402
 from .report import _f  # noqa: E402
 from .residual import load_reslearn, save_reslearn, score  # noqa: E402
 from .seriesprep import make_windows, segment  # noqa: E402
 from .synth import gen_series, gen_trace  # noqa: E402
-from .viewframe import features_csv, threshold_report  # noqa: E402
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -70,25 +71,20 @@ def _default_out() -> str:
 
 
 def _add_packet_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pcap", help="classic pcap input file")
-    p.add_argument("--csv", help="packet CSV input file (ts,length,direction)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--pcap", help="classic pcap input file")
+    source.add_argument("--csv", help="packet CSV input file (ts,length,direction)")
     p.add_argument("--server", help="rendering server IPv4 address (pcap input)")
     p.add_argument("--port", type=int, help="optional server port filter")
 
 
-def _read_packets(args) -> PacketTable:
-    if args.pcap:
-        if not args.server:
-            raise ConfigError("--pcap needs --server")
-        filt = EndpointFilter(args.server, args.port)
-        with open(args.pcap, "rb") as stream:
-            result = parse_pcap(stream, filt)
-        print(f"parsed {len(result.records)} packets, skipped {result.skipped}, "
-              f"warnings {result.warnings}", file=sys.stderr)
-        return result.records
-    if args.csv:
-        return parse_csv(Path(args.csv).read_text())
-    raise ConfigError("need --pcap or --csv")
+def _packets(cfg: ExperimentConfig) -> PacketTable:
+    """The configured input's packets, read after `run`'s config check; prints counters."""
+    cfg.validate()
+    result = load_packets(cfg)
+    print(f"parsed {len(result.records)} packets, skipped {result.skipped}, "
+          f"warnings {result.warnings}", file=sys.stderr)
+    return result.records
 
 
 @contextmanager
@@ -102,20 +98,18 @@ def _output(path):
 
 
 def cmd_ingest(args) -> int:
-    packets = _read_packets(args)
+    packets = _packets(_config(args))
     with _output(args.out) as out:
         write_csv(packets, out)
     return EXIT_OK
 
 
 def cmd_frames(args) -> int:
-    cfg = load_config(args.config) if args.config else _default_cfg()
-    cfg.validate_frames()
-    thresholds, frames, feats, partial = packet_features(_read_packets(args), cfg)
+    cfg = _config(args)
+    thresholds, frames, feats, partial = packet_features(_packets(cfg), cfg)
     out = Path(args.out or _default_out())
     out.mkdir(parents=True, exist_ok=True)
-    (out / "thresholds.json").write_text(threshold_report(thresholds))
-    (out / "features.csv").write_text(features_csv(feats))
+    write_frame_files(out, thresholds, feats)
     print(f"{len(frames)} frames over {len(feats)} segments -> {out}; dropped the partial "
           f"segment after them ({partial} packets)", file=sys.stderr)
     return EXIT_OK
@@ -130,9 +124,7 @@ def cmd_eda(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = load_config(args.config) if args.config else _default_cfg()
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = _config(args)
     if args.kind == "trace":
         packets, _ = gen_trace(cfg.trace_spec())
         with _output(args.out) as out:
@@ -145,7 +137,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = _config(args)
     cfg.validate()
     out = Path(args.out or _default_out())
     out.mkdir(parents=True, exist_ok=True)
@@ -179,25 +171,18 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_run_config(args)
-    run_experiment(cfg, Path(args.out or _default_out()))
+    run_experiment(_config(args), Path(args.out or _default_out()))
     return EXIT_OK
 
 
-def _default_cfg():
-    from .config import ExperimentConfig
-
-    return ExperimentConfig()
-
-
-def _load_run_config(args):
-    cfg = load_config(args.config)
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "jobs", None) is not None:
-        overrides["jobs"] = args.jobs
-    return apply_overrides(cfg, overrides)
+def _config(args) -> ExperimentConfig:
+    """The `--config` file, or the defaults, with the command's flags over it."""
+    flags = vars(args)
+    cfg = load_config(args.config) if flags.get("config") else ExperimentConfig()
+    overrides = {key: flags.get(key) for key in ("seed", "jobs", "server", "port")}
+    kind = "pcap" if flags.get("pcap") else "csv" if flags.get("csv") else None
+    overrides.update(input_kind=kind, input_path=flags[kind] if kind else None)
+    return apply_overrides(cfg, overrides)     # a None value leaves its key as it is
 
 
 def build_parser() -> argparse.ArgumentParser:

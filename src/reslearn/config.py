@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, SplitTooSmall
+from .ingest import EndpointFilter
 from .models import PredictorConfig
 from .seriesprep import SplitSpec, split
 from .synth import SeriesSpec, TraceSpec
@@ -43,7 +44,7 @@ class ExperimentConfig:
     input_kind: str = "synth-series"
     input_path: str = ""
     server: str = ""
-    port: int = -1                     # -1 means unset
+    port: int = -1                     # -1 means any port
     feature: str = "f_s"
     segment_duration: float = 1.0
     segment_size: int = 500
@@ -130,26 +131,21 @@ class ExperimentConfig:
         except ConfigError as exc:     # each message starts with the field name
             raise ConfigError(f"synth_{exc}") from None
 
-    def validate_frames(self) -> None:
-        """The settings that turn packets into frames and segment features."""
-        if self.bins < 1:
-            raise ConfigError("bins must be >= 1")
-        if not self.segment_duration > 0:
-            raise ConfigError("segment_duration must be positive")
-        if not self.default_dur_th > 0:
-            raise ConfigError("default_dur_th must be positive")
+    def endpoint_filter(self) -> EndpointFilter:
+        """The pcap input's filter; port -1 means any port."""
+        return EndpointFilter(self.server, None if self.port == -1 else self.port)
 
     def validate(self) -> None:
-        """Every setting of a run or train, model settings included, so a bad
-        one fails before any input is read."""
+        """Every setting, model settings included, so a bad one fails before
+        any input is read or any output made."""
         if self.input_kind not in INPUT_KINDS:
             raise ConfigError(f"input_kind must be one of {INPUT_KINDS}")
         if self.feature not in FEATURES:
             raise ConfigError(f"feature must be one of {FEATURES}")
         if self.input_kind in ("pcap", "csv", "features") and not self.input_path:
             raise ConfigError(f"input_kind {self.input_kind} needs input_path")
-        if self.input_kind == "pcap" and not self.server:
-            raise ConfigError("pcap input needs the server address")
+        if self.input_kind == "pcap":
+            self.endpoint_filter()
         if not self.model_kinds():
             raise ConfigError("models must name at least one kind")
         if self.jobs < 1:
@@ -158,10 +154,17 @@ class ExperimentConfig:
             self.series_spec()
         if self.input_kind == "synth-trace":
             self.trace_spec()
-        self.validate_frames()
+        if self.bins < 1:
+            raise ConfigError("bins must be >= 1")
+        if not self.segment_duration > 0:
+            raise ConfigError("segment_duration must be positive")
+        if not self.default_dur_th > 0:
+            raise ConfigError("default_dur_th must be positive")
         self.model_configs()
         if self.residual_epochs < 1:
             raise ConfigError("residual_epochs must be >= 1")
+        if self.eda_window < 1:
+            raise ConfigError("eda_window must be >= 1")
         # every segment has segment_size values, so one stands for them all
         try:
             split(np.empty(max(self.segment_size, 0)), self.split_spec(), self.lookback)

@@ -25,7 +25,7 @@ from .errors import (
     ResLearnError,
     SchemaMismatch,
 )
-from .ingest import EndpointFilter, PacketTable, parse_csv, parse_pcap
+from .ingest import PacketTable, ParseResult, parse_csv, parse_pcap
 from .metrics import smape_improvement
 from .report import comparison_csv, plot_data_csv, render_csv, render_json, report_rows
 from .residual import ResLearnModel, SegmentReport, train_segment
@@ -49,16 +49,16 @@ from .viewframe import (
 )
 
 
-def load_packets(cfg: ExperimentConfig) -> PacketTable:
+def load_packets(cfg: ExperimentConfig) -> ParseResult:
+    """The packets of the configured input; only a pcap skips some or stops early."""
     if cfg.input_kind == "synth-trace":
-        return gen_trace(cfg.trace_spec())[0]
+        return ParseResult(gen_trace(cfg.trace_spec())[0])
     if cfg.input_kind == "pcap":
-        filt = EndpointFilter(cfg.server, cfg.port if cfg.port >= 0 else None)
         with open(cfg.input_path, "rb") as stream:
-            return parse_pcap(stream, filt).records
+            return parse_pcap(stream, cfg.endpoint_filter())
     if cfg.input_kind == "csv":
-        return parse_csv(Path(cfg.input_path).read_text())
-    raise ConfigError(f"input_kind {cfg.input_kind} carries no packets")
+        return ParseResult(parse_csv(Path(cfg.input_path).read_text()))
+    raise ConfigError(f"input_kind {cfg.input_kind} has no packets; pcap, csv and synth-trace do")
 
 
 def estimate_session_thresholds(packets: PacketTable, cfg: ExperimentConfig) -> Thresholds:
@@ -76,7 +76,7 @@ def feature_series(cfg: ExperimentConfig):
     if cfg.input_kind == "features":
         values = read_feature_csv(Path(cfg.input_path).read_text(), cfg.feature)
         return values, None, None, None
-    thresholds, _, feats, partial = packet_features(load_packets(cfg), cfg)
+    thresholds, _, feats, partial = packet_features(load_packets(cfg).records, cfg)
     return _feature_column(feats, cfg.feature), thresholds, feats, partial
 
 
@@ -97,6 +97,14 @@ def packet_features(
     feats = segment_features(frames, 0.0, cfg.segment_duration, num_segments)
     partial = int(np.count_nonzero(packets.ts >= num_segments * cfg.segment_duration))
     return thresholds, frames, feats, partial
+
+
+def write_frame_files(out_dir: Path, thresholds: Thresholds, feats) -> list[Path]:
+    """Write `thresholds.json` and `features.csv`; returns their paths."""
+    texts = {"thresholds.json": threshold_report(thresholds), "features.csv": features_csv(feats)}
+    for name, text in texts.items():
+        (out_dir / name).write_text(text)
+    return [out_dir / name for name in texts]
 
 
 def _feature_column(feats, feature: str) -> np.ndarray:
@@ -223,8 +231,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[Path]:
     try:
         values, thresholds, feats, partial = feature_series(cfg)
         if thresholds is not None:
-            write("thresholds.json", threshold_report(thresholds))
-            write("features.csv", features_csv(feats))
+            written += write_frame_files(out_dir, thresholds, feats)
             log.append(f"frames: len_th={thresholds.len_th:.6g} dur_th={thresholds.dur_th:.6g} "
                        f"segments={len(feats)} partial_segment_dropped_packets={partial}")
         write("eda.csv", eda_csv(values, cfg.eda_window))

@@ -7,6 +7,7 @@ math only ever uses trace-relative seconds.
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO
@@ -68,9 +69,10 @@ class EndpointFilter:
     def __post_init__(self):
         parts = self.server_address.split(".")
         if len(parts) != 4 or not all(p.isdigit() and 0 <= int(p) <= 255 for p in parts):
-            raise ConfigError(f"not a dotted-quad IPv4 address: {self.server_address!r}")
+            raise ConfigError(f"server must be a dotted-quad IPv4 address, got "
+                              f"{self.server_address!r}")
         if self.port is not None and not 0 <= self.port <= 65535:
-            raise ConfigError(f"port out of range: {self.port}")
+            raise ConfigError(f"port must be in [0, 65535], got {self.port}")
 
     def packed_address(self) -> bytes:
         return bytes(int(p) for p in self.server_address.split("."))
@@ -219,7 +221,7 @@ def _decode(buf, heads, endian, frac_scale, server, port):
 
 
 def parse_csv(text: str) -> PacketTable:
-    """Read the `ts,length,direction` trace schema; ts re-based to first row."""
+    """Read the `ts,length,direction` trace schema; finite, monotone ts re-based to row 1."""
     lines = text.splitlines()
     if not lines or lines[0].lstrip("﻿").strip() != CSV_HEADER:
         got = lines[0].strip() if lines else "<empty>"
@@ -236,7 +238,9 @@ def parse_csv(text: str) -> PacketTable:
         try:
             ts = float(parts[0])
         except ValueError:
-            raise RowParseError(i, f"bad ts {parts[0]!r}") from None
+            ts = math.nan
+        if not math.isfinite(ts):      # NaN would pass the monotonicity check
+            raise RowParseError(i, f"bad ts {parts[0]!r}")
         try:
             length = int(parts[1])
         except ValueError:

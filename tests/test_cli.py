@@ -13,12 +13,12 @@ import pytest
 
 from reslearn import cli, harness
 from reslearn.cli import main
-from reslearn.config import ExperimentConfig
+from reslearn.config import ExperimentConfig, parse_config
 from reslearn.ingest import EndpointFilter
 from reslearn.models import Predictor, PredictorConfig, build_predictor
 from reslearn.residual import ResLearnModel, load_reslearn, save_reslearn
 from reslearn.seriesprep import Scaler
-from reslearn.synth import gen_series
+from reslearn.synth import gen_series, gen_trace
 
 from oracles import DOWNLINK, UPLINK, table, write_pcap
 from test_models import MALFORMED, checkpoint
@@ -86,10 +86,12 @@ class TestIngest:
         assert lines[0] == "ts,length,direction"
         assert len(lines) == 3
 
-    def test_missing_server_is_config_error(self, tmp_path):
+    def test_missing_server_is_config_error(self, tmp_path, capsys):
         pcap = tmp_path / "t.pcap"
         pcap.write_bytes(b"")
         assert main(["ingest", "--pcap", str(pcap)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: server must be a dotted-quad IPv4 address, got ''\n")
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["ingest", "--pcap", str(tmp_path / "no.pcap"),
@@ -164,9 +166,9 @@ class TestFramesAndEda:
         trace = tmp_path / "trace.csv"
         trace.write_text("ts,length,direction\n" + "".join(r + "\n" for r in rows))
         assert main(["frames", "--csv", str(trace), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("data error: CaptureTooShort: ")
-        assert "Traceback" not in err
+        parsed, error = capsys.readouterr().err.splitlines()
+        assert parsed == f"parsed {len(rows)} packets, skipped 0, warnings 0"
+        assert error.startswith("data error: CaptureTooShort: ")
 
     def test_eda_over_features(self, tmp_path):
         features = tmp_path / "features.csv"
@@ -180,6 +182,94 @@ class TestFramesAndEda:
         assert lines[0] == "series,n,n_runs,z,p_value"
         assert lines[1].startswith("raw,40,")
         assert lines[2].startswith("rolling_mean,21,")
+
+
+# a 7 s synth trace in 0.05 s segments: 139 full ones, so two model segments
+PACKET_CFG = SMALL_CFG + "input_kind = synth-trace\nsynth_duration = 7\nsegment_duration = 0.05\n"
+
+NON_FINITE_TS = {
+    "nan_inside": ["0.0,1200,down", "0.5,1200,down", "nan,1200,down", "1.5,1200,down",
+                   "2.5,1200,down"],
+    "inf_last": ["0.0,1200,down", "0.5,1200,down", "1.5,1200,down", "inf,1200,down"],
+    "nan_first": ["nan,1200,down", "0.5,1200,down", "1.5,1200,down", "2.5,1200,down"],
+}
+
+
+class TestOnePacketPath:
+    """`ingest`, `frames` and `run` read packets through one reader, and
+    `frames` writes the frame files of `run`."""
+
+    @pytest.mark.parametrize("source", ["pcap", "csv", "synth-trace"])
+    def test_frames_writes_the_frame_files_of_run(self, source, tmp_path, capsys):
+        frames_cfg = tmp_path / "frames.cfg"
+        frames_cfg.write_text(PACKET_CFG)
+        packets = gen_trace(parse_config(PACKET_CFG).trace_spec())[0]
+        argv, run_input = [], ""
+        if source == "pcap":
+            pcap = tmp_path / "t.pcap"
+            pcap.write_bytes(write_pcap(packets, EndpointFilter("10.0.0.1")))
+            argv = ["--pcap", str(pcap), "--server", "10.0.0.1"]
+            run_input = f"input_kind = pcap\ninput_path = {pcap}\nserver = 10.0.0.1\n"
+        elif source == "csv":
+            trace = tmp_path / "trace.csv"
+            assert main(["synth", "--kind", "trace", "--config", str(frames_cfg),
+                         "--out", str(trace)]) == 0
+            argv = ["--csv", str(trace)]
+            run_input = f"input_kind = csv\ninput_path = {trace}\n"
+        run_cfg = tmp_path / "run.cfg"
+        run_cfg.write_text(PACKET_CFG + run_input)
+        capsys.readouterr()
+        assert main(["frames", *argv, "--config", str(frames_cfg),
+                     "--out", str(tmp_path / "frames")]) == 0
+        parsed = capsys.readouterr().err.splitlines()[0]
+        assert parsed == f"parsed {len(packets)} packets, skipped 0, warnings 0"
+        assert main(["run", "--config", str(run_cfg), "--jobs", "1",
+                     "--out", str(tmp_path / "run")]) == 0
+        for name in ("thresholds.json", "features.csv"):
+            frames_bytes = (tmp_path / "frames" / name).read_bytes()
+            assert frames_bytes == (tmp_path / "run" / name).read_bytes()
+        assert frames_bytes.count(b"\n") == 1 + 139
+
+    @pytest.mark.parametrize("command", ["ingest", "frames"])
+    def test_csv_input_prints_parse_counters(self, command, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("ts,length,direction\n"
+                         + "".join(f"{t!r},1200,down\n" for t in (0.0, 0.5, 1.0, 1.5)))
+        assert main([command, "--csv", str(trace), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err.splitlines()[0] == "parsed 4 packets, skipped 0, warnings 0"
+
+    @pytest.mark.parametrize("config", [None, "input_kind = synth-series\n",
+                                        "input_kind = features\ninput_path = f.csv\n"],
+                             ids=["defaults", "synth_series", "features"])
+    def test_frames_without_packet_input_exits_1(self, config, tmp_path, capsys):
+        argv = ["frames", "--out", str(tmp_path / "out")]
+        if config is not None:
+            (tmp_path / "frames.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "frames.cfg")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("config error: input_kind ")
+        assert not (tmp_path / "out").exists()
+
+    def test_pcap_and_csv_flags_exclude_each_other(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["frames", "--pcap", "t.pcap", "--server", "10.0.0.1", "--csv", "t.csv"])
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ingest", "frames", "run"])
+    @pytest.mark.parametrize("rows", NON_FINITE_TS.values(), ids=NON_FINITE_TS.keys())
+    def test_non_finite_timestamp_is_data_error(self, rows, command, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("ts,length,direction\n" + "".join(r + "\n" for r in rows))
+        if command == "run":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(SMALL_CFG + f"input_kind = csv\ninput_path = {trace}\n")
+            argv = ["run", "--config", str(cfg)]
+        else:
+            argv = [command, "--csv", str(trace)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: RowParseError: line ")
+        assert "Traceback" not in err
 
 
 class TestRun:
@@ -567,6 +657,7 @@ class TestBadUserInput:
         (["ingest", "--server", "999.1.1.1"], None),
         (["ingest", "--server", "10.0.0.1", "--port", "70000"], None),
         (["run"], "input_kind = pcap\nserver = nope\n"),
+        (["run"], "input_kind = pcap\nserver = 10.0.0.1\nport = 70000\n"),
         (["run"], SMALL_CFG + "train_ratio = 2\n"),
         (["run"], SMALL_CFG + "segment_size = 4\n"),
         (["eda", "--window", "0"], None),
@@ -581,7 +672,7 @@ class TestBadUserInput:
             (["run"], SMALL_CFG + "input_kind = pcap\nserver = 10.0.0.1\n"),
             (["frames"], ""),
         ) for setting in ("bins = 0\n", "segment_duration = 0\n", "default_dur_th = -1\n")],
-    ], ids=["server", "port", "config_server", "train_ratio", "segment_size",
+    ], ids=["server", "port", "config_server", "config_port", "train_ratio", "segment_size",
             "eda_window_flag", "eda_window_key", "lookback", "epochs", "train_lookback",
             "synth_length", "bins", "segment_duration", "default_dur_th",
             "frames_bins", "frames_segment_duration", "frames_default_dur_th"])
@@ -604,6 +695,7 @@ class TestBadUserInput:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("setting, message", [
         ("reslearn = off\n", "unknown key 'reslearn'"),

@@ -346,6 +346,15 @@ class TestParseCsv:
         with pytest.raises(RowParseError):
             parse_csv("ts,length,direction\n1.0,100,down\n0.5,100,down\n")
 
+    @pytest.mark.parametrize("ts", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    @pytest.mark.parametrize("row", [2, 3])
+    def test_non_finite_ts_rejected(self, ts, row):
+        lines = ["ts,length,direction", "1.0,100,down", "1.5,100,down"]
+        lines[row - 1] = f"{ts},100,down"
+        with pytest.raises(RowParseError) as exc:
+            parse_csv("\n".join(lines) + "\n")
+        assert exc.value.line_number == row
+
     def test_length_beyond_pcap_field_rejected(self):
         with pytest.raises(RowParseError):
             parse_csv(f"ts,length,direction\n0,{2**64},down\n")
