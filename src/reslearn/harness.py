@@ -10,6 +10,7 @@ too.
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 from pathlib import Path
@@ -126,10 +127,16 @@ def read_feature_csv(text: str, feature: str) -> np.ndarray:
         if len(parts) != 4:
             raise SchemaMismatch(f"line {i}: expected 4 fields, got {len(parts)}")
         cell = parts[col]
+        if cell == "NA":
+            raw.append(None)
+            continue
         try:
-            raw.append(None if cell == "NA" else float(cell))
+            value = float(cell)
         except ValueError:
-            raise SchemaMismatch(f"line {i}: bad {feature} {cell!r}") from None
+            value = math.nan
+        if not math.isfinite(value):     # nan and inf would reach training
+            raise SchemaMismatch(f"line {i}: bad {feature} {cell!r}")
+        raw.append(value)
     if feature == "f_iat":
         return impute_absent(raw)
     return np.array([0.0 if v is None else v for v in raw], dtype=np.float64)

@@ -5,10 +5,11 @@ each weight's name to a reshaped view of its slice, so the layers read named
 arrays while Adam, the best-epoch snapshot and the gradient checks work on the
 one vector. Checkpoints are written by residual.save_reslearn.
 
-Training steps run in float32 over these float64 master weights: each
-minibatch step copies `flat` into a float32 vector laid out the same way and
-computes the loss and gradient from it, and Adam updates `flat` in float64.
-Validation, early stopping and `predict` run in float64."""
+Every forward runs in float32 compute over these float64 weights: a training
+step, a validation pass and `predict` each copy `flat` into a float32 vector
+laid out the same way and cast the windows to float32 once. Adam updates `flat`
+in float64, and the losses, early stopping and the predictions `predict`
+returns are float64."""
 
 from __future__ import annotations
 
@@ -20,12 +21,13 @@ from ..errors import ConfigError, NonFiniteLoss, ShapeMismatch
 
 # Inference runs over blocks of this many windows, so its memory is bounded by
 # one block's layer caches rather than by the number of windows. At 32 windows
-# a transformer block's activations (32 x 32 x 64 float64, 0.5 MB each) stay in
-# L2. The block must stay a multiple of 16: BLAS computes a row of a product by
-# a different kernel depending on its place in the row tiling, so only blocks
-# that start on a tile edge keep `predict` bit-identical to one whole-batch
-# forward. With OpenBLAS 0.3.31 on AVX-512 a block of 30 changed bits and one
-# of 20 did not; 16 leaves room for wider tiles.
+# a transformer block's activations (32 x 32 x 64 float32, 0.25 MB each) stay in
+# L2; float32 blocks of 48 and 64 were not faster. The block must stay a
+# multiple of 16: BLAS computes a row of a product by a different kernel
+# depending on its place in the row tiling, so only blocks that start on a tile
+# edge keep `predict` bit-identical to one whole-batch forward. With OpenBLAS
+# 0.3.31 on AVX-512 a block of 30 changed bits and one of 20 did not; 16 leaves
+# room for wider tiles.
 PREDICT_BLOCK = 32
 
 KINDS = ("transformer", "lstm", "gru", "stacked_lstm", "fcnn")
@@ -112,7 +114,8 @@ class Predictor:
     # --- shared behaviour ---
 
     def _check_inputs(self, inputs: np.ndarray) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=np.float64)
+        """The windows as float32, the compute dtype of every forward."""
+        inputs = np.asarray(inputs, dtype=np.float32)
         if inputs.ndim != 2 or inputs.shape[1] != self.config.lookback:
             raise ShapeMismatch(
                 f"expected (n, {self.config.lookback}) windows, got {inputs.shape}"
@@ -120,21 +123,24 @@ class Predictor:
         return inputs
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
-        return self._forward_blocks(self._check_inputs(inputs))
+        """float64 predictions of a float32 forward over a copy of `flat`."""
+        params = _views(self.flat.astype(np.float32), self.params)
+        return self._forward_blocks(self._check_inputs(inputs), params)
 
-    def _forward_blocks(self, inputs: np.ndarray) -> np.ndarray:
-        """Predictions of `_forward` block by block, each block's cache dropped
-        once its predictions are copied out. Blocks start at multiples of
-        PREDICT_BLOCK and a one-window remainder joins the block before it: a
-        one-row matrix product takes a different BLAS path, so this keeps the
-        result bit-identical to one forward over the whole input."""
+    def _forward_blocks(self, inputs: np.ndarray, params: dict) -> np.ndarray:
+        """Predictions of `_forward` block by block, widened to float64, each
+        block's cache dropped once its predictions are copied out. Blocks start
+        at multiples of PREDICT_BLOCK and a one-window remainder joins the block
+        before it: a one-row matrix product takes a different BLAS path, so
+        this keeps the result bit-identical to one forward over the whole
+        input."""
         n = inputs.shape[0]
         bounds = list(range(0, n, PREDICT_BLOCK)) + [n]
         if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
             del bounds[-2]
         out = np.empty(n)
         for start, stop in zip(bounds, bounds[1:]):
-            out[start:stop] = self._forward(self.params, inputs[start:stop])[0]
+            out[start:stop] = self._forward(params, inputs[start:stop])[0]
         return out
 
     def loss_and_grad(self, inputs: np.ndarray, targets: np.ndarray, params: dict | None = None):
@@ -171,7 +177,6 @@ class Predictor:
         trace = TrainTrace()
         if cfg.epochs == 0:
             return trace
-        inputs32 = inputs.astype(np.float32)
         targets32 = targets.astype(np.float32)
         work = np.empty(self.flat.size, dtype=np.float32)
         work_params = _views(work, self.params)
@@ -192,7 +197,7 @@ class Predictor:
             for start in range(0, n, cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
                 work[...] = self.flat
-                loss, g = self.loss_and_grad(inputs32[idx], targets32[idx], params=work_params)
+                loss, g = self.loss_and_grad(inputs[idx], targets32[idx], params=work_params)
                 if not np.isfinite(loss):
                     raise NonFiniteLoss(
                         f"diverged at epoch {epoch}; last finite epochs: {trace.train_loss}"
@@ -208,7 +213,8 @@ class Predictor:
             trace.train_loss.append(epoch_loss / n)
 
             if has_val:
-                val_pred = self._forward_blocks(val_inputs)
+                work[...] = self.flat
+                val_pred = self._forward_blocks(val_inputs, work_params)
                 val_loss = float(np.mean((val_pred - val_targets) ** 2))
                 if not np.isfinite(val_loss):
                     raise NonFiniteLoss(f"validation loss diverged at epoch {epoch}")

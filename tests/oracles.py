@@ -6,8 +6,9 @@ and builders of packet tables from rows and of captures from packet tables.
 in the most direct form and must agree exactly with the columnar parser and
 the cumsum scan. `write_pcap` builds the classic pcap test captures.
 `dict_adam_fit` is Adam with early stopping over a dict of separate arrays,
-one key at a time, each gradient taken from float32 copies of the arrays and
-windows, which the one-vector update of `Predictor.fit` must match.
+one key at a time, each gradient and each validation forward taken from
+float32 copies of the arrays and windows, which the one-vector update of
+`Predictor.fit` must match.
 `transformer_forward`/`transformer_backward` are the transformer's kernels
 written out of place, one new array per expression, which the in-place
 kernels of `models.transformer` must match bit for bit.
@@ -172,10 +173,11 @@ def assign_frames(ts, eligible, dur_th):
 def dict_adam_fit(model, inputs, targets, val_inputs, val_targets) -> dict[str, np.ndarray]:
     """The parameters that `model.fit(inputs, targets, val_inputs, val_targets)`
     must end with, from Adam run key by key on copies of `model.params`; the
-    model itself is not changed. Each step's gradient comes from float32
-    copies of the params and the batch, and Adam updates the float64 copies.
-    The validation windows must fit in one inference block, so that one
-    forward gives the validation predictions."""
+    model itself is not changed. Each step's gradient and each epoch's
+    validation predictions come from float32 copies of the params and the
+    windows; Adam updates the float64 copies, and the validation loss is taken
+    in float64. The validation windows must fit in one inference block, so
+    that one forward gives the validation predictions."""
     cfg = model.config
     params = {k: v.copy() for k, v in model.params.items()}
     rng = np.random.default_rng(cfg.seed + 1)
@@ -186,6 +188,7 @@ def dict_adam_fit(model, inputs, targets, val_inputs, val_targets) -> dict[str, 
     best_val, best_params, stall = np.inf, None, 0
     n = inputs.shape[0]
     inputs32, targets32 = inputs.astype(np.float32), targets.astype(np.float32)
+    val_inputs32 = val_inputs.astype(np.float32)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
@@ -202,7 +205,9 @@ def dict_adam_fit(model, inputs, targets, val_inputs, val_targets) -> dict[str, 
                 m_hat = adam_m[k] / (1 - beta1 ** step)
                 v_hat = adam_v[k] / (1 - beta2 ** step)
                 params[k] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-        val_loss = float(np.mean((model._forward(params, val_inputs)[0] - val_targets) ** 2))
+        params32 = {k: v.astype(np.float32) for k, v in params.items()}
+        val_pred = model._forward(params32, val_inputs32)[0].astype(np.float64)
+        val_loss = float(np.mean((val_pred - val_targets) ** 2))
         if val_loss < best_val - cfg.early_stop_min_delta:
             best_val, best_params, stall = val_loss, {k: v.copy() for k, v in params.items()}, 0
         else:

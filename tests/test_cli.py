@@ -15,9 +15,10 @@ from reslearn import cli, harness
 from reslearn.cli import main
 from reslearn.config import ExperimentConfig, parse_config
 from reslearn.ingest import EndpointFilter
+from reslearn.metrics import evaluate
 from reslearn.models import Predictor, PredictorConfig, build_predictor
-from reslearn.residual import ResLearnModel, load_reslearn, save_reslearn
-from reslearn.seriesprep import Scaler
+from reslearn.residual import ResLearnModel, combine_predictions, load_reslearn, save_reslearn
+from reslearn.seriesprep import Scaler, make_windows
 from reslearn.synth import gen_series, gen_trace
 
 from oracles import DOWNLINK, UPLINK, table, write_pcap
@@ -335,12 +336,13 @@ class TestRun:
         assert (target / "run.log").exists()
 
 
-def nan_features(path: Path, nan_at) -> None:
-    """Three 60-value segments of a feature CSV, NaN at the given rows: a
-    segment holding one fails to train (NonFiniteLoss)."""
+def diverging_features(path: Path, segments) -> None:
+    """Three 60-value segments of a feature CSV; each of the given segments
+    holds 1e300 as the target of its last validation window, whose squared
+    error overflows, so the segment fails to train (NonFiniteLoss)."""
     values = [100 + 10 * math.sin(i / 5) for i in range(180)]
-    for i in nan_at:
-        values[i] = float("nan")
+    for i in segments:
+        values[60 * i + 29] = 1e300
     path.write_text("segment,f_c,f_s,f_iat\n"
                     + "".join(f"{i},1,{v!r},NA\n" for i, v in enumerate(values)))
 
@@ -426,7 +428,7 @@ class TestParallelTraining:
         return path
 
     def test_failed_segment_same_bytes_at_any_jobs(self, cfg_path, tmp_path):
-        nan_features(tmp_path / "features.csv", [70])
+        diverging_features(tmp_path / "features.csv", [1])
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--config", str(cfg_path), "--jobs", "1", "--out", str(a)]) == 0
         assert main(["run", "--config", str(cfg_path), "--jobs", "2", "--out", str(b)]) == 0
@@ -434,12 +436,12 @@ class TestParallelTraining:
         assert "segments_ok=2" in (a / "run.log").read_text()
 
     def test_every_segment_failed_exits_3(self, cfg_path, tmp_path):
-        nan_features(tmp_path / "features.csv", [10, 70, 130])
+        diverging_features(tmp_path / "features.csv", [0, 1, 2])
         assert main(["run", "--config", str(cfg_path), "--jobs", "2",
                      "--out", str(tmp_path / "o")]) == 3
 
     def test_train_with_every_segment_failed_exits_3(self, cfg_path, tmp_path, capsys):
-        nan_features(tmp_path / "features.csv", [10, 70, 130])
+        diverging_features(tmp_path / "features.csv", [0, 1, 2])
         out = tmp_path / "o"
         assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 3
         err = capsys.readouterr().err
@@ -448,7 +450,7 @@ class TestParallelTraining:
         assert not list(out.iterdir())
 
     def test_train_jobs_same_checkpoints(self, cfg_path, tmp_path, capsys):
-        nan_features(tmp_path / "features.csv", [70])
+        diverging_features(tmp_path / "features.csv", [1])
         saved = {}
         for jobs in ("1", "2"):
             out = tmp_path / f"ckpt{jobs}"
@@ -592,6 +594,37 @@ class TestTrainEvaluate:
         assert len(calls) == 2
         assert calls[0] is loaded[0].base and calls[1] is loaded[0].residual
 
+    # the relative bound the benchmark puts on `evaluate`'s metrics against a
+    # float64 forward of the checkpoint; it covers the 6-significant-digit
+    # printing and the float32 forward
+    FORWARD_RTOL = 1e-5
+
+    def test_metrics_match_float64_forward(self, small_cfg, tmp_path, capsys):
+        cfg = tmp_path / "transformer.cfg"
+        cfg.write_text(small_cfg.read_text() + "models = transformer\n")
+        out = tmp_path / "ckpts"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        ckpt = out / "ckpt_transformer_seg0.npz"
+        values = [100 + 20 * math.sin(i / 7) + (i % 5) for i in range(300)]
+        features = tmp_path / "features.csv"
+        features.write_text("segment,f_c,f_s,f_iat\n"
+                            + "".join(f"{i},1,{v!r},NA\n" for i, v in enumerate(values)))
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(ckpt), "--features", str(features)]) == 0
+        printed = {name: [float(v) for v in rest] for name, *rest in
+                   (line.split(",") for line in capsys.readouterr().out.splitlines()[1:])}
+
+        model = load_reslearn(ckpt)
+        x, y = make_windows(model.scaler.transform(np.array(values)), model.base.config.lookback)
+        base = model.base._forward(model.base.params, x)[0]
+        residual = model.residual._forward(model.residual.params, x)[0]
+        actual = model.scaler.inverse(y)
+        for name, pred in (("base", model.scaler.inverse(base)),
+                           ("reslearn", combine_predictions(model, base, residual))):
+            m = evaluate(actual, pred)
+            for got, want in zip(printed[name], (m.rmse, m.mape, m.smape)):
+                assert abs(got - want) <= self.FORWARD_RTOL * abs(want) + 1e-12, (name, got, want)
+
 
 class TestBadFeatureCsv:
     @pytest.fixture
@@ -614,6 +647,30 @@ class TestBadFeatureCsv:
         err = capsys.readouterr().err
         assert "SchemaMismatch: line 2:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    @pytest.mark.parametrize("command", ["eda", "evaluate", "run"])
+    def test_non_finite_cell_is_data_error(self, command, cell, ckpt, tmp_path, capsys):
+        features = tmp_path / "bad.csv"
+        features.write_text("segment,f_c,f_s,f_iat\n" + "".join(
+            f"{i},1,{cell if i == 15 else 100 + i % 7},NA\n" for i in range(130)))
+        if command == "run":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(SMALL_CFG + f"input_kind = features\ninput_path = {features}\n")
+            argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        else:
+            argv = [command, "--features", str(features)]
+        if command == "evaluate":
+            argv += ["--model", str(ckpt)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"SchemaMismatch: line 17: bad f_s {cell!r}" in err
+        assert "Traceback" not in err
+
+    def test_na_cells_stay_absent_values(self):
+        text = "segment,f_c,f_s,f_iat\n0,1,NA,NA\n1,1,5,0.5\n2,1,NA,NA\n"
+        assert harness.read_feature_csv(text, "f_s").tolist() == [0.0, 5.0, 0.0]
+        assert harness.read_feature_csv(text, "f_iat").tolist() == [0.5, 0.5, 0.5]
 
 
 class TestBadSynthSetting:

@@ -93,6 +93,25 @@ class TestFloat32Step:
         assert model.predict(X).dtype == np.float64
         assert model.predict(X.astype(np.float32)).dtype == np.float64
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_validation_and_predict_forward_in_float32(self, kind, monkeypatch):
+        model = build_predictor(small_config(kind, epochs=2, batch_size=3))
+        X, y = grad_fixture()
+        calls = []
+
+        def spy(params, inputs, forward=model._forward):
+            calls.append((inputs.dtype, {v.dtype for v in params.values()}))
+            return forward(params, inputs)
+
+        monkeypatch.setattr(model, "_forward", spy)
+        model.fit(X, y, X, y)
+        f32 = np.dtype(np.float32)
+        # 2 epochs of 2 training steps and 1 validation forward
+        assert calls == [(f32, {f32})] * 6
+        calls.clear()
+        assert model.predict(X).dtype == np.float64
+        assert calls == [(f32, {f32})]
+
 
 class TestConfig:
     def test_unknown_kind(self):
@@ -276,9 +295,26 @@ class TestBlockInference:
     def test_predict_equals_whole_batch_forward(self, kind):
         model = build_predictor(PredictorConfig(kind=kind, seed=3))
         x = np.random.default_rng(0).uniform(0, 1, (max(self.SIZES), 32))
+        params32 = {k: v.astype(np.float32) for k, v in model.params.items()}
+        x32 = x.astype(np.float32)
         for n in self.SIZES:
-            whole, _ = model._forward(model.params, x[:n])
-            assert np.array_equal(model.predict(x[:n]), whole), n
+            whole, _ = model._forward(params32, x32[:n])
+            assert np.array_equal(model.predict(x[:n]), whole.astype(np.float64)), n
+
+    # The largest deviation of `predict` from a float64 forward, relative to
+    # the largest absolute prediction, measured on these windows: transformer
+    # 2.9e-7, lstm 2.0e-7, gru 7.5e-7, stacked_lstm 2.8e-6 (its predictions
+    # are all below 1e-3), fcnn 3.7e-7. The bound is the relative tolerance
+    # the benchmark allows `evaluate`'s metrics against a float64 forward.
+    FLOAT64_RTOL = 1e-5
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_predict_close_to_float64_forward(self, kind):
+        model = build_predictor(PredictorConfig(kind=kind, seed=3))
+        x = np.random.default_rng(0).uniform(0, 1, (max(self.SIZES), 32))
+        want, _ = model._forward(model.params, x)
+        gap = np.max(np.abs(model.predict(x) - want)) / np.max(np.abs(want))
+        assert gap < self.FLOAT64_RTOL
 
     def test_transformer_predict_memory_bounded_by_block(self):
         model = build_predictor(PredictorConfig(kind="transformer", seed=3))
@@ -289,7 +325,7 @@ class TestBlockInference:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 40e6
+        assert peak < 10e6
 
 
 class TestArchitectures:
