@@ -164,18 +164,21 @@ def train_models(
     keep_models is set, and for a failed segment.
 
     With jobs > 1 and more than one pair, the pairs run in min(jobs, pairs)
-    forked worker processes, all joined before this returns. Each pair's
-    arithmetic is the same in a worker as in-process, so the results are too.
+    forked worker processes, all joined before this returns. Each pair
+    predicts on jobs // workers threads, so fewer pairs than jobs still use
+    the CPUs. Each pair's arithmetic is the same in a worker as in-process,
+    and at any thread count, so the results are too.
     """
     split_spec = cfg.split_spec()
     base_cfgs, residual_cfg = cfg.model_configs()
     kinds = cfg.model_kinds()
+    workers = min(cfg.jobs, len(kinds) * segments.num_segments)
+    threads = cfg.jobs // max(workers, 1)
     tasks = [
         (i, seg, base_cfgs[kind], residual_cfg, split_spec,
-         cfg.paper_literal_combine, keep_models)
+         cfg.paper_literal_combine, keep_models, threads)
         for kind in kinds for i, seg in enumerate(segments.segments)
     ]
-    workers = min(cfg.jobs, len(tasks))
     if workers > 1:
         # imported here: they add about 14 ms to every CLI start
         import multiprocessing
@@ -213,9 +216,9 @@ def _end_with_parent(parent: int) -> None:
 
 
 def _train_task(index, values, base_cfg, residual_cfg, split_spec,
-                paper_literal_combine, keep_model):
+                paper_literal_combine, keep_model, threads):
     model, report = train_segment(index, values, base_cfg, residual_cfg, split_spec,
-                                  paper_literal_combine)
+                                  paper_literal_combine, threads)
     return (model if keep_model else None), report
 
 

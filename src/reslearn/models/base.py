@@ -9,10 +9,15 @@ Every forward runs in float32 compute over these float64 weights: a training
 step, a validation pass and `predict` each copy `flat` into a float32 vector
 laid out the same way and cast the windows to float32 once. Adam updates `flat`
 in float64, and the losses, early stopping and the predictions `predict`
-returns are float64."""
+returns are float64.
+
+`predict` can split its blocks over threads: numpy releases the interpreter
+lock inside its matrix products and ufunc loops, and each block writes only its
+own slice of the output, so the result is the same at any thread count."""
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,33 +119,70 @@ class Predictor:
     # --- shared behaviour ---
 
     def _check_inputs(self, inputs: np.ndarray) -> np.ndarray:
-        """The windows as float32, the compute dtype of every forward."""
-        inputs = np.asarray(inputs, dtype=np.float32)
+        """The windows as float32, the compute dtype of every forward. A value
+        beyond the float32 range raises NonFiniteLoss."""
+        try:
+            with np.errstate(over="raise"):
+                inputs = np.asarray(inputs, dtype=np.float32)
+        except FloatingPointError:
+            raise NonFiniteLoss("a window value overflows float32: it lies far beyond "
+                                "the training range (past 3.4e38 in scaled units)") from None
         if inputs.ndim != 2 or inputs.shape[1] != self.config.lookback:
             raise ShapeMismatch(
                 f"expected (n, {self.config.lookback}) windows, got {inputs.shape}"
             )
         return inputs
 
-    def predict(self, inputs: np.ndarray) -> np.ndarray:
-        """float64 predictions of a float32 forward over a copy of `flat`."""
+    def predict(self, inputs: np.ndarray, threads: int = 1) -> np.ndarray:
+        """float64 predictions of a float32 forward over a copy of `flat`, its
+        blocks split over `threads` threads."""
         params = _views(self.flat.astype(np.float32), self.params)
-        return self._forward_blocks(self._check_inputs(inputs), params)
+        return self._forward_blocks(self._check_inputs(inputs), params, threads)
 
-    def _forward_blocks(self, inputs: np.ndarray, params: dict) -> np.ndarray:
+    def _forward_blocks(self, inputs: np.ndarray, params: dict, threads: int = 1) -> np.ndarray:
         """Predictions of `_forward` block by block, widened to float64, each
         block's cache dropped once its predictions are copied out. Blocks start
         at multiples of PREDICT_BLOCK and a one-window remainder joins the block
         before it: a one-row matrix product takes a different BLAS path, so
         this keeps the result bit-identical to one forward over the whole
-        input."""
+        input.
+
+        The blocks are dealt into min(threads, blocks) contiguous runs; the
+        calling thread does the first and one thread each the rest. Every
+        thread is joined before this returns, and the error of the first run
+        that failed is raised."""
         n = inputs.shape[0]
         bounds = list(range(0, n, PREDICT_BLOCK)) + [n]
         if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
             del bounds[-2]
         out = np.empty(n)
-        for start, stop in zip(bounds, bounds[1:]):
-            out[start:stop] = self._forward(params, inputs[start:stop])[0]
+
+        blocks = len(bounds) - 1
+        runs = max(1, min(threads, blocks))
+        edges = [blocks * i // runs for i in range(runs + 1)]
+        errors: list[BaseException | None] = [None] * runs
+
+        def run(i: int) -> None:
+            try:
+                for b in range(edges[i], edges[i + 1]):
+                    start, stop = bounds[b], bounds[b + 1]
+                    out[start:stop] = self._forward(params, inputs[start:stop])[0]
+            except BaseException as exc:       # raised in the calling thread
+                errors[i] = exc
+
+        started = []
+        try:
+            for i in range(1, runs):
+                thread = threading.Thread(target=run, args=(i,))
+                thread.start()
+                started.append(thread)
+            run(0)
+        finally:
+            for thread in started:
+                thread.join()
+        for exc in errors:
+            if exc is not None:
+                raise exc
         return out
 
     def loss_and_grad(self, inputs: np.ndarray, targets: np.ndarray, params: dict | None = None):
@@ -215,7 +257,13 @@ class Predictor:
             if has_val:
                 work[...] = self.flat
                 val_pred = self._forward_blocks(val_inputs, work_params)
-                val_loss = float(np.mean((val_pred - val_targets) ** 2))
+                try:
+                    with np.errstate(over="raise"):
+                        val_loss = float(np.mean((val_pred - val_targets) ** 2))
+                except FloatingPointError:
+                    raise NonFiniteLoss(f"validation loss overflows float64 at epoch {epoch}: "
+                                        "a validation target lies far beyond the training "
+                                        "range") from None
                 if not np.isfinite(val_loss):
                     raise NonFiniteLoss(f"validation loss diverged at epoch {epoch}")
                 trace.val_loss.append(val_loss)

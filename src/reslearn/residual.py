@@ -133,13 +133,16 @@ def combine_predictions(
 
 
 def score(
-    model: ResLearnModel, inputs: np.ndarray, targets: np.ndarray, base_pred: np.ndarray
+    model: ResLearnModel, inputs: np.ndarray, targets: np.ndarray, base_pred: np.ndarray,
+    threads: int = 1,
 ) -> tuple[MetricsResult, MetricsResult, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The base and combined metrics of `model` on the windows `inputs`, given
     their scaled targets and the base model's predictions of them, and the
-    (actual, base, combined) series in physical units."""
+    (actual, base, combined) series in physical units. The residual model
+    predicts on `threads` threads."""
     actual, base = model.scaler.inverse(targets), model.scaler.inverse(base_pred)
-    combined = combine_predictions(model, base_pred, model.residual.predict(inputs))
+    residual_pred = model.residual.predict(inputs, threads=threads)
+    combined = combine_predictions(model, base_pred, residual_pred)
     return evaluate(actual, base), evaluate(actual, combined), (actual, base, combined)
 
 
@@ -150,11 +153,13 @@ def train_segment(
     residual_cfg: PredictorConfig,
     split_spec: SplitSpec,
     paper_literal_combine: bool = False,
+    threads: int = 1,
 ) -> tuple[ResLearnModel | None, SegmentReport]:
     """The per-segment pipeline: split, scale on train, fit base, fit the
     residual learner on bias-shifted train residuals, score both stages on
-    val and test in physical units. A ResLearnError is recorded in the
-    report's `failed`, with no model, so the caller can go on."""
+    val and test in physical units, every prediction on `threads` threads.
+    A ResLearnError is recorded in the report's `failed`, with no model, so
+    the caller can go on."""
     try:
         w = base_cfg.lookback
         train, val, test = split(values, split_spec, lookback=w)
@@ -166,7 +171,8 @@ def train_segment(
         # fresh parameters per segment, with a segment-derived seed
         base = build_predictor(replace(base_cfg, seed=base_cfg.seed + 1000 * index))
         base_trace = base.fit(x_train, y_train, x_val, y_val)
-        base_train, base_val, base_test = (base.predict(x) for x in (x_train, x_val, x_test))
+        base_train, base_val, base_test = (base.predict(x, threads=threads)
+                                           for x in (x_train, x_val, x_test))
         _, res_b, shifted = residual_targets(y_train, base_train)
 
         residual = build_predictor(replace(residual_cfg,
@@ -174,8 +180,9 @@ def train_segment(
         res_trace = residual.fit(x_train, shifted, x_val, (y_val - base_val) + res_b)
 
         model = ResLearnModel(base, residual, res_b, scaler, paper_literal_combine)
-        base_val_m, combined_val_m, _ = score(model, x_val, y_val, base_val)
-        base_test_m, combined_test_m, test_series = score(model, x_test, y_test, base_test)
+        base_val_m, combined_val_m, _ = score(model, x_val, y_val, base_val, threads)
+        base_test_m, combined_test_m, test_series = score(model, x_test, y_test, base_test,
+                                                          threads)
     except ResLearnError as exc:
         return None, SegmentReport(segment_index=index,
                                    failed=f"{type(exc).__name__}: {exc}")

@@ -298,6 +298,20 @@ class TestRun:
         main(["run", "--config", str(cfg_path), "--jobs", "4", "--out", str(b)])
         assert read_tree(a) == read_tree(b)
 
+    @pytest.mark.parametrize("segment_size, jobs", [(400, "2"), (200, "4")],
+                             ids=["one_task_two_threads", "two_workers_two_threads"])
+    def test_prediction_threads_do_not_change_bytes(self, segment_size, jobs, small_cfg,
+                                                    tmp_path):
+        # each split of a segment this long spans several 32-window blocks
+        cfg_path = small_cfg.parent / "long.cfg"
+        cfg_path.write_text(small_cfg.read_text()
+                            .replace("synth_length = 130", "synth_length = 400")
+                            .replace("segment_size = 60", f"segment_size = {segment_size}"))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["run", "--config", str(cfg_path), "--jobs", "1", "--out", str(a)]) == 0
+        assert main(["run", "--config", str(cfg_path), "--jobs", jobs, "--out", str(b)]) == 0
+        assert read_tree(a) == read_tree(b)
+
     def test_unknown_config_key_exit_1(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("modles = fcnn\n")
@@ -336,13 +350,15 @@ class TestRun:
         assert (target / "run.log").exists()
 
 
-def diverging_features(path: Path, segments) -> None:
+def diverging_features(path: Path, segments, at: int = 29) -> None:
     """Three 60-value segments of a feature CSV; each of the given segments
-    holds 1e300 as the target of its last validation window, whose squared
-    error overflows, so the segment fails to train (NonFiniteLoss)."""
+    holds 1e300 at index `at`, so the segment fails to train (NonFiniteLoss).
+    The default is the target of its last validation window, whose squared
+    error overflows float64; at 27 it is in the validation windows, where it
+    overflows float32."""
     values = [100 + 10 * math.sin(i / 5) for i in range(180)]
     for i in segments:
-        values[60 * i + 29] = 1e300
+        values[60 * i + at] = 1e300
     path.write_text("segment,f_c,f_s,f_iat\n"
                     + "".join(f"{i},1,{v!r},NA\n" for i, v in enumerate(values)))
 
@@ -448,6 +464,24 @@ class TestParallelTraining:
         assert err.count(": NonFiniteLoss") == 6       # 2 kinds x 3 segments
         assert err.rstrip().endswith("training failure: every segment failed to train")
         assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("at, cause", [
+        (29, "validation loss overflows float64 at epoch 0"),
+        (27, "a window value overflows float32"),
+    ], ids=["target", "input_window"])
+    def test_overflow_names_its_cause(self, at, cause, cfg_path, tmp_path):
+        diverging_features(tmp_path / "features.csv", [1], at=at)
+        out = tmp_path / "o"
+        proc = subprocess.run([sys.executable, "-m", "reslearn.cli", "run", "--config",
+                               str(cfg_path), "--out", str(out)],
+                              capture_output=True, text=True, env=src_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        for kind in ("fcnn", "gru"):
+            rows = json.loads((out / f"report_{kind}.json").read_text())
+            failed = [r for r in rows if r["stage"] == "failed"]
+            assert [r["segment"] for r in failed] == [1]
+            assert failed[0]["error"].startswith(f"NonFiniteLoss: {cause}")
 
     def test_train_jobs_same_checkpoints(self, cfg_path, tmp_path, capsys):
         diverging_features(tmp_path / "features.csv", [1])
@@ -587,12 +621,44 @@ class TestTrainEvaluate:
         real_load, real_predict = cli.load_reslearn, Predictor.predict
         monkeypatch.setattr(cli, "load_reslearn",
                             lambda path: loaded.append(real_load(path)) or loaded[-1])
-        monkeypatch.setattr(Predictor, "predict",
-                            lambda model, x: calls.append(model) or real_predict(model, x))
+        monkeypatch.setattr(Predictor, "predict", lambda model, x, **kw:
+                            calls.append(model) or real_predict(model, x, **kw))
         ckpt = sorted(out.glob("ckpt_fcnn_seg*.npz"))[0]
         assert main(["evaluate", "--model", str(ckpt), "--features", str(features)]) == 0
         assert len(calls) == 2
         assert calls[0] is loaded[0].base and calls[1] is loaded[0].residual
+
+    def test_evaluate_jobs_do_not_change_bytes(self, tmp_path, capsys):
+        base = build_predictor(PredictorConfig(kind="transformer", lookback=4, d_model=8,
+                                               n_heads=2, ffn_width=8, seed=1))
+        residual = build_predictor(PredictorConfig(kind="fcnn", lookback=4, hidden_width=8))
+        ckpt = tmp_path / "ckpt.npz"
+        save_reslearn(ResLearnModel(base, residual, 0.5, Scaler(80.0, 120.0)), ckpt)
+        features = tmp_path / "features.csv"       # 296 windows: 9 blocks
+        features.write_text("segment,f_c,f_s,f_iat\n" + "".join(
+            f"{i},1,{100 + 20 * math.sin(i / 7)!r},NA\n" for i in range(300)))
+        printed = []
+        for jobs in ("1", "2", "3"):
+            assert main(["evaluate", "--model", str(ckpt), "--features", str(features),
+                         "--jobs", jobs]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0].startswith("model,rmse,mape,smape\n")
+        assert printed[1] == printed[0] and printed[2] == printed[0]
+
+    def test_evaluate_overflow_names_its_cause(self, tmp_path, capsys):
+        model = build_predictor(PredictorConfig(kind="fcnn", lookback=4, hidden_width=8))
+        ckpt = tmp_path / "ckpt.npz"
+        save_reslearn(ResLearnModel(model, model, 0.5, Scaler(0.0, 10.0)), ckpt)
+        features = tmp_path / "features.csv"
+        features.write_text("segment,f_c,f_s,f_iat\n" + "".join(
+            f"{i},1,{1e300 if i == 10 else 5.0},NA\n" for i in range(30)))
+        proc = subprocess.run([sys.executable, "-m", "reslearn.cli", "evaluate", "--model",
+                               str(ckpt), "--features", str(features)],
+                              capture_output=True, text=True, env=src_env(), timeout=120)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == ("training failure: a window value overflows float32: it lies "
+                               "far beyond the training range (past 3.4e38 in scaled units)\n")
 
     # the relative bound the benchmark puts on `evaluate`'s metrics against a
     # float64 forward of the checkpoint; it covers the 6-significant-digit
@@ -725,13 +791,14 @@ class TestBadUserInput:
         (["run"], SMALL_CFG + "input_kind = features\nepochs = -1\n"),
         (["train"], SMALL_CFG + "input_kind = features\nlookback = 0\n"),
         (["run"], SMALL_CFG + "synth_length = 0\n"),
+        (["evaluate", "--jobs", "0"], None),
         *[(argv, config + setting) for argv, config in (
             (["run"], SMALL_CFG + "input_kind = pcap\nserver = 10.0.0.1\n"),
             (["frames"], ""),
         ) for setting in ("bins = 0\n", "segment_duration = 0\n", "default_dur_th = -1\n")],
     ], ids=["server", "port", "config_server", "config_port", "train_ratio", "segment_size",
             "eda_window_flag", "eda_window_key", "lookback", "epochs", "train_lookback",
-            "synth_length", "bins", "segment_duration", "default_dur_th",
+            "synth_length", "evaluate_jobs", "bins", "segment_duration", "default_dur_th",
             "frames_bins", "frames_segment_duration", "frames_default_dur_th"])
     def test_exits_1_without_traceback(self, argv, config, tmp_path, capsys):
         pcap = tmp_path / "t.pcap"
@@ -742,6 +809,8 @@ class TestBadUserInput:
             argv = argv + ["--pcap", str(pcap)]
         elif argv[0] == "eda":
             argv = argv + ["--features", str(features)]
+        elif argv[0] == "evaluate":            # the setting fails before the model is read
+            argv = argv + ["--features", str(features), "--model", str(tmp_path / "none.npz")]
         else:
             cfg = tmp_path / "exp.cfg"
             cfg.write_text(config + f"input_path = {pcap}\n")

@@ -1,5 +1,6 @@
 import json
 import pickle
+import threading
 import tracemalloc
 
 import numpy as np
@@ -299,7 +300,28 @@ class TestBlockInference:
         x32 = x.astype(np.float32)
         for n in self.SIZES:
             whole, _ = model._forward(params32, x32[:n])
-            assert np.array_equal(model.predict(x[:n]), whole.astype(np.float64)), n
+            # 2 and 3 threads: even and uneven runs, and fewer blocks than threads
+            for threads in (1, 2, 3):
+                got = model.predict(x[:n], threads=threads)
+                assert np.array_equal(got, whole.astype(np.float64)), (n, threads)
+
+    @pytest.mark.parametrize("failing_block", [0, 3], ids=["calling_thread", "worker_thread"])
+    def test_block_error_reaches_caller(self, failing_block, monkeypatch):
+        model = build_predictor(PredictorConfig(kind="fcnn", seed=3))
+        x = np.random.default_rng(0).uniform(0, 1, (4 * 32, 32))
+        x[32 * failing_block, 0] = -1.0          # marks the block that fails
+        real_forward = model._forward
+
+        def forward(params, inputs):
+            if inputs[0, 0] == -1.0:
+                raise ValueError(f"block {failing_block}")
+            return real_forward(params, inputs)
+
+        monkeypatch.setattr(model, "_forward", forward)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=f"block {failing_block}"):
+            model.predict(x, threads=2)
+        assert threading.active_count() == before
 
     # The largest deviation of `predict` from a float64 forward, relative to
     # the largest absolute prediction, measured on these windows: transformer
@@ -326,6 +348,18 @@ class TestBlockInference:
         finally:
             tracemalloc.stop()
         assert peak < 10e6
+
+    def test_threaded_predict_memory_bounded_by_blocks(self):
+        # two blocks are live at once
+        model = build_predictor(PredictorConfig(kind="transformer", seed=3))
+        x = np.random.default_rng(0).uniform(0, 1, (2000, 32))
+        tracemalloc.start()
+        try:
+            model.predict(x, threads=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestArchitectures:

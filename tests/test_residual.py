@@ -177,9 +177,9 @@ class TestTrainReslearn:
         calls = []
         real_predict = Predictor.predict
 
-        def spy(model, inputs):
+        def spy(model, inputs, **kw):
             calls.append(model)
-            return real_predict(model, inputs)
+            return real_predict(model, inputs, **kw)
 
         monkeypatch.setattr(Predictor, "predict", spy)
         segments = [series, series + 1.0]
