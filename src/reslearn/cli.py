@@ -160,13 +160,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _config(args)                # the defaults with --jobs over them
-    cfg.validate()
+    threads = ExperimentConfig().jobs  # every CPU the process may use
     model = load_reslearn(args.model)
     values = read_feature_csv(Path(args.features).read_text(), args.feature)
     x, y = make_windows(model.scaler.transform(values), model.base.config.lookback)
-    base_pred = model.base.predict(x, threads=cfg.jobs)
-    base_m, comb_m, _ = score(model, x, y, base_pred, cfg.jobs)
+    base_pred = model.base.predict(x, threads=threads)
+    base_m, comb_m, _ = score(model, x, y, base_pred, threads)
     print("model,rmse,mape,smape")
     print(f"base,{_f(base_m.rmse)},{_f(base_m.mape)},{_f(base_m.smape)}")
     print(f"reslearn,{_f(comb_m.rmse)},{_f(comb_m.mape)},{_f(comb_m.smape)}")
@@ -228,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--feature", default="f_s", choices=("f_c", "f_s", "f_iat"))
-    p.add_argument("--jobs", type=int)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("run", help="full pipeline from config to report files")

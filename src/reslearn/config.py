@@ -53,7 +53,8 @@ class ExperimentConfig:
     val_ratio: float = 0.2
     models: str = "transformer"
     seed: int = 7
-    jobs: int = field(default_factory=_usable_cpus)   # upper bound on worker processes
+    # upper bound on CPUs a command uses (worker processes, then inference threads)
+    jobs: int = field(default_factory=_usable_cpus)
     epochs: int = 300
     residual_epochs: int = 300
     hidden_width: int = 64

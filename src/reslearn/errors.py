@@ -63,6 +63,10 @@ class NonFiniteLoss(ResLearnError):
     pass
 
 
+class InputOverflow(ResLearnError):
+    pass
+
+
 class CheckpointError(ResLearnError):
     pass
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, NonFiniteLoss, ShapeMismatch
+from ..errors import ConfigError, InputOverflow, NonFiniteLoss, ShapeMismatch
 
 # Inference runs over blocks of this many windows, so its memory is bounded by
 # one block's layer caches rather than by the number of windows. At 32 windows
@@ -120,12 +120,12 @@ class Predictor:
 
     def _check_inputs(self, inputs: np.ndarray) -> np.ndarray:
         """The windows as float32, the compute dtype of every forward. A value
-        beyond the float32 range raises NonFiniteLoss."""
+        beyond the float32 range raises InputOverflow."""
         try:
             with np.errstate(over="raise"):
                 inputs = np.asarray(inputs, dtype=np.float32)
         except FloatingPointError:
-            raise NonFiniteLoss("a window value overflows float32: it lies far beyond "
+            raise InputOverflow("a window value overflows float32: it lies far beyond "
                                 "the training range (past 3.4e38 in scaled units)") from None
         if inputs.ndim != 2 or inputs.shape[1] != self.config.lookback:
             raise ShapeMismatch(

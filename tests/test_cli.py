@@ -352,10 +352,10 @@ class TestRun:
 
 def diverging_features(path: Path, segments, at: int = 29) -> None:
     """Three 60-value segments of a feature CSV; each of the given segments
-    holds 1e300 at index `at`, so the segment fails to train (NonFiniteLoss).
-    The default is the target of its last validation window, whose squared
-    error overflows float64; at 27 it is in the validation windows, where it
-    overflows float32."""
+    holds 1e300 at index `at`, so the segment fails to train. The default is
+    the target of its last validation window, whose squared error overflows
+    float64 (NonFiniteLoss); at 27 it is in the validation windows, where it
+    overflows float32 (InputOverflow)."""
     values = [100 + 10 * math.sin(i / 5) for i in range(180)]
     for i in segments:
         values[60 * i + at] = 1e300
@@ -466,8 +466,8 @@ class TestParallelTraining:
         assert not list(out.iterdir())
 
     @pytest.mark.parametrize("at, cause", [
-        (29, "validation loss overflows float64 at epoch 0"),
-        (27, "a window value overflows float32"),
+        (29, "NonFiniteLoss: validation loss overflows float64 at epoch 0"),
+        (27, "InputOverflow: a window value overflows float32"),
     ], ids=["target", "input_window"])
     def test_overflow_names_its_cause(self, at, cause, cfg_path, tmp_path):
         diverging_features(tmp_path / "features.csv", [1], at=at)
@@ -481,7 +481,7 @@ class TestParallelTraining:
             rows = json.loads((out / f"report_{kind}.json").read_text())
             failed = [r for r in rows if r["stage"] == "failed"]
             assert [r["segment"] for r in failed] == [1]
-            assert failed[0]["error"].startswith(f"NonFiniteLoss: {cause}")
+            assert failed[0]["error"].startswith(cause)
 
     def test_train_jobs_same_checkpoints(self, cfg_path, tmp_path, capsys):
         diverging_features(tmp_path / "features.csv", [1])
@@ -628,23 +628,6 @@ class TestTrainEvaluate:
         assert len(calls) == 2
         assert calls[0] is loaded[0].base and calls[1] is loaded[0].residual
 
-    def test_evaluate_jobs_do_not_change_bytes(self, tmp_path, capsys):
-        base = build_predictor(PredictorConfig(kind="transformer", lookback=4, d_model=8,
-                                               n_heads=2, ffn_width=8, seed=1))
-        residual = build_predictor(PredictorConfig(kind="fcnn", lookback=4, hidden_width=8))
-        ckpt = tmp_path / "ckpt.npz"
-        save_reslearn(ResLearnModel(base, residual, 0.5, Scaler(80.0, 120.0)), ckpt)
-        features = tmp_path / "features.csv"       # 296 windows: 9 blocks
-        features.write_text("segment,f_c,f_s,f_iat\n" + "".join(
-            f"{i},1,{100 + 20 * math.sin(i / 7)!r},NA\n" for i in range(300)))
-        printed = []
-        for jobs in ("1", "2", "3"):
-            assert main(["evaluate", "--model", str(ckpt), "--features", str(features),
-                         "--jobs", jobs]) == 0
-            printed.append(capsys.readouterr().out)
-        assert printed[0].startswith("model,rmse,mape,smape\n")
-        assert printed[1] == printed[0] and printed[2] == printed[0]
-
     def test_evaluate_overflow_names_its_cause(self, tmp_path, capsys):
         model = build_predictor(PredictorConfig(kind="fcnn", lookback=4, hidden_width=8))
         ckpt = tmp_path / "ckpt.npz"
@@ -655,10 +638,11 @@ class TestTrainEvaluate:
         proc = subprocess.run([sys.executable, "-m", "reslearn.cli", "evaluate", "--model",
                                str(ckpt), "--features", str(features)],
                               capture_output=True, text=True, env=src_env(), timeout=120)
-        assert proc.returncode == 3
+        assert proc.returncode == 2
         assert proc.stdout == ""
-        assert proc.stderr == ("training failure: a window value overflows float32: it lies "
-                               "far beyond the training range (past 3.4e38 in scaled units)\n")
+        assert proc.stderr == ("data error: InputOverflow: a window value overflows float32: "
+                               "it lies far beyond the training range (past 3.4e38 in scaled "
+                               "units)\n")
 
     # the relative bound the benchmark puts on `evaluate`'s metrics against a
     # float64 forward of the checkpoint; it covers the 6-significant-digit
@@ -791,14 +775,13 @@ class TestBadUserInput:
         (["run"], SMALL_CFG + "input_kind = features\nepochs = -1\n"),
         (["train"], SMALL_CFG + "input_kind = features\nlookback = 0\n"),
         (["run"], SMALL_CFG + "synth_length = 0\n"),
-        (["evaluate", "--jobs", "0"], None),
         *[(argv, config + setting) for argv, config in (
             (["run"], SMALL_CFG + "input_kind = pcap\nserver = 10.0.0.1\n"),
             (["frames"], ""),
         ) for setting in ("bins = 0\n", "segment_duration = 0\n", "default_dur_th = -1\n")],
     ], ids=["server", "port", "config_server", "config_port", "train_ratio", "segment_size",
             "eda_window_flag", "eda_window_key", "lookback", "epochs", "train_lookback",
-            "synth_length", "evaluate_jobs", "bins", "segment_duration", "default_dur_th",
+            "synth_length", "bins", "segment_duration", "default_dur_th",
             "frames_bins", "frames_segment_duration", "frames_default_dur_th"])
     def test_exits_1_without_traceback(self, argv, config, tmp_path, capsys):
         pcap = tmp_path / "t.pcap"
@@ -809,8 +792,6 @@ class TestBadUserInput:
             argv = argv + ["--pcap", str(pcap)]
         elif argv[0] == "eda":
             argv = argv + ["--features", str(features)]
-        elif argv[0] == "evaluate":            # the setting fails before the model is read
-            argv = argv + ["--features", str(features), "--model", str(tmp_path / "none.npz")]
         else:
             cfg = tmp_path / "exp.cfg"
             cfg.write_text(config + f"input_path = {pcap}\n")
