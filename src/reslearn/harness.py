@@ -39,7 +39,7 @@ from .seriesprep import (
 )
 from .synth import gen_series, gen_trace
 from .viewframe import (
-    Frame,
+    FrameTable,
     SegmentFeatures,
     Thresholds,
     estimate_thresholds,
@@ -83,7 +83,7 @@ def feature_series(cfg: ExperimentConfig):
 
 def packet_features(
     packets: PacketTable, cfg: ExperimentConfig
-) -> tuple[Thresholds, list[Frame], list[SegmentFeatures], int]:
+) -> tuple[Thresholds, FrameTable, list[SegmentFeatures], int]:
     """Session thresholds, frames, the features of each full segment, and the
     number of packets in the partial last segment. Only the segments that end
     by the last packet count; the partial one after them is dropped, as

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import BinaryIO
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     BadMagic,
@@ -123,43 +124,51 @@ def parse_pcap(stream: BinaryIO, filt: EndpointFilter) -> ParseResult:
     incl_at = struct.Struct(endian + "I").unpack_from
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     skipped = 0
+    # one buffer for the whole parse: its first `size` bytes are the unparsed
+    # tail of the last chunk and the chunk read after it
     buf = bytearray()
-    pos = 0
+    size = pos = 0
     while True:
         # walk the records that fit in the buffer: one unpack of incl_len each
         heads = []
-        size = end = len(buf)
-        while pos + RECORD_HEADER_LEN <= size:
+        append = heads.append
+        last_head = size - RECORD_HEADER_LEN
+        end = size
+        while pos <= last_head:
             # incl_len bytes follow the header; orig_len is the packet's length on
             # the wire, larger than incl_len in a snap-length capture
             end = pos + RECORD_HEADER_LEN + incl_at(buf, pos + 8)[0]
             if end > size:
                 break
-            heads.append(pos)
+            append(pos)
             pos = end
         if heads:
-            part, n_skipped = _decode(buf, np.array(heads, dtype=np.int64), endian,
+            part, n_skipped = _decode(buf, size, np.array(heads, dtype=np.int64), endian,
                                       frac_scale, server, filt.port)
             parts.append(part)
             skipped += n_skipped
         # a partial record whose header is buffered lacks `end - size` bytes:
         # read them with the next chunk in one read, never past the stream's end
-        missing = end - size if pos + RECORD_HEADER_LEN <= size else 0
+        missing = end - size if pos <= last_head else 0
         if unread == 0 or missing > unread:
             warnings = int(pos < size)      # a truncated record ends the scan
             break
-        tail = buf[pos:]
-        del buf
-        want = min(unread, max(missing, CHUNK_BYTES))
-        buf = bytearray(len(tail) + want)
-        buf[:len(tail)] = tail
-        got = stream.readinto(memoryview(buf)[len(tail):])
+        # fill the buffer to CHUNK_BYTES, or past it by the rest of a record
+        # longer than a chunk, with at least one new byte
+        tail = size - pos
+        want = min(unread, max(missing, CHUNK_BYTES - tail, 1))
+        if tail + want > len(buf):
+            grown = bytearray(tail + want)
+            grown[:tail] = buf[pos:size]
+            buf = grown
+        else:
+            buf[:tail] = buf[pos:size]
+        got = stream.readinto(memoryview(buf)[tail:tail + want])
         if got < want:      # the stream ended early
-            del buf[len(tail) + got:]
             unread = 0
         else:
             unread -= got
-        pos = 0
+        size, pos = tail + got, 0
 
     if not parts:
         return ParseResult(PacketTable([], [], []), skipped=skipped, warnings=warnings)
@@ -169,26 +178,28 @@ def parse_pcap(stream: BinaryIO, filt: EndpointFilter) -> ParseResult:
     return ParseResult(PacketTable(ts, length, downlink), skipped=skipped, warnings=warnings)
 
 
-def _gather(data: np.ndarray, offsets: np.ndarray, dtype: str) -> np.ndarray:
-    """The values of `dtype` stored at each byte offset of `data`."""
-    width = np.dtype(dtype).itemsize
-    return data[offsets[:, None] + np.arange(width)].view(dtype)[:, 0]
-
-
-def _decode(buf, heads, endian, frac_scale, server, port):
+def _decode(buf, size, heads, endian, frac_scale, server, port):
     """Columns (abs ts, orig_len, downlink) of the records whose headers start
-    at `heads`, keeping the Ethernet/IPv4 TCP or UDP packets to or from the
-    server, and the number skipped."""
-    data = np.frombuffer(buf, dtype=np.uint8)
-    u32 = endian + "u4"
-    incl = _gather(data, heads + 8, u32).astype(np.int64)
+    at `heads` in the first `size` bytes of `buf`, keeping the Ethernet/IPv4
+    TCP or UDP packets to or from the server, and the number skipped."""
+    data = np.frombuffer(buf, dtype=np.uint8, count=size)
+
+    def at_each_offset(dtype: str) -> np.ndarray:
+        """A read-only view whose element k is the `dtype` value stored at
+        byte offset k of `data`: a field at many offsets is one gather."""
+        width = np.dtype(dtype).itemsize
+        rows = as_strided(data, (max(size - width + 1, 0), width), (1, 1), writeable=False)
+        return rows.view(dtype)[:, 0]
+
+    u32, be16, be32 = at_each_offset(endian + "u4"), at_each_offset(">u2"), at_each_offset(">u4")
+    incl = u32[heads + 8].astype(np.int64)
     frame = heads + RECORD_HEADER_LEN
     ok = incl >= 14
     ethertype = np.zeros(heads.size, dtype=np.int64)
-    ethertype[ok] = _gather(data, frame[ok] + 12, ">u2")
+    ethertype[ok] = be16[frame[ok] + 12]
     l2 = np.full(heads.size, 14, dtype=np.int64)
     vlan = (ethertype == ETHERTYPE_VLAN) & (incl >= 18)
-    ethertype[vlan] = _gather(data, frame[vlan] + 16, ">u2")
+    ethertype[vlan] = be16[frame[vlan] + 16]
     l2[vlan] = 18
     ok &= ethertype == ETHERTYPE_IPV4
     ip = frame + l2
@@ -204,19 +215,19 @@ def _decode(buf, heads, endian, frac_scale, server, port):
 
     keep = np.flatnonzero(ok)
     ip, ihl = ip[keep], ihl[keep]
-    src = _gather(data, ip + 12, ">u4")
-    dst = _gather(data, ip + 16, ">u4")
+    src = be32[ip + 12]
+    dst = be32[ip + 16]
     down = src == server
     up = dst == server
     if port is not None:
-        down &= _gather(data, ip + ihl, ">u2") == port
-        up &= _gather(data, ip + ihl + 2, ">u2") == port
+        down &= be16[ip + ihl] == port
+        up &= be16[ip + ihl + 2] == port
     keep = keep[down | up]
     down = down[down | up]
 
-    sec = _gather(data, heads[keep], u32).astype(np.float64)
-    frac = _gather(data, heads[keep] + 4, u32).astype(np.float64)
-    orig_len = _gather(data, heads[keep] + 12, u32).astype(np.int64)
+    sec = u32[heads[keep]].astype(np.float64)
+    frac = u32[heads[keep] + 4].astype(np.float64)
+    orig_len = u32[heads[keep] + 12].astype(np.int64)
     return (sec + frac * frac_scale, orig_len, down), int(heads.size - keep.size)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllTermsSkipped, Empty, LengthMismatch, ZeroBase
+from .errors import AllTermsSkipped, Empty, InputOverflow, LengthMismatch, ZeroBase
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,15 @@ def _validate(actual, predicted):
 
 
 def rmse(actual, predicted) -> float:
+    """Root mean squared error. An error whose square, or whose squares' sum,
+    overflows float64 raises InputOverflow."""
     a, p = _validate(actual, predicted)
-    return float(np.sqrt(np.mean((p - a) ** 2)))
+    try:
+        with np.errstate(over="raise"):
+            return float(np.sqrt(np.mean((p - a) ** 2)))
+    except FloatingPointError:
+        raise InputOverflow("the mean squared error overflows float64: an actual value "
+                            "lies far beyond the predictions") from None
 
 
 def mape(actual, predicted, eps: float = 1e-12) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .ingest import PacketTable
-from .viewframe import Frame
+from .viewframe import FrameTable
 
 
 @dataclass(frozen=True)
@@ -65,13 +65,14 @@ class SeriesSpec:
 SPIKE_SHAPE = np.array([0.3, 0.7, 1.0, 0.6, 0.3])
 
 
-def gen_trace(spec: TraceSpec) -> tuple[PacketTable, list[Frame]]:
+def gen_trace(spec: TraceSpec) -> tuple[PacketTable, FrameTable]:
     """Downlink frame bursts at the configured fps plus sparse small
     background packets; returns packets sorted by time and the planted frames."""
     rng = np.random.default_rng(spec.seed)
     pkt_len = max(43, spec.mean_frame_size // spec.packets_per_frame)
     events: list[tuple[float, int]] = []
-    planted: list[Frame] = []
+    starts: list[float] = []
+    ends: list[float] = []
     n_frames = int(spec.fps * spec.duration)
     for k in range(n_frames):
         start = k / spec.fps
@@ -81,14 +82,8 @@ def gen_trace(spec: TraceSpec) -> tuple[PacketTable, list[Frame]]:
         times = start + np.arange(spec.packets_per_frame) * spec.intra_spacing
         for t in times:
             events.append((float(t), pkt_len))
-        planted.append(
-            Frame(
-                start_ts=float(times[0]),
-                end_ts=float(times[-1]),
-                size=pkt_len * spec.packets_per_frame,
-                packet_count=spec.packets_per_frame,
-            )
-        )
+        starts.append(float(times[0]))
+        ends.append(float(times[-1]))
     n_bg = rng.poisson(spec.background_rate * spec.duration)
     for t in np.sort(rng.uniform(0.0, spec.duration, n_bg)):
         events.append((float(t), 100))
@@ -97,9 +92,9 @@ def gen_trace(spec: TraceSpec) -> tuple[PacketTable, list[Frame]]:
     ts = np.array([t for t, _ in events], dtype=np.float64) - t0
     length = [ln for _, ln in events]
     packets = PacketTable(ts, length, np.ones(len(events), dtype=bool))
-    planted = [
-        Frame(f.start_ts - t0, f.end_ts - t0, f.size, f.packet_count) for f in planted
-    ]
+    planted = FrameTable(np.array(starts) - t0, np.array(ends) - t0,
+                         np.full(n_frames, pkt_len * spec.packets_per_frame),
+                         np.full(n_frames, spec.packets_per_frame))
     return packets, planted
 
 

@@ -5,6 +5,10 @@ them out: a length floor (quarter of the observed maximum) and an
 inter-arrival ceiling read off the gap between the first two modes of the
 IAT distribution. Both are estimated once from the first segment of a
 session and frozen.
+
+Frames stay columns from the packet table to the features: identify_frames
+returns a FrameTable built from the arrays of its scan, and segment_features
+groups it by segment with numpy, so no per-frame Python object is made.
 """
 
 from __future__ import annotations
@@ -29,12 +33,24 @@ class Thresholds:
     peaks: tuple[float, ...] = ()   # IAT values at detected histogram peaks
 
 
-@dataclass(frozen=True)
-class Frame:
-    start_ts: float
-    end_ts: float
-    size: int
-    packet_count: int
+@dataclass(frozen=True, eq=False)
+class FrameTable:
+    """Frames as parallel columns, in the order of their first packets."""
+
+    start_ts: np.ndarray       # float64 seconds, the frame's first packet
+    end_ts: np.ndarray         # float64 seconds, the frame's last packet
+    size: np.ndarray           # int64 bytes, the sum of the packets' lengths
+    packet_count: np.ndarray   # int64
+
+    def __post_init__(self):
+        object.__setattr__(self, "start_ts", np.asarray(self.start_ts, dtype=np.float64))
+        object.__setattr__(self, "end_ts", np.asarray(self.end_ts, dtype=np.float64))
+        object.__setattr__(self, "size", np.asarray(self.size, dtype=np.int64))
+        object.__setattr__(self, "packet_count",
+                           np.asarray(self.packet_count, dtype=np.int64))
+
+    def __len__(self) -> int:
+        return self.start_ts.size
 
 
 @dataclass(frozen=True)
@@ -96,14 +112,14 @@ def identify_frames(
     packets: PacketTable,
     thresholds: Thresholds,
     min_packets: int = 1,
-) -> list[Frame]:
+) -> FrameTable:
     """Group frame-eligible downlink packets into frames: consecutive eligible
     packets with a gap <= dur_th share a frame."""
     ts = packets.ts[packets.downlink]
     length = packets.length[packets.downlink]
     index = np.flatnonzero(length.astype(np.float64) >= thresholds.len_th)
     if not index.size:
-        return []
+        return FrameTable([], [], [], [])
     t = ts[index]
     new = np.empty(index.size, dtype=bool)
     new[0] = True
@@ -113,38 +129,43 @@ def identify_frames(
     counts = last - first + 1
     sizes = np.add.reduceat(length[index], first)
     kept = counts >= min_packets
-    return [
-        Frame(start_ts=s, end_ts=e, size=z, packet_count=c)
-        for s, e, z, c in zip(t[first[kept]].tolist(), t[last[kept]].tolist(),
-                              sizes[kept].tolist(), counts[kept].tolist())
-    ]
+    return FrameTable(t[first[kept]], t[last[kept]], sizes[kept], counts[kept])
 
 
 def segment_features(
-    frames: list[Frame],
+    frames: FrameTable,
     session_start: float,
     segment_duration: float,
     num_segments: int,
 ) -> list[SegmentFeatures]:
-    """Aggregate frames into dense per-segment feature rows."""
+    """Aggregate frames into dense per-segment feature rows. A frame belongs
+    to the segment its start falls in; frames outside every segment are
+    dropped. f_iat is the mean gap between the starts of a segment's frames,
+    taken in frame order."""
     if segment_duration <= 0:
         raise ValueError("segment_duration must be positive")
-    by_segment: dict[int, list[Frame]] = {}
-    for fr in frames:
-        idx = int((fr.start_ts - session_start) // segment_duration)
-        if 0 <= idx < num_segments:
-            by_segment.setdefault(idx, []).append(fr)
+    seg = (frames.start_ts - session_start) // segment_duration
+    inside = (seg >= 0) & (seg < num_segments)
+    seg = seg[inside].astype(np.int64)
+    f_c = np.bincount(seg, minlength=num_segments)
+    # a stable grouping keeps each segment's frames in frame order; the
+    # segments themselves need not be sorted, since pcap records need not be
+    order = np.argsort(seg, kind="stable")
+    sizes = frames.size[inside][order]
+    gaps = np.diff(frames.start_ts[inside][order])
+    end = np.cumsum(f_c)
+    begin = end - f_c
+    f_s = np.zeros(num_segments, dtype=np.int64)
+    f_s[f_c > 0] = np.add.reduceat(sizes, begin[f_c > 0])
     out = []
-    for idx in range(num_segments):
-        members = by_segment.get(idx, [])
-        f_c = len(members)
-        f_s = sum(fr.size for fr in members)
-        if f_c >= 2:
-            starts = [fr.start_ts for fr in members]
-            f_iat = float(np.mean(np.diff(starts)))
-        else:
-            f_iat = None
-        out.append(SegmentFeatures(idx, f_c, f_s, f_iat))
+    for idx, (c, s, b, e) in enumerate(zip(f_c.tolist(), f_s.tolist(), begin.tolist(),
+                                           end.tolist())):
+        # np.mean's own arithmetic, the pairwise np.add.reduce of each
+        # segment's gaps over their count, without its per-call overhead; a
+        # sum in another order (np.add.reduceat, or (last - first) / (c - 1))
+        # is not bit-identical
+        f_iat = float(np.add.reduce(gaps[b:e - 1])) / (c - 1) if c >= 2 else None
+        out.append(SegmentFeatures(idx, c, s, f_iat))
     return out
 
 

@@ -2,9 +2,12 @@
 and builders of packet tables from rows and of captures from packet tables.
 
 `parse_pcap_records` decodes a classic pcap one record at a time with plain
-`struct` calls; `assign_frames` is the scalar frame scan. Both state the rules
-in the most direct form and must agree exactly with the columnar parser and
-the cumsum scan. `write_pcap` builds the classic pcap test captures.
+`struct` calls; `assign_frames` is the scalar frame scan; `loop_frames` and
+`loop_segment_features` build the frames and their per-segment features one
+packet and one frame at a time. They state the rules in the most direct form
+and must agree exactly with the columnar parser, the frame scan and the
+grouping of `FrameTable` columns. `write_pcap` builds the classic pcap test
+captures.
 `dict_adam_fit` is Adam with early stopping over a dict of separate arrays,
 one key at a time, each gradient and each validation forward taken from
 float32 copies of the arrays and windows, which the one-vector update of
@@ -23,6 +26,7 @@ import numpy as np
 
 from reslearn.errors import BadMagic, TruncatedHeader
 from reslearn.ingest import EndpointFilter, PacketTable
+from reslearn.viewframe import FrameTable, SegmentFeatures
 
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_NS_MAGIC = 0xA1B23C4D
@@ -168,6 +172,59 @@ def assign_frames(ts, eligible, dur_th):
             fid[i] = cur
             last_ts = ts[i]
     return fid
+
+
+def frame_table(rows) -> FrameTable:
+    """A frame table from (start_ts, end_ts, size, packet_count) rows."""
+    rows = list(rows)
+    return FrameTable(*([r[i] for r in rows] for i in range(4)))
+
+
+def frame_rows(frames: FrameTable) -> list[tuple[float, float, int, int]]:
+    return list(zip(frames.start_ts.tolist(), frames.end_ts.tolist(), frames.size.tolist(),
+                    frames.packet_count.tolist()))
+
+
+def loop_frames(packets: PacketTable, len_th, dur_th, min_packets=1):
+    """(start_ts, end_ts, size, packet_count) rows of the frames, one packet
+    at a time: consecutive downlink packets of at least len_th bytes, in
+    capture order, share a frame while the gap to the previous one is at
+    most dur_th."""
+    groups = []
+    current = []
+    last = None
+    for ts, length, downlink in rows(packets):
+        if not downlink or length < len_th:
+            continue
+        if last is not None and ts - last > dur_th:
+            groups.append(current)
+            current = []
+        current.append((ts, length))
+        last = ts
+    if current:
+        groups.append(current)
+    return [(g[0][0], g[-1][0], sum(length for _, length in g), len(g))
+            for g in groups if len(g) >= min_packets]
+
+
+def loop_segment_features(frame_rows, session_start, segment_duration, num_segments):
+    """The per-segment features of (start_ts, end_ts, size, packet_count)
+    rows, one frame at a time: a frame joins the segment its start falls in,
+    in frame order, and f_iat is np.mean of the gaps between the starts of a
+    segment's frames."""
+    by_segment: dict[int, list] = {}
+    for fr in frame_rows:
+        idx = int((fr[0] - session_start) // segment_duration)
+        if 0 <= idx < num_segments:
+            by_segment.setdefault(idx, []).append(fr)
+    out = []
+    for idx in range(num_segments):
+        members = by_segment.get(idx, [])
+        f_c = len(members)
+        f_s = sum(fr[2] for fr in members)
+        f_iat = float(np.mean(np.diff([fr[0] for fr in members]))) if f_c >= 2 else None
+        out.append(SegmentFeatures(idx, f_c, f_s, f_iat))
+    return out
 
 
 def dict_adam_fit(model, inputs, targets, val_inputs, val_targets) -> dict[str, np.ndarray]:

@@ -141,7 +141,7 @@ class TestCriterion5FrameRecovery:
         assert len(th.peaks) >= 2          # estimated, not the fallback
         frames = identify_frames(packets, th)
         assert len(frames) == len(planted)
-        assert sum(f.size for f in frames) == sum(f.size for f in planted)
+        assert frames.size.sum() == planted.size.sum()
 
         # jitter at 20% of the frame spacing: frame count within 1%
         spacing = 1.0 / clean.fps

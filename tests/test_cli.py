@@ -355,7 +355,8 @@ def diverging_features(path: Path, segments, at: int = 29) -> None:
     holds 1e300 at index `at`, so the segment fails to train. The default is
     the target of its last validation window, whose squared error overflows
     float64 (NonFiniteLoss); at 27 it is in the validation windows, where it
-    overflows float32 (InputOverflow)."""
+    overflows float32 (InputOverflow); at 59 it is the target of the last test
+    window, whose RMSE overflows float64 (InputOverflow)."""
     values = [100 + 10 * math.sin(i / 5) for i in range(180)]
     for i in segments:
         values[60 * i + at] = 1e300
@@ -468,7 +469,8 @@ class TestParallelTraining:
     @pytest.mark.parametrize("at, cause", [
         (29, "NonFiniteLoss: validation loss overflows float64 at epoch 0"),
         (27, "InputOverflow: a window value overflows float32"),
-    ], ids=["target", "input_window"])
+        (59, "InputOverflow: the mean squared error overflows float64"),
+    ], ids=["target", "input_window", "test_target"])
     def test_overflow_names_its_cause(self, at, cause, cfg_path, tmp_path):
         diverging_features(tmp_path / "features.csv", [1], at=at)
         out = tmp_path / "o"
@@ -595,6 +597,22 @@ class TestAllocator:
         assert faults > 100 * ALLOC_CYCLES
 
 
+# modules that only some commands need, imported where they are used: on a
+# 2-vCPU VM (Python 3.11, numpy 2.4.6) `numpy.random` took 12-17 ms to import,
+# and `concurrent.futures` with `multiprocessing` 12-18 ms, which every CLI
+# start would pay
+DEFERRED_MODULES = ("concurrent.futures", "multiprocessing", "numpy.random")
+
+
+def test_cli_import_defers_pools_and_random():
+    code = ("import sys, reslearn.cli\n"
+            f"print(*[m for m in {DEFERRED_MODULES!r} if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+
+
 class TestTrainEvaluate:
     def test_round_trip(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "ckpts"
@@ -628,21 +646,35 @@ class TestTrainEvaluate:
         assert len(calls) == 2
         assert calls[0] is loaded[0].base and calls[1] is loaded[0].residual
 
-    def test_evaluate_overflow_names_its_cause(self, tmp_path, capsys):
+    @staticmethod
+    def evaluate_huge_value(tmp_path, at: int) -> subprocess.CompletedProcess:
+        """`reslearn evaluate` of an fcnn checkpoint (lookback 4) on 30 rows
+        of 5.0 with 1e300 at row `at`, in a fresh interpreter."""
         model = build_predictor(PredictorConfig(kind="fcnn", lookback=4, hidden_width=8))
         ckpt = tmp_path / "ckpt.npz"
         save_reslearn(ResLearnModel(model, model, 0.5, Scaler(0.0, 10.0)), ckpt)
         features = tmp_path / "features.csv"
         features.write_text("segment,f_c,f_s,f_iat\n" + "".join(
-            f"{i},1,{1e300 if i == 10 else 5.0},NA\n" for i in range(30)))
-        proc = subprocess.run([sys.executable, "-m", "reslearn.cli", "evaluate", "--model",
+            f"{i},1,{1e300 if i == at else 5.0},NA\n" for i in range(30)))
+        return subprocess.run([sys.executable, "-m", "reslearn.cli", "evaluate", "--model",
                                str(ckpt), "--features", str(features)],
                               capture_output=True, text=True, env=src_env(), timeout=120)
+
+    def test_evaluate_overflow_names_its_cause(self, tmp_path):
+        proc = self.evaluate_huge_value(tmp_path, at=10)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == ("data error: InputOverflow: a window value overflows float32: "
                                "it lies far beyond the training range (past 3.4e38 in scaled "
                                "units)\n")
+
+    def test_evaluate_target_overflow_is_data_error(self, tmp_path):
+        # the last row is a target in no input window: only the RMSE's square overflows
+        proc = self.evaluate_huge_value(tmp_path, at=29)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("data error: InputOverflow: the mean squared error overflows "
+                               "float64: an actual value lies far beyond the predictions\n")
 
     # the relative bound the benchmark puts on `evaluate`'s metrics against a
     # float64 forward of the checkpoint; it covers the 6-significant-digit

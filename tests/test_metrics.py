@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from reslearn.errors import AllTermsSkipped, Empty, LengthMismatch, ZeroBase
+from reslearn.errors import AllTermsSkipped, Empty, InputOverflow, LengthMismatch, ZeroBase
 from reslearn.metrics import evaluate, mape, rmse, smape, smape_improvement
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -75,6 +75,12 @@ class TestValidation:
     def test_empty(self):
         with pytest.raises(Empty):
             smape([], [])
+
+    # one error's square overflows float64, or only the sum of two squares does
+    @pytest.mark.parametrize("actual", [[5.0, 1e300], [1.3e154, 1.3e154]], ids=["square", "sum"])
+    def test_rmse_overflow_is_named(self, actual):
+        with pytest.raises(InputOverflow, match="mean squared error overflows float64"):
+            rmse(actual, [0.0, 0.0])
 
 
 class TestImprovement:

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from reslearn.errors import EmptySegment
 from reslearn.synth import TraceSpec, gen_trace
 from reslearn.viewframe import (
-    Frame,
     Thresholds,
     estimate_len_threshold,
     estimate_thresholds,
@@ -15,7 +14,16 @@ from reslearn.viewframe import (
     threshold_report,
 )
 
-from oracles import DOWNLINK, UPLINK, assign_frames, table
+from oracles import (
+    DOWNLINK,
+    UPLINK,
+    assign_frames,
+    frame_rows,
+    frame_table,
+    loop_frames,
+    loop_segment_features,
+    table,
+)
 
 
 def dl(ts, length):
@@ -116,28 +124,6 @@ class TestDurThreshold:
         assert (th.len_th, th.dur_th, th.peaks) == (25.0, DEFAULT_DUR_TH, ())
 
 
-def brute_force_frames(packets, len_th, dur_th, min_packets=1):
-    """O(n) reference grouping written independently of the kernel."""
-    groups = []
-    current = []
-    last = None
-    for ts, length, downlink in packets:
-        if not downlink or length < len_th:
-            continue
-        if last is not None and ts - last > dur_th:
-            groups.append(current)
-            current = []
-        current.append((ts, length))
-        last = ts
-    if current:
-        groups.append(current)
-    return [
-        Frame(g[0][0], g[-1][0], sum(length for _, length in g), len(g))
-        for g in groups
-        if len(g) >= min_packets
-    ]
-
-
 class TestIdentifyFrames:
     TH = Thresholds(len_th=600.0, dur_th=0.002)
 
@@ -146,27 +132,33 @@ class TestIdentifyFrames:
         t = packets[-1][0] + 0.05
         packets += [dl(t + i * 0.0005, 1200) for i in range(8)]
         frames = identify_frames(table(packets), self.TH)
-        assert [f.size for f in frames] == [12000, 9600]
-        assert [f.packet_count for f in frames] == [10, 8]
-        assert frames == brute_force_frames(packets, 600.0, 0.002)
+        assert frames.size.tolist() == [12000, 9600]
+        assert frames.packet_count.tolist() == [10, 8]
+        assert frame_rows(frames) == loop_frames(table(packets), 600.0, 0.002)
 
     def test_all_below_threshold(self):
         packets = [dl(i * 0.001, 100) for i in range(50)]
-        assert identify_frames(table(packets), self.TH) == []
+        assert len(identify_frames(table(packets), self.TH)) == 0
 
     def test_single_eligible_packet(self):
         frames = identify_frames(table([dl(0.5, 900)]), self.TH)
-        assert frames == [Frame(0.5, 0.5, 900, 1)]
+        assert frame_rows(frames) == [(0.5, 0.5, 900, 1)]
 
     def test_min_packets_discards_singletons(self):
         packets = [dl(0.0, 1200), dl(1.0, 1200), dl(1.0005, 1200)]
         frames = identify_frames(table(packets), self.TH, min_packets=2)
-        assert len(frames) == 1
-        assert frames[0].packet_count == 2
+        assert frames.packet_count.tolist() == [2]
 
     def test_uplink_ignored_by_default(self):
         packets = [(0.0, 1200, UPLINK)]
-        assert identify_frames(table(packets), self.TH) == []
+        assert len(identify_frames(table(packets), self.TH)) == 0
+
+    def test_columns_dtypes(self):
+        for packets in ([dl(0.5, 900)], [dl(0.5, 100)]):
+            frames = identify_frames(table(packets), self.TH)
+            assert [c.dtype for c in (frames.start_ts, frames.end_ts, frames.size,
+                                      frames.packet_count)] == [np.float64, np.float64,
+                                                                np.int64, np.int64]
 
     @settings(deadline=None, max_examples=50)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -178,13 +170,12 @@ class TestIdentifyFrames:
             t += float(rng.exponential(0.002))
             packets.append(dl(t, int(rng.integers(50, 1500))))
         frames = identify_frames(table(packets), self.TH)
-        assert frames == brute_force_frames(packets, 600.0, 0.002)
+        assert frame_rows(frames) == loop_frames(table(packets), 600.0, 0.002)
         # frames are time-disjoint and ordered
-        for a, b in zip(frames, frames[1:]):
-            assert a.end_ts < b.start_ts
+        assert (frames.end_ts[:-1] < frames.start_ts[1:]).all()
         # conservation: total frame size equals total eligible length
         eligible = sum(length for _, length, _ in packets if length >= 600)
-        assert sum(f.size for f in frames) == eligible
+        assert int(frames.size.sum()) == eligible
 
     def test_recovers_planted_frames(self):
         spec = TraceSpec(duration=5.0, jitter_std=0.0, background_rate=20.0, seed=4)
@@ -195,7 +186,7 @@ class TestIdentifyFrames:
         assert 1.0 / spec.fps >= 3 * th.dur_th
         frames = identify_frames(packets, th)
         assert len(frames) == len(planted)
-        assert sum(f.size for f in frames) == sum(f.size for f in planted)
+        assert frames.size.sum() == planted.size.sum()
 
 
 class TestFrameScanAgainstLoop:
@@ -216,14 +207,14 @@ class TestFrameScanAgainstLoop:
             member = fid == k
             if member.sum() >= min_packets:
                 t = ts[member]
-                expected.append(Frame(float(t[0]), float(t[-1]),
-                                      int(length[member].sum()), int(member.sum())))
-        assert identify_frames(packets, th, min_packets=min_packets) == expected
+                expected.append((float(t[0]), float(t[-1]),
+                                 int(length[member].sum()), int(member.sum())))
+        assert frame_rows(identify_frames(packets, th, min_packets=min_packets)) == expected
 
 
 class TestSegmentFeatures:
     def test_hand_assigned(self):
-        frames = [Frame(0.1, 0.11, 10, 1), Frame(0.2, 0.21, 20, 1), Frame(1.3, 1.31, 30, 1)]
+        frames = frame_table([(0.1, 0.11, 10, 1), (0.2, 0.21, 20, 1), (1.3, 1.31, 30, 1)])
         feats = segment_features(frames, 0.0, 1.0, 2)
         assert feats[0].f_c == 2
         assert feats[0].f_s == 30
@@ -233,19 +224,84 @@ class TestSegmentFeatures:
         assert feats[1].f_iat is None
 
     def test_no_frames(self):
-        feats = segment_features([], 0.0, 1.0, 3)
+        feats = segment_features(frame_table([]), 0.0, 1.0, 3)
         assert all(sf.f_c == 0 and sf.f_s == 0 and sf.f_iat is None for sf in feats)
         assert [sf.segment_index for sf in feats] == [0, 1, 2]
 
     def test_single_frame_per_segment(self):
-        frames = [Frame(i + 0.5, i + 0.51, 100, 1) for i in range(5)]
+        frames = frame_table([(i + 0.5, i + 0.51, 100, 1) for i in range(5)])
         feats = segment_features(frames, 0.0, 1.0, 5)
         assert all(sf.f_c == 1 and sf.f_iat is None for sf in feats)
 
 
+@st.composite
+def frame_tables(draw):
+    """(frames, session_start, segment_duration, num_segments): 0, 1, 2 or
+    at least 9 frames in each segment (9 starts give 8 gaps, numpy's pairwise
+    summation), starts on segment edges, before the first segment and past
+    the last, in any order."""
+    segment_duration = draw(st.sampled_from([0.25, 1.0, 0.1, 1 / 3]))
+    session_start = draw(st.sampled_from([0.0, 0.5, -0.25]))
+    num_segments = draw(st.integers(0, 5))
+    starts = []
+    for k in range(num_segments):
+        for _ in range(draw(st.sampled_from([0, 1, 2, 9, 10, 17]))):
+            offset = draw(st.one_of(st.just(0.0),
+                                    st.floats(0.0, segment_duration, exclude_max=True)))
+            starts.append(session_start + k * segment_duration + offset)
+    starts += draw(st.lists(st.sampled_from([
+        session_start - segment_duration, session_start - 1e-9,
+        session_start + num_segments * segment_duration,
+        session_start + (num_segments + 2.5) * segment_duration]), max_size=3))
+    starts = draw(st.permutations(starts))
+    sizes = draw(st.lists(st.integers(1, 2**40), min_size=len(starts), max_size=len(starts)))
+    rows = [(t, t + 0.001, z, 1) for t, z in zip(starts, sizes)]
+    return frame_table(rows), session_start, segment_duration, num_segments
+
+
+def shuffled_trace(rng, n):
+    """n packets whose timestamps run backwards now and then: a short run of
+    packets moved elsewhere in capture order, as in a pcap whose records are
+    out of time order."""
+    ts = np.cumsum(rng.exponential(0.002, n))
+    order = np.arange(n)
+    for _ in range(rng.integers(0, 4)):
+        a, b = np.sort(rng.integers(0, n, 2))
+        order = np.insert(np.delete(order, np.s_[a:b]), rng.integers(0, n - (b - a) + 1),
+                          order[a:b])
+    return table(zip(ts[order].tolist(), rng.integers(50, 1500, n).tolist(),
+                     (rng.random(n) < 0.9).tolist()))
+
+
+class TestFramePathAgainstLoops:
+    @settings(deadline=None, max_examples=200)
+    @given(frame_tables())
+    def test_segment_features(self, case):
+        frames, session_start, segment_duration, num_segments = case
+        feats = segment_features(frames, session_start, segment_duration, num_segments)
+        expected = loop_segment_features(frame_rows(frames), session_start, segment_duration,
+                                         num_segments)
+        assert feats == expected
+        assert features_csv(feats) == features_csv(expected)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([1, 2, 3]))
+    def test_packets_to_features(self, seed, min_packets):
+        rng = np.random.default_rng(seed)
+        packets = shuffled_trace(rng, int(rng.integers(1, 400)))
+        th = Thresholds(len_th=600.0, dur_th=0.002)
+        frames = identify_frames(packets, th, min_packets=min_packets)
+        assert frame_rows(frames) == loop_frames(packets, th.len_th, th.dur_th, min_packets)
+        num_segments = int(packets.ts.max() // 0.05)
+        feats = segment_features(frames, 0.0, 0.05, num_segments)
+        expected = loop_segment_features(frame_rows(frames), 0.0, 0.05, num_segments)
+        assert feats == expected
+        assert features_csv(feats) == features_csv(expected)
+
+
 class TestReports:
     def test_features_csv_uses_na(self):
-        frames = [Frame(0.1, 0.11, 10, 1)]
+        frames = frame_table([(0.1, 0.11, 10, 1)])
         text = features_csv(segment_features(frames, 0.0, 1.0, 1))
         assert text == "segment,f_c,f_s,f_iat\n0,1,10,NA\n"
 
