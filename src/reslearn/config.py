@@ -53,7 +53,7 @@ class ExperimentConfig:
     val_ratio: float = 0.2
     models: str = "transformer"
     seed: int = 7
-    # upper bound on CPUs a command uses (worker processes, then inference threads)
+    # most worker processes `run` and `train` train in; each trains on one thread
     jobs: int = field(default_factory=_usable_cpus)
     epochs: int = 300
     residual_epochs: int = 300

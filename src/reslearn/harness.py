@@ -3,9 +3,9 @@ and deterministic report files.
 
 Outputs carry no timestamps, so a rerun with the same config and seed is
 byte-identical. Training (train_models) runs each (model kind, segment)
-pair as one task; with jobs > 1 the tasks go to forked worker processes and
-the results are merged in configured order, which keeps the bytes identical
-too.
+pair as one task on one thread; with jobs > 1 the tasks go to forked worker
+processes and the results are merged in configured order, which keeps the
+bytes identical too.
 """
 
 from __future__ import annotations
@@ -27,8 +27,14 @@ from .errors import (
     SchemaMismatch,
 )
 from .ingest import PacketTable, ParseResult, parse_csv, parse_pcap
-from .metrics import smape_improvement
-from .report import comparison_csv, plot_data_csv, render_csv, render_json, report_rows
+from .report import (
+    comparison_csv,
+    plot_data_csv,
+    render_csv,
+    render_json,
+    report_rows,
+    smape_summary,
+)
 from .residual import ResLearnModel, SegmentReport, train_segment
 from .seriesprep import (
     SegmentedSeries,
@@ -95,17 +101,15 @@ def packet_features(
                               f"{cfg.segment_duration:g} s segment")
     thresholds = estimate_session_thresholds(packets, cfg)
     frames = identify_frames(packets, thresholds, min_packets=cfg.min_packets)
-    feats = segment_features(frames, 0.0, cfg.segment_duration, num_segments)
+    feats = segment_features(frames, cfg.segment_duration, num_segments)
     partial = int(np.count_nonzero(packets.ts >= num_segments * cfg.segment_duration))
     return thresholds, frames, feats, partial
 
 
-def write_frame_files(out_dir: Path, thresholds: Thresholds, feats) -> list[Path]:
-    """Write `thresholds.json` and `features.csv`; returns their paths."""
-    texts = {"thresholds.json": threshold_report(thresholds), "features.csv": features_csv(feats)}
-    for name, text in texts.items():
-        (out_dir / name).write_text(text)
-    return [out_dir / name for name in texts]
+def write_frame_files(out_dir: Path, thresholds: Thresholds, feats) -> None:
+    """Write `thresholds.json` and `features.csv`."""
+    (out_dir / "thresholds.json").write_text(threshold_report(thresholds))
+    (out_dir / "features.csv").write_text(features_csv(feats))
 
 
 def _feature_column(feats, feature: str) -> np.ndarray:
@@ -164,19 +168,18 @@ def train_models(
     keep_models is set, and for a failed segment.
 
     With jobs > 1 and more than one pair, the pairs run in min(jobs, pairs)
-    forked worker processes, all joined before this returns. Each pair
-    predicts on jobs // workers threads, so fewer pairs than jobs still use
-    the CPUs. Each pair's arithmetic is the same in a worker as in-process,
-    and at any thread count, so the results are too.
+    forked worker processes, all joined before this returns; otherwise they
+    run in this process. Each pair trains and predicts on one thread, with
+    the same arithmetic in a worker as in-process, so the results are the
+    same at any jobs.
     """
     split_spec = cfg.split_spec()
     base_cfgs, residual_cfg = cfg.model_configs()
     kinds = cfg.model_kinds()
     workers = min(cfg.jobs, len(kinds) * segments.num_segments)
-    threads = cfg.jobs // max(workers, 1)
     tasks = [
         (i, seg, base_cfgs[kind], residual_cfg, split_spec,
-         cfg.paper_literal_combine, keep_models, threads)
+         cfg.paper_literal_combine, keep_models)
         for kind in kinds for i, seg in enumerate(segments.segments)
     ]
     if workers > 1:
@@ -216,32 +219,29 @@ def _end_with_parent(parent: int) -> None:
 
 
 def _train_task(index, values, base_cfg, residual_cfg, split_spec,
-                paper_literal_combine, keep_model, threads):
+                paper_literal_combine, keep_model):
     model, report = train_segment(index, values, base_cfg, residual_cfg, split_spec,
-                                  paper_literal_combine, threads)
+                                  paper_literal_combine)
     return (model if keep_model else None), report
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir) -> list[Path]:
-    """Full pipeline; returns the report files written. Raises ConfigError,
-    data-stage ResLearnError/OSError, or NonFiniteLoss for the CLI to map to
-    exit codes. Once the output directory exists, `run.log` is written however
-    the run ends, with the error last if one ended it."""
+def run_experiment(cfg: ExperimentConfig, out_dir) -> None:
+    """Full pipeline, its report files written to `out_dir`. Raises
+    ConfigError, data-stage ResLearnError/OSError, or NonFiniteLoss for the
+    CLI to map to exit codes. Once the output directory exists, `run.log` is
+    written however the run ends, with the error last if one ended it."""
     cfg.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log = [f"input_kind={cfg.input_kind}", f"feature={cfg.feature}", f"seed={cfg.seed}"]
-    written: list[Path] = []
 
     def write(name: str, text: str) -> None:
-        path = out_dir / name
-        path.write_text(text)
-        written.append(path)
+        (out_dir / name).write_text(text)
 
     try:
         values, thresholds, feats, partial = feature_series(cfg)
         if thresholds is not None:
-            written += write_frame_files(out_dir, thresholds, feats)
+            write_frame_files(out_dir, thresholds, feats)
             log.append(f"frames: len_th={thresholds.len_th:.6g} dur_th={thresholds.dur_th:.6g} "
                        f"segments={len(feats)} partial_segment_dropped_packets={partial}")
         write("eda.csv", eda_csv(values, cfg.eda_window))
@@ -251,8 +251,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[Path]:
                    f"dropped={segments.dropped}")
 
         trained = train_models(cfg, segments)
-        kind_reports = {kind: trained[kind][1] for kind in cfg.model_kinds()}
-        for kind, reports in kind_reports.items():
+        summaries = {}
+        for kind, (_, reports) in trained.items():
             rows = report_rows(reports, kind)
             write(f"report_{kind}.csv", render_csv(rows))
             write(f"report_{kind}.json", render_json(rows))
@@ -263,21 +263,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[Path]:
                     write(f"plot_{kind}_seg{i}.csv", plot_data_csv(actual, base_pred))
                     write(f"plot_{kind}_reslearn_seg{i}.csv",
                           plot_data_csv(actual, combined_pred))
-            ok = [r for r in reports if r.failed is None]
-            if ok:
-                improvement = smape_improvement(
-                    sum(r.base_val.smape for r in ok) / len(ok),
-                    sum(r.combined_val.smape for r in ok) / len(ok),
-                )
-                log.append(f"{kind}: segments_ok={len(ok)} val_smape_improvement="
-                           f"{improvement:.4g}%")
-            else:
+            summary = summaries[kind] = smape_summary(reports)
+            if summary is None:
                 log.append(f"{kind}: segments_ok=0")
+            else:
+                log.append(f"{kind}: segments_ok={summary.segments_ok} val_smape_improvement="
+                           f"{summary.improvement:.4g}%")
 
-        if not any(r.failed is None for reports in kind_reports.values() for r in reports):
+        if all(summary is None for summary in summaries.values()):
             raise NonFiniteLoss("every segment failed to train")
-        write("comparison.csv", comparison_csv(kind_reports))
-        return written
+        write("comparison.csv", comparison_csv(summaries))
     except (ResLearnError, OSError) as exc:
         log.append(f"error: {type(exc).__name__}: {exc}")
         raise

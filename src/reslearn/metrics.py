@@ -23,43 +23,8 @@ class MetricsResult:
     n_skipped_zero_denominator: int
 
 
-def _validate(actual, predicted):
-    a = np.asarray(actual, dtype=np.float64)
-    p = np.asarray(predicted, dtype=np.float64)
-    if a.shape != p.shape:
-        raise LengthMismatch(f"actual {a.shape} vs predicted {p.shape}")
-    if a.size == 0:
-        raise Empty("metrics need at least one term")
-    return a, p
-
-
-def rmse(actual, predicted) -> float:
-    """Root mean squared error. An error whose square, or whose squares' sum,
-    overflows float64 raises InputOverflow."""
-    a, p = _validate(actual, predicted)
-    try:
-        with np.errstate(over="raise"):
-            return float(np.sqrt(np.mean((p - a) ** 2)))
-    except FloatingPointError:
-        raise InputOverflow("the mean squared error overflows float64: an actual value "
-                            "lies far beyond the predictions") from None
-
-
-def mape(actual, predicted, eps: float = 1e-12) -> float:
-    a, p = _validate(actual, predicted)
-    mask = np.abs(a) > eps
-    if not mask.any():
-        raise AllTermsSkipped("every actual value is zero")
-    return float(np.mean(np.abs(a[mask] - p[mask]) / np.abs(a[mask])))
-
-
-def smape(actual, predicted, eps: float = 1e-12) -> float:
-    a, p = _validate(actual, predicted)
-    denom = (np.abs(a) + np.abs(p)) / 2.0
-    mask = denom > eps
-    if not mask.any():
-        raise AllTermsSkipped("every term has both values zero")
-    return float(np.mean(np.abs(p[mask] - a[mask]) / denom[mask]))
+# a term whose denominator is at most this is skipped
+ZERO_DENOMINATOR = 1e-12
 
 
 def smape_improvement(base_smape: float, reslearn_smape: float) -> float:
@@ -69,14 +34,31 @@ def smape_improvement(base_smape: float, reslearn_smape: float) -> float:
     return 100.0 * (base_smape - reslearn_smape) / base_smape
 
 
-def evaluate(actual, predicted, eps: float = 1e-12) -> MetricsResult:
-    a, p = _validate(actual, predicted)
-    mask = np.abs(a) > eps
-    n_skipped = int((~mask).sum())
-    return MetricsResult(
-        rmse=rmse(a, p),
-        mape=mape(a, p, eps),
-        smape=smape(a, p, eps),
-        n_used=int(mask.sum()),
-        n_skipped_zero_denominator=n_skipped,
-    )
+def evaluate(actual, predicted) -> MetricsResult:
+    """RMSE, MAPE and SMAPE of `predicted` against `actual`. An error whose
+    square, or whose squares' sum, overflows float64 raises InputOverflow; a
+    metric with every term skipped raises AllTermsSkipped."""
+    a = np.asarray(actual, dtype=np.float64)
+    p = np.asarray(predicted, dtype=np.float64)
+    if a.shape != p.shape:
+        raise LengthMismatch(f"actual {a.shape} vs predicted {p.shape}")
+    if a.size == 0:
+        raise Empty("metrics need at least one term")
+    try:
+        with np.errstate(over="raise"):
+            rmse = float(np.sqrt(np.mean((p - a) ** 2)))
+    except FloatingPointError:
+        raise InputOverflow("the mean squared error overflows float64: an actual value "
+                            "lies far beyond the predictions") from None
+    used = np.abs(a) > ZERO_DENOMINATOR
+    if not used.any():
+        raise AllTermsSkipped("every actual value is zero")
+    mape = float(np.mean(np.abs(a[used] - p[used]) / np.abs(a[used])))
+    denom = (np.abs(a) + np.abs(p)) / 2.0
+    both = denom > ZERO_DENOMINATOR
+    if not both.any():
+        raise AllTermsSkipped("every term has both values zero")
+    smape = float(np.mean(np.abs(p[both] - a[both]) / denom[both]))
+    n_used = int(used.sum())
+    return MetricsResult(rmse=rmse, mape=mape, smape=smape, n_used=n_used,
+                         n_skipped_zero_denominator=a.size - n_used)

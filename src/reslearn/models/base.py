@@ -17,6 +17,7 @@ own slice of the output, so the result is the same at any thread count."""
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -63,10 +64,16 @@ class PredictorConfig:
                      "ffn_width", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
+        # each message names the experiment config key; with a nan min_delta
+        # no epoch would be an improvement, and a nan step makes every weight nan
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError("learning_rate must be finite and positive")
+        if self.early_stop_patience < 1:
+            raise ConfigError("patience must be >= 1")
+        if not (math.isfinite(self.early_stop_min_delta) and self.early_stop_min_delta >= 0):
+            raise ConfigError("min_delta must be finite and >= 0")
 
 
 @dataclass
@@ -201,20 +208,19 @@ class Predictor:
         self,
         inputs: np.ndarray,
         targets: np.ndarray,
-        val_inputs: np.ndarray | None = None,
-        val_targets: np.ndarray | None = None,
+        val_inputs: np.ndarray,
+        val_targets: np.ndarray,
     ) -> TrainTrace:
         """Mini-batch Adam on MSE with patience-based early stopping; the
-        best-validation parameters are restored on exit."""
+        best-validation parameters are restored on exit. The first epoch
+        always counts as an improvement, since min_delta is finite."""
         cfg = self.config
         inputs = self._check_inputs(inputs)
         targets = np.asarray(targets, dtype=np.float64)
         if targets.shape != (inputs.shape[0],):
             raise ShapeMismatch(f"targets {targets.shape} vs inputs {inputs.shape}")
-        has_val = val_inputs is not None and val_targets is not None
-        if has_val:
-            val_inputs = self._check_inputs(val_inputs)
-            val_targets = np.asarray(val_targets, dtype=np.float64)
+        val_inputs = self._check_inputs(val_inputs)
+        val_targets = np.asarray(val_targets, dtype=np.float64)
 
         trace = TrainTrace()
         if cfg.epochs == 0:
@@ -229,7 +235,6 @@ class Predictor:
         step = 0
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         best_val = np.inf
-        best_params = None
         stall = 0
         n = inputs.shape[0]
 
@@ -254,30 +259,28 @@ class Predictor:
                 self.flat -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
             trace.train_loss.append(epoch_loss / n)
 
-            if has_val:
-                work[...] = self.flat
-                val_pred = self._forward_blocks(val_inputs, work_params)
-                try:
-                    with np.errstate(over="raise"):
-                        val_loss = float(np.mean((val_pred - val_targets) ** 2))
-                except FloatingPointError:
-                    raise NonFiniteLoss(f"validation loss overflows float64 at epoch {epoch}: "
-                                        "a validation target lies far beyond the training "
-                                        "range") from None
-                if not np.isfinite(val_loss):
-                    raise NonFiniteLoss(f"validation loss diverged at epoch {epoch}")
-                trace.val_loss.append(val_loss)
-                if val_loss < best_val - cfg.early_stop_min_delta:
-                    best_val = val_loss
-                    best_params = self.flat.copy()
-                    trace.best_epoch = epoch
-                    stall = 0
-                else:
-                    stall += 1
-                    if stall >= cfg.early_stop_patience:
-                        break
-        if has_val and best_params is not None:
-            self.flat[...] = best_params
+            work[...] = self.flat
+            val_pred = self._forward_blocks(val_inputs, work_params)
+            try:
+                with np.errstate(over="raise"):
+                    val_loss = float(np.mean((val_pred - val_targets) ** 2))
+            except FloatingPointError:
+                raise NonFiniteLoss(f"validation loss overflows float64 at epoch {epoch}: "
+                                    "a validation target lies far beyond the training "
+                                    "range") from None
+            if not np.isfinite(val_loss):
+                raise NonFiniteLoss(f"validation loss diverged at epoch {epoch}")
+            trace.val_loss.append(val_loss)
+            if val_loss < best_val - cfg.early_stop_min_delta:
+                best_val = val_loss
+                best_params = self.flat.copy()
+                trace.best_epoch = epoch
+                stall = 0
+            else:
+                stall += 1
+                if stall >= cfg.early_stop_patience:
+                    break
+        self.flat[...] = best_params
         return trace
 
 

@@ -5,6 +5,7 @@ display scaling of SMAPE/MAPE appears only here, in columns labeled _pct."""
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 from .metrics import smape_improvement
 from .residual import SegmentReport
@@ -71,30 +72,49 @@ def plot_data_csv(actual, predicted) -> str:
     return "\n".join(lines) + "\n"
 
 
-def comparison_csv(kind_reports: dict[str, list[SegmentReport]]) -> str:
+@dataclass(frozen=True)
+class SmapeSummary:
+    """The mean SMAPE of each stage and split over the segments of one model
+    kind that trained, and the val-SMAPE improvement between the means."""
+
+    segments_ok: int
+    base_val: float
+    base_test: float
+    combined_val: float
+    combined_test: float
+    improvement: float
+
+
+def smape_summary(reports: list[SegmentReport]) -> SmapeSummary | None:
+    """The summary of one kind's reports; None when no segment trained."""
+    ok = [r for r in reports if r.failed is None]
+    if not ok:
+        return None
+    base_val = _mean(r.base_val.smape for r in ok)
+    combined_val = _mean(r.combined_val.smape for r in ok)
+    return SmapeSummary(len(ok), base_val, _mean(r.base_test.smape for r in ok),
+                        combined_val, _mean(r.combined_test.smape for r in ok),
+                        smape_improvement(base_val, combined_val))
+
+
+def comparison_csv(summaries: dict[str, SmapeSummary | None]) -> str:
     """One base row and one reslearn row per model kind, with mean SMAPE over
     segments, its x100 display form, and the val-SMAPE improvement."""
     lines = [
         "model,variant,val_smape,val_smape_pct,test_smape,test_smape_pct,val_improvement_pct"
     ]
-    for kind, reports in kind_reports.items():
-        ok = [r for r in reports if r.failed is None]
-        if not ok:
+    for kind, s in summaries.items():
+        if s is None:
             lines.append(f"{kind},base,NA,NA,NA,NA,NA")
             lines.append(f"{kind},reslearn,NA,NA,NA,NA,NA")
             continue
-        base_val = _mean(r.base_val.smape for r in ok)
-        base_test = _mean(r.base_test.smape for r in ok)
-        comb_val = _mean(r.combined_val.smape for r in ok)
-        comb_test = _mean(r.combined_test.smape for r in ok)
-        improvement = smape_improvement(base_val, comb_val)
         lines.append(
-            f"{kind},base,{_f(base_val)},{_f(100 * base_val)},"
-            f"{_f(base_test)},{_f(100 * base_test)},"
+            f"{kind},base,{_f(s.base_val)},{_f(100 * s.base_val)},"
+            f"{_f(s.base_test)},{_f(100 * s.base_test)},"
         )
         lines.append(
-            f"{kind},reslearn,{_f(comb_val)},{_f(100 * comb_val)},"
-            f"{_f(comb_test)},{_f(100 * comb_test)},{_f(improvement)}"
+            f"{kind},reslearn,{_f(s.combined_val)},{_f(100 * s.combined_val)},"
+            f"{_f(s.combined_test)},{_f(100 * s.combined_test)},{_f(s.improvement)}"
         )
     return "\n".join(lines) + "\n"
 

@@ -4,6 +4,7 @@ bias-shifted residuals, combined into one forecaster per segment."""
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import asdict, dataclass, replace
 
@@ -90,8 +91,13 @@ def load_reslearn(path) -> ResLearnModel:
         s = meta["scaler"]
         scaler = Scaler(float(s["lo"]), float(s["hi"]), bool(s["identity"]))
         res_b, literal = float(meta["res_b"]), bool(meta["paper_literal_combine"])
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise CheckpointError(f"malformed metadata: {type(exc).__name__}: {exc}") from None
+    for name, value in (("res_b", res_b), ("scaler.lo", scaler.lo), ("scaler.hi", scaler.hi)):
+        if not math.isfinite(value):
+            raise CheckpointError(f"{name} is not finite: {value}")
+    if not scaler.identity and scaler.hi <= scaler.lo:
+        raise CheckpointError(f"scaler.hi {scaler.hi:g} is not above scaler.lo {scaler.lo:g}")
     for prefix, model in (("base__", base), ("residual__", residual)):
         for k in model.params:
             key = prefix + k
@@ -99,15 +105,17 @@ def load_reslearn(path) -> ResLearnModel:
                 raise CheckpointError(f"missing parameter {key}")
             if arrays[key].shape != model.params[k].shape or arrays[key].dtype.kind != "f":
                 raise CheckpointError(f"shape or dtype mismatch for {key}")
+            if not np.isfinite(arrays[key]).all():
+                raise CheckpointError(f"{key} has a non-finite value")
             model.params[k][...] = arrays[key]
     return ResLearnModel(base, residual, res_b, scaler, literal)
 
 
 def residual_targets(
     train_targets: np.ndarray, base_predictions: np.ndarray
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """Residuals, their bias |min|, and the shifted training targets for the
-    second-stage model."""
+) -> tuple[float, np.ndarray]:
+    """The residuals' bias |min| and the residuals shifted by it, the training
+    targets of the second-stage model."""
     train_targets = np.asarray(train_targets, dtype=np.float64)
     base_predictions = np.asarray(base_predictions, dtype=np.float64)
     if train_targets.shape != base_predictions.shape:
@@ -118,7 +126,7 @@ def residual_targets(
         raise LengthMismatch("need at least one residual")
     res = train_targets - base_predictions
     res_b = float(abs(res.min()))
-    return res, res_b, res + res_b
+    return res_b, res + res_b
 
 
 def combine_predictions(
@@ -152,14 +160,12 @@ def train_segment(
     base_cfg: PredictorConfig,
     residual_cfg: PredictorConfig,
     split_spec: SplitSpec,
-    paper_literal_combine: bool = False,
-    threads: int = 1,
+    paper_literal_combine: bool,
 ) -> tuple[ResLearnModel | None, SegmentReport]:
     """The per-segment pipeline: split, scale on train, fit base, fit the
     residual learner on bias-shifted train residuals, score both stages on
-    val and test in physical units, every prediction on `threads` threads.
-    A ResLearnError is recorded in the report's `failed`, with no model, so
-    the caller can go on."""
+    val and test in physical units. A ResLearnError is recorded in the
+    report's `failed`, with no model, so the caller can go on."""
     try:
         w = base_cfg.lookback
         train, val, test = split(values, split_spec, lookback=w)
@@ -171,18 +177,16 @@ def train_segment(
         # fresh parameters per segment, with a segment-derived seed
         base = build_predictor(replace(base_cfg, seed=base_cfg.seed + 1000 * index))
         base_trace = base.fit(x_train, y_train, x_val, y_val)
-        base_train, base_val, base_test = (base.predict(x, threads=threads)
-                                           for x in (x_train, x_val, x_test))
-        _, res_b, shifted = residual_targets(y_train, base_train)
+        base_train, base_val, base_test = (base.predict(x) for x in (x_train, x_val, x_test))
+        res_b, shifted = residual_targets(y_train, base_train)
 
         residual = build_predictor(replace(residual_cfg,
                                            seed=residual_cfg.seed + 1000 * index + 1))
         res_trace = residual.fit(x_train, shifted, x_val, (y_val - base_val) + res_b)
 
         model = ResLearnModel(base, residual, res_b, scaler, paper_literal_combine)
-        base_val_m, combined_val_m, _ = score(model, x_val, y_val, base_val, threads)
-        base_test_m, combined_test_m, test_series = score(model, x_test, y_test, base_test,
-                                                          threads)
+        base_val_m, combined_val_m, _ = score(model, x_val, y_val, base_val)
+        base_test_m, combined_test_m, test_series = score(model, x_test, y_test, base_test)
     except ResLearnError as exc:
         return None, SegmentReport(segment_index=index,
                                    failed=f"{type(exc).__name__}: {exc}")

@@ -88,26 +88,19 @@ def segment(values: np.ndarray, n: int) -> SegmentedSeries:
 
 
 def split(
-    values: np.ndarray, spec: SplitSpec, lookback: int | None = None
+    values: np.ndarray, spec: SplitSpec, lookback: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chronological train/val/test split; never shuffles.
-
-    When `lookback` is given each part must be able to form at least one
-    prediction window (length >= lookback + 1).
-    """
+    """Chronological train/val/test split; never shuffles. Each part must be
+    able to form at least one prediction window (length >= lookback + 1)."""
     values = np.asarray(values, dtype=np.float64)
     n = values.size
     pool = int(n * spec.train_ratio)
     n_val = int(pool * spec.val_ratio_within_train)
     n_train = pool - n_val
-    if lookback is not None:
-        need = lookback + 1
-        if min(n_train, n_val, n - pool) < need:
-            raise SplitTooSmall(
-                f"split {n_train}/{n_val}/{n - pool} cannot form windows of lookback {lookback}"
-            )
-    elif min(n_train, n_val, n - pool) < 1:
-        raise SplitTooSmall(f"series of {n} points leaves an empty part")
+    if min(n_train, n_val, n - pool) < lookback + 1:
+        raise SplitTooSmall(
+            f"split {n_train}/{n_val}/{n - pool} cannot form windows of lookback {lookback}"
+        )
     return values[:n_train], values[n_train:pool], values[pool:]
 
 

@@ -134,17 +134,15 @@ def identify_frames(
 
 def segment_features(
     frames: FrameTable,
-    session_start: float,
     segment_duration: float,
     num_segments: int,
 ) -> list[SegmentFeatures]:
-    """Aggregate frames into dense per-segment feature rows. A frame belongs
-    to the segment its start falls in; frames outside every segment are
-    dropped. f_iat is the mean gap between the starts of a segment's frames,
+    """Aggregate frames into dense per-segment feature rows; segment i spans
+    [i, i + 1) segment durations from the session start at time 0. A frame
+    belongs to the segment its start falls in; frames outside every segment
+    are dropped. f_iat is the mean gap between the starts of a segment's frames,
     taken in frame order."""
-    if segment_duration <= 0:
-        raise ValueError("segment_duration must be positive")
-    seg = (frames.start_ts - session_start) // segment_duration
+    seg = frames.start_ts // segment_duration
     inside = (seg >= 0) & (seg < num_segments)
     seg = seg[inside].astype(np.int64)
     f_c = np.bincount(seg, minlength=num_segments)

@@ -207,14 +207,14 @@ def loop_frames(packets: PacketTable, len_th, dur_th, min_packets=1):
             for g in groups if len(g) >= min_packets]
 
 
-def loop_segment_features(frame_rows, session_start, segment_duration, num_segments):
+def loop_segment_features(frame_rows, segment_duration, num_segments):
     """The per-segment features of (start_ts, end_ts, size, packet_count)
     rows, one frame at a time: a frame joins the segment its start falls in,
     in frame order, and f_iat is np.mean of the gaps between the starts of a
     segment's frames."""
     by_segment: dict[int, list] = {}
     for fr in frame_rows:
-        idx = int((fr[0] - session_start) // segment_duration)
+        idx = int(fr[0] // segment_duration)
         if 0 <= idx < num_segments:
             by_segment.setdefault(idx, []).append(fr)
     out = []

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reslearn.cli import main as cli_main
-from reslearn.metrics import mape, rmse, smape, smape_improvement
+from reslearn.metrics import evaluate, smape_improvement
 from reslearn.models import KINDS, PredictorConfig, build_predictor
 from reslearn.residual import ResLearnModel, residual_targets
 from reslearn.seriesprep import (
@@ -53,15 +53,17 @@ class TestCriterion1Metrics:
         cases = TestHandComputed.CASES
         assert len(cases) >= 10
         for a, p, r, m, s in cases:
-            assert abs(rmse(a, p) - r) < 1e-9
-            assert abs(mape(a, p) - m) < 1e-9
-            assert abs(smape(a, p) - s) < 1e-9
+            res = evaluate(a, p)
+            assert abs(res.rmse - r) < 1e-9
+            assert abs(res.mape - m) < 1e-9
+            assert abs(res.smape - s) < 1e-9
         # symmetry and the [0, 2] bound over a large random input
         rng = np.random.default_rng(0)
         a = rng.normal(0, 50, 10_000)
         p = rng.normal(0, 50, 10_000)
-        assert smape(a, p) == pytest.approx(smape(p, a), abs=1e-12)
-        assert 0.0 <= smape(a, p) <= 2.0
+        s = evaluate(a, p).smape
+        assert s == pytest.approx(evaluate(p, a).smape, abs=1e-12)
+        assert 0.0 <= s <= 2.0
 
         @settings(max_examples=200, deadline=None)
         @given(st.lists(st.tuples(
@@ -74,10 +76,10 @@ class TestCriterion1Metrics:
             av = np.array([x for x, _ in pairs])
             pv = np.array([y for _, y in pairs])
             try:
-                s = smape(av, pv)
+                s, swapped = evaluate(av, pv).smape, evaluate(pv, av).smape
             except AllTermsSkipped:
                 return
-            assert s == pytest.approx(smape(pv, av), abs=1e-12)
+            assert s == pytest.approx(swapped, abs=1e-12)
             assert -1e-12 <= s <= 2 + 1e-12
 
         check()
@@ -126,7 +128,7 @@ class TestCriterion4CombineIdentity:
         x, y = make_windows(series, 8)
         for kind in KINDS:
             base = build_predictor(small_config(kind, seed=3))
-            _, res_b, shifted = residual_targets(y, base.predict(x))
+            res_b, shifted = residual_targets(y, base.predict(x))
             model = ResLearnModel(base, _StubPredictor(shifted), res_b, Scaler(0.0, 1.0))
             np.testing.assert_allclose(forecast(model, x), y, atol=1e-9)
 

@@ -22,7 +22,7 @@ from reslearn.seriesprep import Scaler, make_windows
 from reslearn.synth import gen_series, gen_trace
 
 from oracles import DOWNLINK, UPLINK, table, write_pcap
-from test_models import MALFORMED, checkpoint
+from test_models import BAD_VALUES, MALFORMED, checkpoint
 
 SMALL_CFG = """
 input_kind = synth-series
@@ -289,28 +289,26 @@ class TestRun:
         main(["run", "--config", str(small_cfg), "--seed", "7", "--out", str(b)])
         assert read_tree(a) == read_tree(b)
 
-    def test_jobs_do_not_change_bytes(self, small_cfg, tmp_path):
-        cfg2 = small_cfg.read_text().replace("models = fcnn", "models = fcnn, gru")
-        cfg_path = small_cfg.parent / "multi.cfg"
-        cfg_path.write_text(cfg2)
-        a, b = tmp_path / "a", tmp_path / "b"
-        main(["run", "--config", str(cfg_path), "--jobs", "1", "--out", str(a)])
-        main(["run", "--config", str(cfg_path), "--jobs", "4", "--out", str(b)])
-        assert read_tree(a) == read_tree(b)
+    # (config edits, jobs): two kinds of two short segments in four workers,
+    # and one kind of two segments whose splits each span several 32-window
+    # blocks in two
+    JOBS_CASES = [
+        ({"models = fcnn": "models = fcnn, gru"}, "4"),
+        ({"synth_length = 130": "synth_length = 400", "segment_size = 60": "segment_size = 200"},
+         "2"),
+    ]
 
-    @pytest.mark.parametrize("segment_size, jobs", [(400, "2"), (200, "4")],
-                             ids=["one_task_two_threads", "two_workers_two_threads"])
-    def test_prediction_threads_do_not_change_bytes(self, segment_size, jobs, small_cfg,
-                                                    tmp_path):
-        # each split of a segment this long spans several 32-window blocks
-        cfg_path = small_cfg.parent / "long.cfg"
-        cfg_path.write_text(small_cfg.read_text()
-                            .replace("synth_length = 130", "synth_length = 400")
-                            .replace("segment_size = 60", f"segment_size = {segment_size}"))
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["run", "--config", str(cfg_path), "--jobs", "1", "--out", str(a)]) == 0
-        assert main(["run", "--config", str(cfg_path), "--jobs", jobs, "--out", str(b)]) == 0
-        assert read_tree(a) == read_tree(b)
+    def test_jobs_do_not_change_bytes(self, small_cfg, tmp_path):
+        for case, (edits, jobs) in enumerate(self.JOBS_CASES):
+            text = small_cfg.read_text()
+            for old, new in edits.items():
+                text = text.replace(old, new)
+            cfg_path = tmp_path / f"jobs{case}.cfg"
+            cfg_path.write_text(text)
+            a, b = tmp_path / f"a{case}", tmp_path / f"b{case}"
+            assert main(["run", "--config", str(cfg_path), "--jobs", "1", "--out", str(a)]) == 0
+            assert main(["run", "--config", str(cfg_path), "--jobs", jobs, "--out", str(b)]) == 0
+            assert read_tree(a) == read_tree(b), edits
 
     def test_unknown_config_key_exit_1(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -776,6 +774,16 @@ class TestBadSynthSetting:
 
 
 class TestBadCheckpoint:
+    @pytest.mark.parametrize("case", sorted(BAD_VALUES))
+    def test_bad_value_is_data_error(self, case, tmp_path, capsys):
+        # with no numpy RuntimeWarning either: the test suite makes them errors
+        edit, field = BAD_VALUES[case]
+        features = tmp_path / "features.csv"
+        features.write_text(FEATURES_CSV)
+        assert main(["evaluate", "--model", str(checkpoint(tmp_path, edit)),
+                     "--features", str(features)]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: CheckpointError: {field} ")
+
     @pytest.mark.parametrize("case", ["not_npz", "meta_not_json", "no_base_config"])
     def test_malformed_checkpoint_is_data_error(self, case, tmp_path, capsys):
         if case == "not_npz":
@@ -789,6 +797,16 @@ class TestBadCheckpoint:
         err = capsys.readouterr().err
         assert "CheckpointError" in err
         assert "Traceback" not in err
+
+
+# early-stopping and step settings out of range, by the id of their case
+TRAINING_SETTINGS = {
+    "patience_negative": "patience = -3\n",
+    "patience_zero": "patience = 0\n",
+    "min_delta_negative": "min_delta = -1.0\n",
+    "min_delta_nan": "min_delta = nan\n",
+    "learning_rate_nan": "learning_rate = nan\n",
+}
 
 
 class TestBadUserInput:
@@ -807,13 +825,14 @@ class TestBadUserInput:
         (["run"], SMALL_CFG + "input_kind = features\nepochs = -1\n"),
         (["train"], SMALL_CFG + "input_kind = features\nlookback = 0\n"),
         (["run"], SMALL_CFG + "synth_length = 0\n"),
+        *[(["run"], SMALL_CFG + setting) for setting in TRAINING_SETTINGS.values()],
         *[(argv, config + setting) for argv, config in (
             (["run"], SMALL_CFG + "input_kind = pcap\nserver = 10.0.0.1\n"),
             (["frames"], ""),
         ) for setting in ("bins = 0\n", "segment_duration = 0\n", "default_dur_th = -1\n")],
     ], ids=["server", "port", "config_server", "config_port", "train_ratio", "segment_size",
             "eda_window_flag", "eda_window_key", "lookback", "epochs", "train_lookback",
-            "synth_length", "bins", "segment_duration", "default_dur_th",
+            "synth_length", *TRAINING_SETTINGS, "bins", "segment_duration", "default_dur_th",
             "frames_bins", "frames_segment_duration", "frames_default_dur_th"])
     def test_exits_1_without_traceback(self, argv, config, tmp_path, capsys):
         pcap = tmp_path / "t.pcap"
@@ -840,7 +859,12 @@ class TestBadUserInput:
         ("reslearn = off\n", "unknown key 'reslearn'"),
         ("residual_epochs = 0\n", "residual_epochs must be >= 1"),
         ("segment_size = 60\nlookback = 8\n", "segment_size 60 is too short for lookback 8"),
-    ], ids=["reslearn_off", "residual_epochs", "segment_too_short"])
+        # both stages train with these
+        ("patience = 0\n", "config error: patience must be >= 1"),
+        ("min_delta = nan\n", "config error: min_delta must be finite and >= 0"),
+        ("learning_rate = nan\n", "config error: learning_rate must be finite and positive"),
+    ], ids=["reslearn_off", "residual_epochs", "segment_too_short", "patience", "min_delta",
+            "learning_rate"])
     @pytest.mark.parametrize("command", ["run", "train"])
     def test_residual_stage_settings(self, command, setting, message, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from reslearn.errors import AllTermsSkipped, Empty, InputOverflow, LengthMismatch, ZeroBase
-from reslearn.metrics import evaluate, mape, rmse, smape, smape_improvement
+from reslearn.metrics import evaluate, smape_improvement
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -33,30 +33,36 @@ class TestHandComputed:
 
     @pytest.mark.parametrize("a,p,r,m,s", CASES)
     def test_fixture(self, a, p, r, m, s):
-        assert rmse(a, p) == pytest.approx(r, abs=1e-9)
-        assert mape(a, p) == pytest.approx(m, abs=1e-9)
-        assert smape(a, p) == pytest.approx(s, abs=1e-9)
+        res = evaluate(a, p)
+        assert res.rmse == pytest.approx(r, abs=1e-9)
+        assert res.mape == pytest.approx(m, abs=1e-9)
+        assert res.smape == pytest.approx(s, abs=1e-9)
 
 
 class TestZeroDenominatorPolicy:
     def test_mape_skips_zero_actuals(self):
         # zero-actual term dropped, not inflated: mean over the other two
-        assert mape([3, 0, 3], [3, 2, 3]) == 0.0
+        assert evaluate([3, 0, 3], [3, 2, 3]).mape == 0.0
 
     def test_mape_all_zero_raises(self):
         with pytest.raises(AllTermsSkipped):
-            mape([0, 0], [1, 2])
+            evaluate([0, 0], [1, 2])
 
     def test_smape_skips_both_zero(self):
         # middle term both-zero skipped; others exact
-        assert smape([5, 0, 5], [5, 0, 5]) == 0.0
+        assert evaluate([5, 0, 5], [5, 0, 5]).smape == 0.0
 
     def test_smape_zero_actual_nonzero_pred_counts_as_two(self):
-        assert smape([0], [7]) == pytest.approx(2.0)
+        # the zero actual is skipped by MAPE only, and its SMAPE term is 2
+        res = evaluate([0, 5], [7, 5])
+        assert (res.mape, res.n_used) == (0.0, 1)
+        assert res.smape == pytest.approx(1.0)
 
     def test_smape_all_skipped_raises(self):
-        with pytest.raises(AllTermsSkipped):
-            smape([0, 0], [0, 0])
+        # each actual is above the zero cut, but no mean of |actual| and
+        # |predicted| is
+        with pytest.raises(AllTermsSkipped, match="both values zero"):
+            evaluate([1.5e-12, 1.5e-12], [0.0, 0.0])
 
     def test_evaluate_counts_skips(self):
         res = evaluate([5, 0, 5], [5, 2, 5])
@@ -70,17 +76,17 @@ class TestZeroDenominatorPolicy:
 class TestValidation:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            rmse([1, 2], [1])
+            evaluate([1, 2], [1])
 
     def test_empty(self):
         with pytest.raises(Empty):
-            smape([], [])
+            evaluate([], [])
 
     # one error's square overflows float64, or only the sum of two squares does
     @pytest.mark.parametrize("actual", [[5.0, 1e300], [1.3e154, 1.3e154]], ids=["square", "sum"])
     def test_rmse_overflow_is_named(self, actual):
         with pytest.raises(InputOverflow, match="mean squared error overflows float64"):
-            rmse(actual, [0.0, 0.0])
+            evaluate(actual, [0.0, 0.0])
 
 
 class TestImprovement:
@@ -104,13 +110,13 @@ class TestProperties:
         a = np.array([x for x, _ in pairs])
         p = np.array([y for _, y in pairs])
         try:
-            s = smape(a, p)
+            s, swapped = evaluate(a, p).smape, evaluate(p, a).smape
         except AllTermsSkipped:
             return
-        assert s == pytest.approx(smape(p, a), abs=1e-12)
+        assert s == pytest.approx(swapped, abs=1e-12)
         assert -1e-12 <= s <= 2 + 1e-12
 
-    # magnitudes kept well above the zero-skip eps so scaling by k cannot
+    # magnitudes kept well above the zero cut (ZERO_DENOMINATOR) so scaling by k cannot
     # move a term across the skip threshold
     clear = st.one_of(st.just(0.0),
                       st.floats(min_value=1e-3, max_value=1e3),
@@ -122,13 +128,13 @@ class TestProperties:
         a = np.array([x for x, _ in pairs])
         p = np.array([y for _, y in pairs])
         try:
-            s1 = smape(a, p)
+            s1 = evaluate(a, p).smape
         except AllTermsSkipped:
             return
-        assert smape(k * a, k * p) == pytest.approx(s1, abs=1e-9)
+        assert evaluate(k * a, k * p).smape == pytest.approx(s1, abs=1e-9)
 
-    @given(st.lists(finite, min_size=1, max_size=50))
+    @given(st.lists(finite.filter(lambda v: abs(v) > 1e-12), min_size=1, max_size=50))
     def test_rmse_zero_iff_equal(self, values):
         a = np.array(values)
-        assert rmse(a, a) == 0.0
-        assert rmse(a, a + 1.0) == pytest.approx(1.0)
+        assert evaluate(a, a).rmse == 0.0
+        assert evaluate(a, a + 1.0).rmse == pytest.approx(1.0)

@@ -1,5 +1,6 @@
 import json
 import pickle
+import re
 import threading
 import tracemalloc
 
@@ -127,6 +128,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PredictorConfig(kind="fcnn", learning_rate=-1.0)
 
+    @pytest.mark.parametrize("setting, key", [
+        ({"learning_rate": 0.0}, "learning_rate"),
+        ({"learning_rate": float("nan")}, "learning_rate"),
+        ({"learning_rate": float("inf")}, "learning_rate"),
+        ({"early_stop_patience": 0}, "patience"),
+        ({"early_stop_min_delta": -1.0}, "min_delta"),
+        ({"early_stop_min_delta": float("nan")}, "min_delta"),
+        ({"early_stop_min_delta": float("inf")}, "min_delta"),
+    ], ids=["lr_zero", "lr_nan", "lr_inf", "patience_zero", "min_delta_negative",
+            "min_delta_nan", "min_delta_inf"])
+    def test_bad_training_setting(self, setting, key):
+        # named by the experiment config key
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            PredictorConfig(kind="fcnn", **setting)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("kind", KINDS)
@@ -136,8 +152,8 @@ class TestDeterminism:
         b = build_predictor(small_config(kind, epochs=3))
         for k in a.params:
             np.testing.assert_array_equal(a.params[k], b.params[k])
-        ta = a.fit(X, y)
-        tb = b.fit(X, y)
+        ta = a.fit(X, y, X, y)
+        tb = b.fit(X, y, X, y)
         assert ta.train_loss == tb.train_loss
         np.testing.assert_array_equal(a.flat, b.flat)
 
@@ -183,7 +199,7 @@ class TestFlatLayout:
     def test_pickle_round_trip_keeps_views(self, kind):
         model = build_predictor(small_config(kind, epochs=2))
         X, y = grad_fixture()
-        model.fit(X, y)
+        model.fit(X, y, X, y)
         copy = pickle.loads(pickle.dumps(model))
         assert copy.config == model.config
         np.testing.assert_array_equal(copy.flat, model.flat)
@@ -192,14 +208,17 @@ class TestFlatLayout:
 
 
 class TestTraining:
+    # patience = epochs and min_delta 0: training runs every epoch and keeps
+    # the epoch of least loss on the training windows
     @pytest.mark.parametrize("kind", KINDS)
     def test_fits_constant_series(self, kind):
         cfg = small_config(kind, lookback=8, epochs=200, learning_rate=1e-2,
-                           hidden_width=16, d_model=16, ffn_width=16)
+                           hidden_width=16, d_model=16, ffn_width=16,
+                           early_stop_patience=200, early_stop_min_delta=0.0)
         model = build_predictor(cfg)
         X = np.full((40, 8), 0.5)
         y = np.full(40, 0.5)
-        model.fit(X, y)
+        model.fit(X, y, X, y)
         pred = model.predict(X)
         assert np.mean((pred - y) ** 2) < 1e-6
 
@@ -207,16 +226,17 @@ class TestTraining:
         rng = np.random.default_rng(2)
         X = rng.uniform(0, 1, (200, 8))
         y = X.mean(axis=1)
-        cfg = small_config("fcnn", epochs=400, learning_rate=3e-3, hidden_width=32)
+        cfg = small_config("fcnn", epochs=400, learning_rate=3e-3, hidden_width=32,
+                           early_stop_patience=400, early_stop_min_delta=0.0)
         model = build_predictor(cfg)
-        model.fit(X, y)
+        model.fit(X, y, X, y)
         assert np.mean((model.predict(X) - y) ** 2) < 1e-5
 
     def test_zero_epochs_no_update(self):
         model = build_predictor(small_config("fcnn", epochs=0))
         before = model.flat.copy()
         X, y = grad_fixture()
-        trace = model.fit(X, y)
+        trace = model.fit(X, y, X, y)
         assert trace.epochs_run == 0
         np.testing.assert_array_equal(model.flat, before)
 
@@ -257,14 +277,14 @@ class TestTraining:
         y = rng.uniform(0, 1, 32) * 1e6
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteLoss):
-                model.fit(X, y)
+                model.fit(X, y, X, y)
 
     def test_shape_mismatch(self):
         model = build_predictor(small_config("lstm"))
         with pytest.raises(ShapeMismatch):
             model.predict(np.zeros((4, 5)))
         with pytest.raises(ShapeMismatch):
-            model.fit(np.zeros((4, 8)), np.zeros(3))
+            model.fit(np.zeros((4, 8)), np.zeros(3), np.zeros((4, 8)), np.zeros(4))
 
 
 class TestTransformerKernels:
@@ -427,9 +447,36 @@ MALFORMED = {
     "scaler_not_object": meta_edit(lambda meta: meta.update(scaler=[1.0, 3.0])),
     "scaler_bad_bound": meta_edit(lambda meta: meta["scaler"].update(lo="low")),
     "scaler_missing_bound": meta_edit(lambda meta: meta["scaler"].pop("hi")),
+    # a JSON integer past the float range
+    "scaler_bound_overflows": meta_edit(lambda meta: meta["scaler"].update(lo=10**400)),
     "res_b_missing": meta_edit(lambda meta: meta.pop("res_b")),
     "parameter_missing": lambda arrays: arrays.pop("residual__b3"),
     "parameter_not_float": lambda arrays: arrays.update(base__b1=np.array(["x"] * 8)),
+}
+
+
+def set_entry(key, value):
+    """An `edit` that sets the first entry of the array `key` to `value`."""
+    def edit(arrays):
+        arrays[key] = arrays[key].copy()
+        arrays[key].flat[0] = value
+
+    return edit
+
+
+# checkpoints whose values would make every prediction nan, inf or unscaled,
+# and the field each one's error names
+BAD_VALUES = {
+    "res_b_nan": (meta_edit(lambda meta: meta.update(res_b=float("nan"))), "res_b"),
+    "res_b_inf": (meta_edit(lambda meta: meta.update(res_b=float("inf"))), "res_b"),
+    "scaler_lo_nan": (meta_edit(lambda meta: meta["scaler"].update(lo=float("nan"))),
+                      "scaler.lo"),
+    "scaler_hi_inf": (meta_edit(lambda meta: meta["scaler"].update(hi=float("inf"))),
+                      "scaler.hi"),
+    "scaler_hi_not_above_lo": (meta_edit(lambda meta: meta["scaler"].update(hi=1.0)),
+                               "scaler.hi"),
+    "weight_nan": (set_entry("base__W1", np.nan), "base__W1"),
+    "weight_inf": (set_entry("residual__b3", -np.inf), "residual__b3"),
 }
 
 
@@ -439,7 +486,7 @@ class TestCheckpoints:
     def test_round_trip(self, tmp_path):
         X, y = grad_fixture()
         model = two_stage("transformer")
-        model.base.fit(X, y)
+        model.base.fit(X, y, X, y)
         path = tmp_path / "model.npz"
         save_reslearn(model, path)
         loaded = load_reslearn(path)
@@ -480,3 +527,15 @@ class TestCheckpoints:
         path = checkpoint(tmp_path, MALFORMED[case])
         with pytest.raises(CheckpointError):
             load_reslearn(path)
+
+    @pytest.mark.parametrize("case", sorted(BAD_VALUES))
+    def test_bad_value_rejected(self, case, tmp_path):
+        edit, field = BAD_VALUES[case]
+        with pytest.raises(CheckpointError, match=f"^{re.escape(field)} "):
+            load_reslearn(checkpoint(tmp_path, edit))
+
+    def test_identity_scaler_loads(self, tmp_path):
+        # a constant training series: lo == hi, and the scaler passes values through
+        path = checkpoint(tmp_path, meta_edit(
+            lambda meta: meta.update(scaler={"lo": 2.0, "hi": 2.0, "identity": True})))
+        assert load_reslearn(path).scaler == Scaler(2.0, 2.0, identity=True)

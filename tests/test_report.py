@@ -12,6 +12,7 @@ from reslearn.report import (
     render_csv,
     render_json,
     report_rows,
+    smape_summary,
 )
 from reslearn.residual import SegmentReport
 
@@ -105,7 +106,8 @@ class TestEmit:
                                 lambda cfg, segments: {"gru": ([None], [report])})
             cfg = ExperimentConfig(models="gru", synth_length=40, segment_size=40,
                                    lookback=3, eda_window=4)
-            return [p.name for p in harness.run_experiment(cfg, tmp_path)]
+            harness.run_experiment(cfg, tmp_path)
+            return [p.name for p in tmp_path.iterdir()]
 
         return run
 
@@ -117,6 +119,16 @@ class TestEmit:
         assert (tmp_path / "report_gru.csv").read_text() == render_csv(rows)
         assert (tmp_path / "report_gru.json").read_text() == render_json(rows)
         assert (tmp_path / "report_gru.csv").read_text().startswith(ROW_HEADER)
+
+    def test_log_and_comparison_share_the_summary(self, run, tmp_path):
+        ok = sample_report(1)
+        ok.combined_val = metrics(0.36, 0.004, 0.25)
+        run(ok)
+        log = (tmp_path / "run.log").read_text().splitlines()
+        # 100 * (0.36 - 0.25) / 0.36, at 4 and 6 significant digits
+        assert "gru: segments_ok=1 val_smape_improvement=30.56%" in log
+        reslearn_row = (tmp_path / "comparison.csv").read_text().splitlines()[2]
+        assert reslearn_row.endswith(",30.5556")
 
     def test_plotdata_files(self, run, tmp_path):
         actual, base, combined = [1.0, 2.0], [1.5, 2.5], [1.25, 2.25]
@@ -130,7 +142,7 @@ class TestEmit:
 
 class TestComparison:
     def test_mean_and_improvement(self):
-        text = comparison_csv({"transformer": [sample_report(0), sample_report(1)]})
+        text = comparison_csv({"transformer": smape_summary([sample_report(0), sample_report(1)])})
         lines = text.splitlines()
         assert lines[0].startswith("model,variant,val_smape")
         base = lines[1].split(",")
@@ -143,5 +155,5 @@ class TestComparison:
         assert float(res[6]) == float(format(100 * (0.36 - 0.00032) / 0.36, ".6g"))
 
     def test_all_failed_renders_na(self):
-        text = comparison_csv({"gru": [sample_report(failed="x")]})
+        text = comparison_csv({"gru": smape_summary([sample_report(failed="x")])})
         assert "gru,base,NA,NA,NA,NA,NA" in text

@@ -16,20 +16,20 @@ from reslearn.seriesprep import Scaler, SplitSpec, make_windows, split
 
 class TestResidualTargets:
     def test_hand_example(self):
-        res, res_b, shifted = residual_targets([3.0, 4.0, 8.0], [5.0, 3.0, 5.0])
-        np.testing.assert_array_equal(res, [-2.0, 1.0, 3.0])
+        # residuals -2, 1 and 3
+        res_b, shifted = residual_targets([3.0, 4.0, 8.0], [5.0, 3.0, 5.0])
         assert res_b == 2.0
         np.testing.assert_array_equal(shifted, [0.0, 3.0, 5.0])
 
     def test_all_positive_residuals(self):
         # bias is |min|, not zero, even when every residual is positive
-        res, res_b, shifted = residual_targets([1.5, 2.0], [1.0, 1.0])
-        np.testing.assert_array_equal(res, [0.5, 1.0])
+        # residuals 0.5 and 1
+        res_b, shifted = residual_targets([1.5, 2.0], [1.0, 1.0])
         assert res_b == 0.5
         np.testing.assert_array_equal(shifted, [1.0, 1.5])
 
     def test_perfect_base(self):
-        res, res_b, shifted = residual_targets([1.0, 2.0], [1.0, 2.0])
+        res_b, shifted = residual_targets([1.0, 2.0], [1.0, 2.0])
         assert res_b == 0.0
         np.testing.assert_array_equal(shifted, [0.0, 0.0])
 
@@ -38,15 +38,15 @@ class TestResidualTargets:
         for _ in range(20):
             y = rng.normal(size=30)
             p = rng.normal(size=30)
-            _, _, shifted = residual_targets(y, p)
+            _, shifted = residual_targets(y, p)
             assert shifted.min() >= 0.0
 
     def test_shift_is_invertible(self):
         rng = np.random.default_rng(1)
         y = rng.normal(size=50)
         p = rng.normal(size=50)
-        res, res_b, shifted = residual_targets(y, p)
-        np.testing.assert_allclose(shifted - res_b, res, atol=1e-12)
+        res_b, shifted = residual_targets(y, p)
+        np.testing.assert_allclose(shifted - res_b, y - p, atol=1e-12)
         np.testing.assert_allclose(p + (shifted - res_b), y, atol=1e-12)
 
     def test_length_mismatch(self):
@@ -74,7 +74,7 @@ def forecast(model, inputs):
 
 def train_all(segments, base_cfg, residual_cfg, split_spec):
     """train_segment over every segment, in order: (models, reports)."""
-    results = [train_segment(i, seg, base_cfg, residual_cfg, split_spec)
+    results = [train_segment(i, seg, base_cfg, residual_cfg, split_spec, False)
                for i, seg in enumerate(segments)]
     return [m for m, _ in results], [r for _, r in results]
 
@@ -89,7 +89,7 @@ class TestPredictCombined:
         x, y = make_windows(series, 8)
         base = build_predictor(PredictorConfig(kind=kind, lookback=8, hidden_width=8,
                                                d_model=8, ffn_width=12, seed=3))
-        _, res_b, shifted = residual_targets(y, base.predict(x))
+        res_b, shifted = residual_targets(y, base.predict(x))
         model = ResLearnModel(base, _StubPredictor(shifted), res_b, IDENTITY)
         np.testing.assert_allclose(forecast(model, x), y, atol=1e-9)
 

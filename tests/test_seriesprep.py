@@ -51,11 +51,11 @@ class TestSegment:
 
 class TestSplit:
     def test_paper_protocol_100(self):
-        train, val, test = split(np.arange(100), SplitSpec(0.5, 0.2))
+        train, val, test = split(np.arange(100), SplitSpec(0.5, 0.2), lookback=8)
         assert (len(train), len(val), len(test)) == (40, 10, 50)
 
     def test_paper_protocol_500(self):
-        train, val, test = split(np.arange(500), SplitSpec(0.5, 0.2))
+        train, val, test = split(np.arange(500), SplitSpec(0.5, 0.2), lookback=32)
         assert (len(train), len(val), len(test)) == (200, 50, 250)
 
     def test_too_small_with_lookback(self):
@@ -64,7 +64,7 @@ class TestSplit:
 
     def test_chronological_no_shuffle(self):
         values = np.arange(200, dtype=float)
-        train, val, test = split(values, SplitSpec(0.5, 0.2))
+        train, val, test = split(values, SplitSpec(0.5, 0.2), lookback=8)
         np.testing.assert_array_equal(np.concatenate([train, val, test]), values)
 
 

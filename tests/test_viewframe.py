@@ -215,7 +215,7 @@ class TestFrameScanAgainstLoop:
 class TestSegmentFeatures:
     def test_hand_assigned(self):
         frames = frame_table([(0.1, 0.11, 10, 1), (0.2, 0.21, 20, 1), (1.3, 1.31, 30, 1)])
-        feats = segment_features(frames, 0.0, 1.0, 2)
+        feats = segment_features(frames, 1.0, 2)
         assert feats[0].f_c == 2
         assert feats[0].f_s == 30
         assert feats[0].f_iat == pytest.approx(0.1)
@@ -224,39 +224,37 @@ class TestSegmentFeatures:
         assert feats[1].f_iat is None
 
     def test_no_frames(self):
-        feats = segment_features(frame_table([]), 0.0, 1.0, 3)
+        feats = segment_features(frame_table([]), 1.0, 3)
         assert all(sf.f_c == 0 and sf.f_s == 0 and sf.f_iat is None for sf in feats)
         assert [sf.segment_index for sf in feats] == [0, 1, 2]
 
     def test_single_frame_per_segment(self):
         frames = frame_table([(i + 0.5, i + 0.51, 100, 1) for i in range(5)])
-        feats = segment_features(frames, 0.0, 1.0, 5)
+        feats = segment_features(frames, 1.0, 5)
         assert all(sf.f_c == 1 and sf.f_iat is None for sf in feats)
 
 
 @st.composite
 def frame_tables(draw):
-    """(frames, session_start, segment_duration, num_segments): 0, 1, 2 or
+    """(frames, segment_duration, num_segments): 0, 1, 2 or
     at least 9 frames in each segment (9 starts give 8 gaps, numpy's pairwise
     summation), starts on segment edges, before the first segment and past
     the last, in any order."""
     segment_duration = draw(st.sampled_from([0.25, 1.0, 0.1, 1 / 3]))
-    session_start = draw(st.sampled_from([0.0, 0.5, -0.25]))
     num_segments = draw(st.integers(0, 5))
     starts = []
     for k in range(num_segments):
         for _ in range(draw(st.sampled_from([0, 1, 2, 9, 10, 17]))):
             offset = draw(st.one_of(st.just(0.0),
                                     st.floats(0.0, segment_duration, exclude_max=True)))
-            starts.append(session_start + k * segment_duration + offset)
+            starts.append(k * segment_duration + offset)
     starts += draw(st.lists(st.sampled_from([
-        session_start - segment_duration, session_start - 1e-9,
-        session_start + num_segments * segment_duration,
-        session_start + (num_segments + 2.5) * segment_duration]), max_size=3))
+        -segment_duration, -1e-9, num_segments * segment_duration,
+        (num_segments + 2.5) * segment_duration]), max_size=3))
     starts = draw(st.permutations(starts))
     sizes = draw(st.lists(st.integers(1, 2**40), min_size=len(starts), max_size=len(starts)))
     rows = [(t, t + 0.001, z, 1) for t, z in zip(starts, sizes)]
-    return frame_table(rows), session_start, segment_duration, num_segments
+    return frame_table(rows), segment_duration, num_segments
 
 
 def shuffled_trace(rng, n):
@@ -277,10 +275,9 @@ class TestFramePathAgainstLoops:
     @settings(deadline=None, max_examples=200)
     @given(frame_tables())
     def test_segment_features(self, case):
-        frames, session_start, segment_duration, num_segments = case
-        feats = segment_features(frames, session_start, segment_duration, num_segments)
-        expected = loop_segment_features(frame_rows(frames), session_start, segment_duration,
-                                         num_segments)
+        frames, segment_duration, num_segments = case
+        feats = segment_features(frames, segment_duration, num_segments)
+        expected = loop_segment_features(frame_rows(frames), segment_duration, num_segments)
         assert feats == expected
         assert features_csv(feats) == features_csv(expected)
 
@@ -293,8 +290,8 @@ class TestFramePathAgainstLoops:
         frames = identify_frames(packets, th, min_packets=min_packets)
         assert frame_rows(frames) == loop_frames(packets, th.len_th, th.dur_th, min_packets)
         num_segments = int(packets.ts.max() // 0.05)
-        feats = segment_features(frames, 0.0, 0.05, num_segments)
-        expected = loop_segment_features(frame_rows(frames), 0.0, 0.05, num_segments)
+        feats = segment_features(frames, 0.05, num_segments)
+        expected = loop_segment_features(frame_rows(frames), 0.05, num_segments)
         assert feats == expected
         assert features_csv(feats) == features_csv(expected)
 
@@ -302,7 +299,7 @@ class TestFramePathAgainstLoops:
 class TestReports:
     def test_features_csv_uses_na(self):
         frames = frame_table([(0.1, 0.11, 10, 1)])
-        text = features_csv(segment_features(frames, 0.0, 1.0, 1))
+        text = features_csv(segment_features(frames, 1.0, 1))
         assert text == "segment,f_c,f_s,f_iat\n0,1,10,NA\n"
 
     def test_threshold_report_fields(self):
