@@ -289,26 +289,30 @@ class TestRun:
         main(["run", "--config", str(small_cfg), "--seed", "7", "--out", str(b)])
         assert read_tree(a) == read_tree(b)
 
-    # (config edits, jobs): two kinds of two short segments in four workers,
-    # and one kind of two segments whose splits each span several 32-window
-    # blocks in two
-    JOBS_CASES = [
-        ({"models = fcnn": "models = fcnn, gru"}, "4"),
-        ({"synth_length = 130": "synth_length = 400", "segment_size = 60": "segment_size = 200"},
-         "2"),
-    ]
-
     def test_jobs_do_not_change_bytes(self, small_cfg, tmp_path):
-        for case, (edits, jobs) in enumerate(self.JOBS_CASES):
-            text = small_cfg.read_text()
-            for old, new in edits.items():
-                text = text.replace(old, new)
-            cfg_path = tmp_path / f"jobs{case}.cfg"
-            cfg_path.write_text(text)
-            a, b = tmp_path / f"a{case}", tmp_path / f"b{case}"
-            assert main(["run", "--config", str(cfg_path), "--jobs", "1", "--out", str(a)]) == 0
-            assert main(["run", "--config", str(cfg_path), "--jobs", jobs, "--out", str(b)]) == 0
-            assert read_tree(a) == read_tree(b), edits
+        cfg_path = tmp_path / "multi.cfg"
+        cfg_path.write_text(small_cfg.read_text().replace("models = fcnn", "models = fcnn, gru"))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["run", "--config", str(cfg_path), "--jobs", "1", "--out", str(a)]) == 0
+        assert main(["run", "--config", str(cfg_path), "--jobs", "4", "--out", str(b)]) == 0
+        assert read_tree(a) == read_tree(b)
+
+    # the ids name the prediction threads these runs once gave each task; a
+    # training task now predicts on one thread, so one task trains in-process
+    # whatever `jobs` is, and two tasks train in two worker processes
+    @pytest.mark.parametrize("segment_size, jobs", [(400, "2"), (200, "4")],
+                             ids=["one_task_two_threads", "two_workers_two_threads"])
+    def test_prediction_threads_do_not_change_bytes(self, segment_size, jobs, small_cfg,
+                                                    tmp_path):
+        # each split of a segment this long spans several 32-window blocks
+        cfg_path = tmp_path / "long.cfg"
+        cfg_path.write_text(small_cfg.read_text()
+                            .replace("synth_length = 130", "synth_length = 400")
+                            .replace("segment_size = 60", f"segment_size = {segment_size}"))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["run", "--config", str(cfg_path), "--jobs", "1", "--out", str(a)]) == 0
+        assert main(["run", "--config", str(cfg_path), "--jobs", jobs, "--out", str(b)]) == 0
+        assert read_tree(a) == read_tree(b)
 
     def test_unknown_config_key_exit_1(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
