@@ -6,7 +6,6 @@ CLI flags override file values; the file overrides defaults.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -15,19 +14,12 @@ import numpy as np
 from .errors import ConfigError, SplitTooSmall
 from .ingest import EndpointFilter
 from .models import PredictorConfig
+from .placement import usable_cpus
 from .seriesprep import SplitSpec, split
 from .synth import SeriesSpec, TraceSpec
 
 INPUT_KINDS = ("synth-series", "synth-trace", "pcap", "csv", "features")
 FEATURES = ("f_c", "f_s", "f_iat")
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:             # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _bool(text: str) -> bool:
@@ -53,8 +45,9 @@ class ExperimentConfig:
     val_ratio: float = 0.2
     models: str = "transformer"
     seed: int = 7
-    # most worker processes `run` and `train` train in; each trains on one thread
-    jobs: int = field(default_factory=_usable_cpus)
+    # most worker processes `run` and `train` train in, each on one thread;
+    # above 1, `ingest`, `frames` and `run` parse a large pcap in two processes
+    jobs: int = field(default_factory=lambda: len(usable_cpus()))
     epochs: int = 300
     residual_epochs: int = 300
     hidden_width: int = 64
@@ -147,8 +140,12 @@ class ExperimentConfig:
             raise ConfigError(f"input_kind {self.input_kind} needs input_path")
         if self.input_kind == "pcap":
             self.endpoint_filter()
-        if not self.model_kinds():
+        kinds = self.model_kinds()
+        if not kinds:
             raise ConfigError("models must name at least one kind")
+        repeated = next((kind for i, kind in enumerate(kinds) if kind in kinds[:i]), None)
+        if repeated is not None:      # its results would be keyed, and kept, once
+            raise ConfigError(f"models names {repeated!r} more than once")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         if self.input_kind == "synth-series":

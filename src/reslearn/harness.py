@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-import signal
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +26,7 @@ from .errors import (
     SchemaMismatch,
 )
 from .ingest import PacketTable, ParseResult, parse_csv, parse_pcap
+from .placement import settle_child
 from .report import (
     comparison_csv,
     plot_data_csv,
@@ -62,7 +62,7 @@ def load_packets(cfg: ExperimentConfig) -> ParseResult:
         return ParseResult(gen_trace(cfg.trace_spec())[0])
     if cfg.input_kind == "pcap":
         with open(cfg.input_path, "rb") as stream:
-            return parse_pcap(stream, cfg.endpoint_filter())
+            return parse_pcap(stream, cfg.endpoint_filter(), cfg.jobs)
     if cfg.input_kind == "csv":
         return ParseResult(parse_csv(Path(cfg.input_path).read_text()))
     raise ConfigError(f"input_kind {cfg.input_kind} has no packets; pcap, csv and synth-trace do")
@@ -188,7 +188,9 @@ def train_models(
         from concurrent.futures import ProcessPoolExecutor
 
         context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=context, initializer=_end_with_parent,
+        # the kernel kills a worker when this process dies, so a killed run
+        # leaves no idle worker behind
+        with ProcessPoolExecutor(workers, mp_context=context, initializer=settle_child,
                                  initargs=(os.getpid(),)) as pool:
             results = list(pool.map(_train_task, *zip(*tasks)))
     else:
@@ -200,22 +202,6 @@ def train_models(
         done = results[k * n:(k + 1) * n]
         trained[kind] = ([m for m, _ in done], [r for _, r in done])
     return trained
-
-
-PR_SET_PDEATHSIG = 1                   # prctl option, from <sys/prctl.h>
-
-
-def _end_with_parent(parent: int) -> None:
-    """Worker initializer: have the kernel kill this worker when the process
-    that forked it dies, so a killed run leaves no idle worker behind."""
-    import ctypes
-
-    prctl = getattr(ctypes.CDLL(None), "prctl", None)
-    if prctl is not None:              # Linux only
-        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
-        prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
-    if os.getppid() != parent:         # died before the request took hold
-        os._exit(1)
 
 
 def _train_task(index, values, base_cfg, residual_cfg, split_spec,

@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import io
 import math
+import os
+import pickle
+import signal
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO
+from typing import BinaryIO, Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -22,6 +25,7 @@ from .errors import (
     SchemaMismatch,
     TruncatedHeader,
 )
+from .placement import child_cpu, settle_child, usable_cpus
 
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_NS_MAGIC = 0xA1B23C4D
@@ -30,6 +34,19 @@ GLOBAL_HEADER_LEN = 24
 RECORD_HEADER_LEN = 16
 # bytes of capture read at a time; the parse holds about one chunk in memory
 CHUNK_BYTES = 4 << 20
+# a capture of at least this many chunks is parsed in two processes. Two is
+# the count measured on the benchmark's capture, on a 2-CPU host; more
+# processes, and the size at which a split pays, are unmeasured
+SPLIT_CHUNKS = 4
+# the split point is guessed from this many bytes after the middle of the
+# capture, as the first offset that starts this many plausible chained headers
+GUESS_WINDOW = 128 << 10
+GUESS_CHAIN = 8
+# the largest orig_len a guessed header may have: libpcap's largest snap
+# length. It rules out the header four bytes on, whose orig_len is the start
+# of the destination MAC address and whose other fields chain like the true
+# ones in a capture without snap-length cuts
+GUESS_MAX_ORIG = 1 << 18
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_VLAN = 0x8100
@@ -86,16 +103,58 @@ class ParseResult:
     warnings: int = 0     # truncation events (parse stopped early)
 
 
-def parse_pcap(stream: BinaryIO, filt: EndpointFilter) -> ParseResult:
-    """Decode a classic pcap from a seekable binary stream into the packets
-    matching `filt`.
+def parse_pcap(stream: BinaryIO, filt: EndpointFilter, jobs: int = 1) -> ParseResult:
+    """Decode a classic pcap at the start of a seekable binary stream into the
+    packets matching `filt`.
 
     Only Ethernet link-layer captures are supported. One 802.1Q tag is
     unwrapped; other non-IPv4 frames are skipped and counted, never fatal. A
     truncated record stops the scan; everything decoded so far is returned
     with the warning counter bumped. The capture is read CHUNK_BYTES at a
     time, so memory does not grow with its size.
+
+    With `jobs` > 1, two usable CPUs, a stream backed by a file, `fork`, and
+    at least SPLIT_CHUNKS chunks, the records are walked in two halves at
+    once (see `_split_walk`); the result is the same.
     """
+    cap = _capture(stream, filt)
+    split = None
+    if (jobs > 1 and len(usable_cpus()) > 1 and cap.fd is not None and hasattr(os, "fork")
+            and cap.size - GLOBAL_HEADER_LEN >= SPLIT_CHUNKS * CHUNK_BYTES):
+        split = _guess_record_start(cap, cap.size // 2)
+    if split is not None:
+        ranges = _split_walk(cap, split)
+    else:
+        ranges = [_scan(cap, GLOBAL_HEADER_LEN, cap.size)]
+    skipped = sum(r.skipped for r in ranges)
+    warnings = ranges[-1].warnings
+    parts = [part for r in ranges for part in r.parts]
+    if not parts:
+        return ParseResult(PacketTable([], [], []), skipped=skipped, warnings=warnings)
+    ts, length, downlink = (np.concatenate(cols) for cols in zip(*parts))
+    if ts.size:
+        ts -= ts[0]
+    return ParseResult(PacketTable(ts, length, downlink), skipped=skipped, warnings=warnings)
+
+
+@dataclass(frozen=True)
+class _Capture:
+    """A checked pcap's layout, how to read it, and the filter of its records."""
+
+    read_at: Callable[[memoryview, int], int]  # fills a buffer from an offset; bytes read
+    fd: int | None         # the file descriptor behind the stream, if any
+    size: int
+    endian: str
+    frac_scale: float      # seconds per unit of a timestamp's fraction field
+    snaplen: int
+    server: np.uint32
+    port: int | None
+
+
+def _capture(stream: BinaryIO, filt: EndpointFilter) -> _Capture:
+    """The checked global header of the capture in `stream`, and its reader:
+    `os.preadv` on the stream's file descriptor, which moves no file offset,
+    or else a seek and a `readinto`."""
     header = stream.read(GLOBAL_HEADER_LEN)
     if len(header) < GLOBAL_HEADER_LEN:
         raise TruncatedHeader(
@@ -111,30 +170,61 @@ def parse_pcap(stream: BinaryIO, filt: EndpointFilter) -> ParseResult:
         raise BadMagic("pcapng input is not supported; export as classic pcap")
     else:
         raise BadMagic(f"unknown pcap magic 0x{magic_le:08x}")
-    frac_scale = 1e-6 if magic == PCAP_MAGIC else 1e-9
-
-    network = struct.unpack_from(endian + "I", header, 20)[0]
+    snaplen, network = struct.unpack_from(endian + "II", header, 16)
     if network != 1:
         raise BadMagic(f"unsupported link type {network}; only Ethernet captures")
 
-    here = stream.tell()
-    unread = stream.seek(0, io.SEEK_END) - here
-    stream.seek(here)
-    server = np.frombuffer(filt.packed_address(), dtype=">u4")[0]
-    incl_at = struct.Struct(endian + "I").unpack_from
+    try:
+        fd = stream.fileno()
+    except (AttributeError, OSError):      # io.UnsupportedOperation is an OSError
+        fd = None
+    if fd is not None and hasattr(os, "preadv"):
+        def read_at(view, offset):
+            return os.preadv(fd, [view], offset)
+    else:
+        fd = None
+
+        def read_at(view, offset):
+            stream.seek(offset)
+            return stream.readinto(view)
+
+    return _Capture(read_at, fd, stream.seek(0, io.SEEK_END), endian,
+                    1e-6 if magic == PCAP_MAGIC else 1e-9, snaplen,
+                    np.frombuffer(filt.packed_address(), dtype=">u4")[0], filt.port)
+
+
+@dataclass
+class _Range:
+    """The walk of the records from one offset."""
+
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # decode() columns per chunk
+    skipped: int
+    warnings: int          # 1 when a truncated record ended the walk
+    stop: int              # the offset the walk stopped at
+
+
+def _scan(cap: _Capture, start: int, stop: int) -> _Range:
+    """Walk the records from `start` to the first record start at or past
+    `stop`, or to the end of the capture, decoding each chunk's records.
+    `_scan(cap, GLOBAL_HEADER_LEN, cap.size)` is the whole parse."""
+    incl_at = struct.Struct(cap.endian + "I").unpack_from
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    skipped = 0
-    # one buffer for the whole parse: its first `size` bytes are the unparsed
-    # tail of the last chunk and the chunk read after it
+    skipped = warnings = 0
+    unread = max(cap.size - start, 0)
+    # one buffer for the whole walk: its first `size` bytes are the unparsed
+    # tail of the last chunk and the chunk read after it; `offset` is where
+    # the buffer's first byte lies in the capture
     buf = bytearray()
+    offset = start
     size = pos = 0
     while True:
         # walk the records that fit in the buffer: one unpack of incl_len each
         heads = []
         append = heads.append
         last_head = size - RECORD_HEADER_LEN
+        limit = stop - offset
         end = size
-        while pos <= last_head:
+        while pos <= last_head and pos < limit:
             # incl_len bytes follow the header; orig_len is the packet's length on
             # the wire, larger than incl_len in a snap-length capture
             end = pos + RECORD_HEADER_LEN + incl_at(buf, pos + 8)[0]
@@ -143,12 +233,14 @@ def parse_pcap(stream: BinaryIO, filt: EndpointFilter) -> ParseResult:
             append(pos)
             pos = end
         if heads:
-            part, n_skipped = _decode(buf, size, np.array(heads, dtype=np.int64), endian,
-                                      frac_scale, server, filt.port)
+            part, n_skipped = _decode(buf, size, np.array(heads, dtype=np.int64), cap.endian,
+                                      cap.frac_scale, cap.server, cap.port)
             parts.append(part)
             skipped += n_skipped
+        if pos >= limit:
+            break
         # a partial record whose header is buffered lacks `end - size` bytes:
-        # read them with the next chunk in one read, never past the stream's end
+        # read them with the next chunk in one read, never past the capture's end
         missing = end - size if pos <= last_head else 0
         if unread == 0 or missing > unread:
             warnings = int(pos < size)      # a truncated record ends the scan
@@ -163,19 +255,120 @@ def parse_pcap(stream: BinaryIO, filt: EndpointFilter) -> ParseResult:
             buf = grown
         else:
             buf[:tail] = buf[pos:size]
-        got = stream.readinto(memoryview(buf)[tail:tail + want])
+        offset += pos
+        got = cap.read_at(memoryview(buf)[tail:tail + want], offset + tail)
         if got < want:      # the stream ended early
             unread = 0
         else:
             unread -= got
         size, pos = tail + got, 0
+    return _Range(parts, skipped, warnings, offset + pos)
 
-    if not parts:
-        return ParseResult(PacketTable([], [], []), skipped=skipped, warnings=warnings)
-    ts, length, downlink = (np.concatenate(cols) for cols in zip(*parts))
-    if ts.size:
-        ts -= ts[0]
-    return ParseResult(PacketTable(ts, length, downlink), skipped=skipped, warnings=warnings)
+
+def _guess_record_start(cap: _Capture, offset: int) -> int | None:
+    """The first offset at or after `offset`, within GUESS_WINDOW bytes, where
+    GUESS_CHAIN chained record headers look plausible: each header's fraction
+    is below one second, 0 < incl_len <= orig_len <= GUESS_MAX_ORIG and
+    incl_len <= snaplen, and the next header lies inside the file (a chain may
+    end at the file's end). Zero-filled payload is not plausible, since
+    incl_len must be positive. It is only a guess: a walk that lands there
+    shows that a record starts there."""
+    buf = bytearray(max(min(GUESS_WINDOW, cap.size - offset), 0))
+    size = cap.read_at(memoryview(buf), offset) if buf else 0
+    heads = size - RECORD_HEADER_LEN + 1      # window offsets with a whole header
+    if heads < 1:
+        return None
+    u32 = _at_each_offset(np.frombuffer(buf, dtype=np.uint8, count=size), cap.endian + "u4")
+    frac, incl, orig = u32[4:4 + heads], u32[8:8 + heads], u32[12:12 + heads]
+    nxt = np.arange(heads, dtype=np.int64) + RECORD_HEADER_LEN + incl
+    to_end = cap.size - offset - nxt          # bytes after the next header's start
+    plausible = ((frac < round(1 / cap.frac_scale)) & (incl > 0) & (incl <= orig)
+                 & (orig <= GUESS_MAX_ORIG) & (incl <= cap.snaplen)
+                 & ((to_end == 0) | (to_end >= RECORD_HEADER_LEN)))
+    # two sentinels past the window's headers: the file's end, which closes a
+    # chain, and a next header beyond the window, which is left unchecked
+    at_end, unknown = heads, heads + 1
+    nxt = np.where(to_end == 0, at_end, np.where(nxt < heads, nxt, unknown))
+    nxt = np.append(nxt, [at_end, unknown])
+    plausible = np.append(plausible, [True, False])
+    chain = np.flatnonzero(plausible[:heads])
+    here, alive = chain, np.ones(chain.size, dtype=bool)
+    for _ in range(GUESS_CHAIN - 1):
+        here = nxt[here]
+        alive &= plausible[here]
+    found = chain[alive]
+    return offset + int(found[0]) if found.size else None
+
+
+def _split_walk(cap: _Capture, split: int) -> list[_Range]:
+    """The walk of the records in two ranges at once: [24, split) in this
+    process and [split, end) in a forked child, which sends its range back
+    through a pipe.
+
+    The child's range is kept only when this process's walk stopped exactly
+    at `split`, so that `split` is a record start of the sequential walk, and
+    the child sent its range. Otherwise (the walk stepped over `split`, a
+    truncated record ended it first, or the child failed) the child is killed
+    and the walk carries on here from where it stopped, which after a
+    truncated record ends at once with the same warning. So the ranges are
+    those of the one sequential scan whatever the guess, which decides only
+    the speed. The child is reaped before this returns."""
+    parent, cpu = os.getpid(), child_cpu()
+    try:
+        read_end, write_end = os.pipe()
+    except OSError:                     # out of file descriptors
+        return [_scan(cap, GLOBAL_HEADER_LEN, cap.size)]
+    try:
+        pid = os.fork()
+    except OSError:                     # out of processes or memory
+        os.close(read_end)
+        os.close(write_end)
+        return [_scan(cap, GLOBAL_HEADER_LEN, cap.size)]
+    if pid == 0:
+        _walk_in_child(cap, split, write_end, parent, cpu)
+    os.close(write_end)
+    try:
+        ranges = [_scan(cap, GLOBAL_HEADER_LEN, split)]
+        if ranges[0].stop == split:
+            with open(read_end, "rb", closefd=False) as pipe:
+                sent = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            pid = None
+            if status == 0:
+                ranges.append(pickle.loads(sent))
+    finally:
+        os.close(read_end)
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if ranges[-1].stop < cap.size:
+        ranges.append(_scan(cap, ranges[-1].stop, cap.size))
+    return ranges
+
+
+def _walk_in_child(cap: _Capture, start: int, write_end: int, parent: int,
+                   cpu: int | None) -> None:
+    """In a child forked from `parent`: walk the records from `start` to the
+    end with the capture's positional reads, which leave the file offset it
+    shares with the parent alone, write the range to the pipe and exit; exit 1
+    on any error. Never returns."""
+    code = 1
+    try:
+        settle_child(parent, cpu)
+        sent = pickle.dumps(_scan(cap, start, cap.size), protocol=pickle.HIGHEST_PROTOCOL)
+        with open(write_end, "wb") as pipe:
+            pipe.write(sent)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _at_each_offset(data: np.ndarray, dtype: str) -> np.ndarray:
+    """A read-only view whose element k is the `dtype` value stored at byte
+    offset k of the uint8 array `data`: a field at many offsets is one gather."""
+    width = np.dtype(dtype).itemsize
+    rows = as_strided(data, (max(data.size - width + 1, 0), width), (1, 1), writeable=False)
+    return rows.view(dtype)[:, 0]
 
 
 def _decode(buf, size, heads, endian, frac_scale, server, port):
@@ -183,15 +376,7 @@ def _decode(buf, size, heads, endian, frac_scale, server, port):
     at `heads` in the first `size` bytes of `buf`, keeping the Ethernet/IPv4
     TCP or UDP packets to or from the server, and the number skipped."""
     data = np.frombuffer(buf, dtype=np.uint8, count=size)
-
-    def at_each_offset(dtype: str) -> np.ndarray:
-        """A read-only view whose element k is the `dtype` value stored at
-        byte offset k of `data`: a field at many offsets is one gather."""
-        width = np.dtype(dtype).itemsize
-        rows = as_strided(data, (max(size - width + 1, 0), width), (1, 1), writeable=False)
-        return rows.view(dtype)[:, 0]
-
-    u32, be16, be32 = at_each_offset(endian + "u4"), at_each_offset(">u2"), at_each_offset(">u4")
+    u32, be16, be32 = (_at_each_offset(data, dtype) for dtype in (endian + "u4", ">u2", ">u4"))
     incl = u32[heads + 8].astype(np.int64)
     frame = heads + RECORD_HEADER_LEN
     ok = incl >= 14

@@ -74,7 +74,9 @@ def load_reslearn(path) -> ResLearnModel:
             raise CheckpointError("not an npz archive")
         with data:
             arrays = {k: data[k] for k in data.files}
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+    # zipfile raises RuntimeError for an encrypted member, NotImplementedError
+    # for an unsupported compression or patched-data flag
+    except (ValueError, EOFError, zipfile.BadZipFile, RuntimeError, NotImplementedError) as exc:
         raise CheckpointError(f"not an npz archive: {exc}") from None
     if "__meta__" not in arrays:
         raise CheckpointError("missing checkpoint metadata")

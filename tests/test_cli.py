@@ -439,6 +439,62 @@ def running(pid: int) -> bool:
     return state != "Z"
 
 
+# runs `frames` in a fresh interpreter, with the child of its pcap parse
+# stuck; the test then kills it with SIGKILL
+STUCK_FRAMES = """
+import os, sys, time
+from reslearn import cli, ingest
+
+parent, scan = os.getpid(), ingest._scan
+
+def stuck(cap, start, stop):
+    if os.getpid() != parent:
+        open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+        time.sleep(120)
+    return scan(cap, start, stop)
+
+cpus = ingest.usable_cpus()
+ingest.usable_cpus = lambda: (cpus * 2)[:2]
+ingest.CHUNK_BYTES = 4096
+ingest._scan = stuck
+cli.main(sys.argv[2:])
+"""
+
+
+class TestParallelParse:
+    @needs_proc
+    def test_killed_frames_leaves_no_child(self, tmp_path):
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        rng = np.random.default_rng(2)
+        ts = np.cumsum(rng.uniform(1e-4, 1e-3, 300)) + 10.0
+        pcap = tmp_path / "t.pcap"
+        pcap.write_bytes(write_pcap(table((t, 1200, DOWNLINK) for t in ts.tolist()),
+                                    EndpointFilter("10.0.0.1")))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("jobs = 2\nsegment_duration = 0.01\n")
+        run = subprocess.Popen([sys.executable, "-c", STUCK_FRAMES, str(marks), "frames",
+                                "--config", str(cfg), "--pcap", str(pcap), "--server",
+                                "10.0.0.1", "--out", str(tmp_path / "out")], env=src_env())
+        try:
+            deadline = time.monotonic() + 60
+            while not any(marks.iterdir()) and time.monotonic() < deadline:
+                time.sleep(0.05)
+        finally:
+            run.kill()
+            run.wait(timeout=60)
+        children = [int(p.name) for p in marks.iterdir()]
+        assert len(children) == 1
+        try:
+            deadline = time.monotonic() + 10
+            while any(map(running, children)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(running, children))
+        finally:
+            for pid in filter(running, children):
+                os.kill(pid, signal.SIGKILL)
+
+
 class TestParallelTraining:
     @pytest.fixture
     def cfg_path(self, tmp_path):
@@ -802,6 +858,24 @@ class TestBadCheckpoint:
         assert "CheckpointError" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", [0x1, 0x20], ids=["encrypted", "patched_data"])
+    def test_unreadable_zip_member_is_data_error(self, flag, tmp_path, capsys):
+        # zipfile refuses a member flagged encrypted (RuntimeError) or as
+        # compressed patched data (NotImplementedError)
+        ckpt = checkpoint(tmp_path)
+        raw = bytearray(ckpt.read_bytes())
+        at = raw.find(b"PK\x01\x02")
+        while at >= 0:                   # the flags of each central-directory header
+            raw[at + 8] |= flag
+            at = raw.find(b"PK\x01\x02", at + 4)
+        ckpt.write_bytes(bytes(raw))
+        features = tmp_path / "features.csv"
+        features.write_text(FEATURES_CSV)
+        assert main(["evaluate", "--model", str(ckpt), "--features", str(features)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: CheckpointError: ")
+        assert err.count("\n") == 1
+
 
 # early-stopping and step settings out of range, by the id of their case
 TRAINING_SETTINGS = {
@@ -829,6 +903,7 @@ class TestBadUserInput:
         (["run"], SMALL_CFG + "input_kind = features\nepochs = -1\n"),
         (["train"], SMALL_CFG + "input_kind = features\nlookback = 0\n"),
         (["run"], SMALL_CFG + "synth_length = 0\n"),
+        (["run"], SMALL_CFG + "models = fcnn, gru, fcnn\n"),
         *[(["run"], SMALL_CFG + setting) for setting in TRAINING_SETTINGS.values()],
         *[(argv, config + setting) for argv, config in (
             (["run"], SMALL_CFG + "input_kind = pcap\nserver = 10.0.0.1\n"),
@@ -836,7 +911,7 @@ class TestBadUserInput:
         ) for setting in ("bins = 0\n", "segment_duration = 0\n", "default_dur_th = -1\n")],
     ], ids=["server", "port", "config_server", "config_port", "train_ratio", "segment_size",
             "eda_window_flag", "eda_window_key", "lookback", "epochs", "train_lookback",
-            "synth_length", *TRAINING_SETTINGS, "bins", "segment_duration", "default_dur_th",
+            "synth_length", "repeated_model", *TRAINING_SETTINGS, "bins", "segment_duration", "default_dur_th",
             "frames_bins", "frames_segment_duration", "frames_default_dur_th"])
     def test_exits_1_without_traceback(self, argv, config, tmp_path, capsys):
         pcap = tmp_path / "t.pcap"

@@ -1,5 +1,6 @@
 import io
 import os
+import signal
 import struct
 import time
 import tracemalloc
@@ -309,6 +310,221 @@ class TestAgainstOracle:
         data = data[:draw.draw(st.integers(0, len(data)))]
         with mock.patch.object(ingest, "CHUNK_BYTES", chunk):
             assert_matches_oracle(bytes(data), filt)
+
+
+# --- the parse split over processes against the sequential scan ------------
+
+def records(data: bytes) -> list[tuple[int, int]]:
+    """(start, end) offsets of the whole records of a capture, walked one at
+    a time."""
+    endian = "<" if struct.unpack_from("<I", data, 0)[0] in (0xA1B2C3D4, 0xA1B23C4D) else ">"
+    found, offset = [], 24
+    while offset + 16 <= len(data):
+        end = offset + 16 + struct.unpack_from(endian + "I", data, offset + 8)[0]
+        if end > len(data):
+            break
+        found.append((offset, end))
+        offset = end
+    return found
+
+
+def record_starts(data: bytes) -> list[int]:
+    return [start for start, _ in records(data)]
+
+
+def assert_same_parse(result, expected):
+    np.testing.assert_array_equal(result.records.ts.view(np.int64),
+                                  expected.records.ts.view(np.int64))
+    np.testing.assert_array_equal(result.records.length, expected.records.length)
+    np.testing.assert_array_equal(result.records.downlink, expected.records.downlink)
+    assert (result.skipped, result.warnings) == (expected.skipped, expected.warnings)
+
+
+def split_parse(path, filt, jobs=2):
+    """parse_pcap of the file at `path` with `jobs`, on two usable CPUs (the
+    same one twice on a 1-CPU host)."""
+    cpus = ingest.usable_cpus()
+    with mock.patch.object(ingest, "usable_cpus", lambda: (cpus * 2)[:2]):
+        with open(path, "rb") as stream:
+            return parse_pcap(stream, filt, jobs)
+
+
+class ScanSpy:
+    """Wraps ingest._scan: records (start, stop) of each call in this process,
+    and in a forked child runs `in_child`, if given, first."""
+
+    def __init__(self, in_child=None):
+        self.scan, self.parent, self.in_child = ingest._scan, os.getpid(), in_child
+        self.calls = []
+
+    def __call__(self, cap, start, stop):
+        if os.getpid() == self.parent:
+            self.calls.append((start, stop))
+        elif self.in_child is not None:
+            self.in_child()
+        return self.scan(cap, start, stop)
+
+
+def long_capture(n=400, seed=5) -> bytes:
+    rng = np.random.default_rng(seed)
+    ts = np.cumsum(rng.uniform(1e-5, 1e-3, n)) + 1.7e9
+    lengths = rng.integers(42, 1500, n)
+    down = rng.random(n) < 0.7
+    return write_pcap(table(zip(ts.tolist(), lengths.tolist(), down.tolist())), FILT)
+
+
+class TestSplitParse:
+    @settings(deadline=None, max_examples=80,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(captures(), FILTERS, st.integers(1, 24), st.data())
+    def test_equals_sequential_parse(self, tmp_path, data, filt, chunk, draw):
+        whole = records(data) if len(data) >= 24 else []
+        with_body = [(start, end) for start, end in whole if end > start + 16]
+        kinds = ["past_end"] + ["record_start", "inside_header"] * bool(whole)
+        kinds += ["inside_record"] * bool(with_body)
+        kind = draw.draw(st.sampled_from(kinds))
+        if kind == "past_end":
+            split = len(data) + draw.draw(st.integers(1, 40))
+        elif kind == "inside_record":
+            start, end = draw.draw(st.sampled_from(with_body))
+            split = draw.draw(st.integers(start + 16, end - 1))
+        else:
+            start = draw.draw(st.sampled_from(whole))[0]
+            split = start + (kind == "inside_header") * draw.draw(st.integers(1, 15))
+        path = tmp_path / "capture.pcap"
+        path.write_bytes(data)
+        try:
+            expected = parse(data, filt)
+        except ResLearnError as exc:
+            with pytest.raises(type(exc)):
+                split_parse(path, filt)
+            return
+        with mock.patch.object(ingest, "CHUNK_BYTES", chunk), \
+                mock.patch.object(ingest, "_guess_record_start", lambda cap, offset: split):
+            assert_same_parse(split_parse(path, filt), expected)
+
+    def test_guess_finds_the_true_record_starts(self, tmp_path):
+        data = long_capture()
+        starts = record_starts(data)
+        path = tmp_path / "capture.pcap"
+        path.write_bytes(data)
+        with open(path, "rb") as stream:
+            cap = ingest._capture(stream, FILT)
+            for offset in range(24, len(data), 97):
+                expected = next(s for s in starts if s >= offset) if offset <= starts[-1] else None
+                assert ingest._guess_record_start(cap, offset) == expected, offset
+        # and the split is taken: this process walks only the first half
+        spy = ScanSpy()
+        with mock.patch.object(ingest, "CHUNK_BYTES", 1024), \
+                mock.patch.object(ingest, "_scan", spy):
+            result = split_parse(path, FILT)
+        assert_same_parse(result, parse(data))
+        first_stop = spy.calls[0][1]
+        assert spy.calls == [(24, first_stop)]
+        assert first_stop == next(s for s in starts if s >= len(data) // 2)
+
+    @pytest.mark.parametrize("end_child", ["raise", "kill"])
+    def test_failed_child_gives_the_same_result(self, end_child, tmp_path):
+        def fail():
+            if end_child == "raise":
+                raise RuntimeError("a child fails")
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        data = long_capture()
+        path = tmp_path / "capture.pcap"
+        path.write_bytes(data)
+        spy = ScanSpy(fail)
+        with mock.patch.object(ingest, "CHUNK_BYTES", 1024), \
+                mock.patch.object(ingest, "_scan", spy):
+            result = split_parse(path, FILT)
+        assert_same_parse(result, parse(data))
+        # the walk went on here from where this process's range stopped
+        (start, first_stop), (rest, stop) = spy.calls
+        assert (start, rest, stop) == (24, first_stop, len(data))
+
+    def test_children_leave_the_shared_file_offset_alone(self, tmp_path):
+        """After fork a child shares the parent's file offset: the child
+        reads by position, so neither the parent moving the offset nor the
+        child can disturb the other's reads."""
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        owner = os.getpid()
+
+        class Watched(io.BufferedReader):
+            def _mark(self, name):
+                if os.getpid() != owner:
+                    (marks / f"{name}-{os.getpid()}").touch()
+
+            def seek(self, *args):
+                self._mark("seek")
+                return super().seek(*args)
+
+            def read(self, *args):
+                self._mark("read")
+                return super().read(*args)
+
+            def readinto(self, buffer):
+                self._mark("readinto")
+                return super().readinto(buffer)
+
+        data = long_capture()
+        path = tmp_path / "capture.pcap"
+        path.write_bytes(data)
+        stream = Watched(io.FileIO(path))
+        scan, walks = ingest._scan, []
+
+        def scan_moving_offset(cap, start, stop):
+            # both processes move the shared offset as their walks start
+            stream.seek(len(data) // 2)
+            if os.getpid() == owner:
+                walks.append(start)
+            return scan(cap, start, stop)
+
+        cpus = ingest.usable_cpus()
+        with stream, mock.patch.object(ingest, "CHUNK_BYTES", 1024), \
+                mock.patch.object(ingest, "_scan", scan_moving_offset), \
+                mock.patch.object(ingest, "usable_cpus", lambda: (cpus * 2)[:2]):
+            result = parse_pcap(stream, FILT, 2)
+        assert_same_parse(result, parse(data))
+        assert walks == [24]                           # the child's range kept
+        # the child's one call on the stream is the test's own seek
+        assert [m.name.split("-")[0] for m in marks.iterdir()] == ["seek"]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs CPU affinity")
+    @pytest.mark.parametrize("placed", [True, False], ids=["cpu_given", "kernel_places"])
+    def test_child_runs_on_the_cpu_it_is_given(self, placed, tmp_path):
+        cpus = ingest.usable_cpus()
+        marks = tmp_path / "marks"
+        marks.mkdir()
+
+        def note_mask():
+            (marks / ",".join(map(str, sorted(os.sched_getaffinity(0))))).touch()
+
+        data = long_capture()
+        path = tmp_path / "capture.pcap"
+        path.write_bytes(data)
+        with mock.patch.object(ingest, "CHUNK_BYTES", 1024), \
+                mock.patch.object(ingest, "_scan", ScanSpy(note_mask)), \
+                mock.patch.object(ingest, "child_cpu", lambda: cpus[-1] if placed else None):
+            split_parse(path, FILT)
+        expected = [cpus[-1]] if placed else cpus
+        assert [m.name for m in marks.iterdir()] == [",".join(map(str, expected))]
+        assert sorted(os.sched_getaffinity(0)) == cpus
+
+    def test_small_or_unbacked_capture_is_not_split(self, tmp_path):
+        data = long_capture()
+        path = tmp_path / "capture.pcap"
+        path.write_bytes(data)
+        spy = ScanSpy()
+        with mock.patch.object(ingest, "_scan", spy):
+            split_parse(path, FILT)                   # under SPLIT_CHUNKS chunks
+            with mock.patch.object(ingest, "CHUNK_BYTES", 1024):
+                parse_pcap(io.BytesIO(data), FILT, 2)  # no file descriptor
+                split_parse(path, FILT, 1)
+                with mock.patch.object(ingest, "usable_cpus", lambda: [0]), \
+                        open(path, "rb") as stream:
+                    parse_pcap(stream, FILT, 2)        # one usable CPU
+        assert spy.calls == [(24, len(data))] * 4
 
 
 class TestEndpointFilter:
