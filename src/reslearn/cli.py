@@ -43,7 +43,13 @@ def _keep_freed_memory() -> None:
 _keep_freed_memory()
 
 from .config import ExperimentConfig, apply_overrides, load_config  # noqa: E402
-from .errors import ConfigError, NonFiniteLoss, ResLearnError  # noqa: E402
+from .errors import (  # noqa: E402
+    ConfigError,
+    NonFiniteLoss,
+    ResLearnError,
+    SchemaMismatch,
+    read_text,
+)
 from .harness import (  # noqa: E402
     eda_csv,
     feature_series,
@@ -116,7 +122,7 @@ def cmd_frames(args) -> int:
 
 
 def cmd_eda(args) -> int:
-    values = read_feature_csv(Path(args.features).read_text(), args.feature)
+    values = read_feature_csv(read_text(args.features, SchemaMismatch), args.feature)
     text = eda_csv(values, args.window)
     with _output(args.out) as out:
         out.write(text)
@@ -144,14 +150,13 @@ def cmd_train(args) -> int:
     values = feature_series(cfg)[0]
     trained = train_models(cfg, segment(values, cfg.segment_size), keep_models=True)
     saved = 0
-    for kind in cfg.model_kinds():
-        models, reports = trained[kind]
-        for i, model in enumerate(models):
-            if model is None:
-                print(f"{kind} segment {i}: {reports[i].failed}", file=sys.stderr)
+    for kind, reports in trained.items():
+        for r in reports:
+            if r.model is None:
+                print(f"{kind} segment {r.segment_index}: {r.failed}", file=sys.stderr)
                 continue
-            path = out / f"ckpt_{kind}_seg{i}.npz"
-            save_reslearn(model, path)
+            path = out / f"ckpt_{kind}_seg{r.segment_index}.npz"
+            save_reslearn(r.model, path)
             saved += 1
             print(f"saved {path}", file=sys.stderr)
     if not saved:
@@ -162,7 +167,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     threads = ExperimentConfig().jobs  # every CPU the process may use
     model = load_reslearn(args.model)
-    values = read_feature_csv(Path(args.features).read_text(), args.feature)
+    values = read_feature_csv(read_text(args.features, SchemaMismatch), args.feature)
     x, y = make_windows(model.scaler.transform(values), model.base.config.lookback)
     base_pred = model.base.predict(x, threads=threads)
     base_m, comb_m, _ = score(model, x, y, base_pred, threads)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, SplitTooSmall
+from .errors import ConfigError, SplitTooSmall, read_text
 from .ingest import EndpointFilter
 from .models import PredictorConfig
 from .placement import usable_cpus
@@ -20,15 +20,6 @@ from .synth import SeriesSpec, TraceSpec
 
 INPUT_KINDS = ("synth-series", "synth-trace", "pcap", "csv", "features")
 FEATURES = ("f_c", "f_s", "f_iat")
-
-
-def _bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "1", "yes", "on"):
-        return True
-    if t in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 @dataclass
@@ -46,7 +37,8 @@ class ExperimentConfig:
     models: str = "transformer"
     seed: int = 7
     # most worker processes `run` and `train` train in, each on one thread;
-    # above 1, `ingest`, `frames` and `run` parse a large pcap in two processes
+    # above 1, `frames` and `run` parse a large pcap in two processes; `ingest`
+    # has no config, so it does so whenever the process may use two CPUs
     jobs: int = field(default_factory=lambda: len(usable_cpus()))
     epochs: int = 300
     residual_epochs: int = 300
@@ -59,7 +51,6 @@ class ExperimentConfig:
     batch_size: int = 32
     patience: int = 10
     min_delta: float = 1e-4
-    paper_literal_combine: bool = False
     min_packets: int = 1
     bins: int = 50
     default_dur_th: float = 0.002
@@ -177,8 +168,6 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 def _convert(key: str, raw: str):
     ftype = _FIELD_TYPES[key]
     try:
-        if ftype in ("bool", bool):
-            return _bool(raw)
         if ftype in ("int", int):
             return int(raw)
         if ftype in ("float", float):
@@ -207,7 +196,7 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config(path.read_text())
+    return parse_config(read_text(path, ConfigError))
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:

@@ -1,4 +1,16 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the text-file reader
+that maps bytes which are not UTF-8 onto it."""
+
+from pathlib import Path
+
+
+def read_text(path, error: type[Exception]) -> str:
+    """The UTF-8 text of the file at `path`; a byte that is not UTF-8 raises
+    `error`, the reader's own error for a bad input."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
 
 
 class ResLearnError(Exception):

@@ -24,6 +24,7 @@ from .errors import (
     NonFiniteLoss,
     ResLearnError,
     SchemaMismatch,
+    read_text,
 )
 from .ingest import PacketTable, ParseResult, parse_csv, parse_pcap
 from .placement import settle_child
@@ -35,7 +36,7 @@ from .report import (
     report_rows,
     smape_summary,
 )
-from .residual import ResLearnModel, SegmentReport, train_segment
+from .residual import SegmentReport, train_segment
 from .seriesprep import (
     SegmentedSeries,
     impute_absent,
@@ -64,7 +65,7 @@ def load_packets(cfg: ExperimentConfig) -> ParseResult:
         with open(cfg.input_path, "rb") as stream:
             return parse_pcap(stream, cfg.endpoint_filter(), cfg.jobs)
     if cfg.input_kind == "csv":
-        return ParseResult(parse_csv(Path(cfg.input_path).read_text()))
+        return ParseResult(parse_csv(read_text(cfg.input_path, SchemaMismatch)))
     raise ConfigError(f"input_kind {cfg.input_kind} has no packets; pcap, csv and synth-trace do")
 
 
@@ -81,7 +82,7 @@ def feature_series(cfg: ExperimentConfig):
     if cfg.input_kind == "synth-series":
         return gen_series(cfg.series_spec())[0], None, None, None
     if cfg.input_kind == "features":
-        values = read_feature_csv(Path(cfg.input_path).read_text(), cfg.feature)
+        values = read_feature_csv(read_text(cfg.input_path, SchemaMismatch), cfg.feature)
         return values, None, None, None
     thresholds, _, feats, partial = packet_features(load_packets(cfg).records, cfg)
     return _feature_column(feats, cfg.feature), thresholds, feats, partial
@@ -162,10 +163,10 @@ def eda_csv(values: np.ndarray, window: int) -> str:
 
 def train_models(
     cfg: ExperimentConfig, segments: SegmentedSeries, keep_models: bool = False
-) -> dict[str, tuple[list[ResLearnModel | None], list[SegmentReport]]]:
-    """Train every (kind, segment) pair of the config; returns the models and
-    reports of each kind, in segment order. Models are None unless
-    keep_models is set, and for a failed segment.
+) -> dict[str, list[SegmentReport]]:
+    """Train every (kind, segment) pair of the config; returns the reports of
+    each kind, in segment order. A report holds its model only when
+    keep_models is set.
 
     With jobs > 1 and more than one pair, the pairs run in min(jobs, pairs)
     forked worker processes, all joined before this returns; otherwise they
@@ -177,11 +178,8 @@ def train_models(
     base_cfgs, residual_cfg = cfg.model_configs()
     kinds = cfg.model_kinds()
     workers = min(cfg.jobs, len(kinds) * segments.num_segments)
-    tasks = [
-        (i, seg, base_cfgs[kind], residual_cfg, split_spec,
-         cfg.paper_literal_combine, keep_models)
-        for kind in kinds for i, seg in enumerate(segments.segments)
-    ]
+    tasks = [(i, seg, base_cfgs[kind], residual_cfg, split_spec, keep_models)
+             for kind in kinds for i, seg in enumerate(segments.segments)]
     if workers > 1:
         # imported here: they add about 14 ms to every CLI start
         import multiprocessing
@@ -192,23 +190,11 @@ def train_models(
         # leaves no idle worker behind
         with ProcessPoolExecutor(workers, mp_context=context, initializer=settle_child,
                                  initargs=(os.getpid(),)) as pool:
-            results = list(pool.map(_train_task, *zip(*tasks)))
+            reports = list(pool.map(train_segment, *zip(*tasks)))
     else:
-        results = [_train_task(*task) for task in tasks]
-
-    trained = {}
+        reports = [train_segment(*task) for task in tasks]
     n = segments.num_segments
-    for k, kind in enumerate(kinds):
-        done = results[k * n:(k + 1) * n]
-        trained[kind] = ([m for m, _ in done], [r for _, r in done])
-    return trained
-
-
-def _train_task(index, values, base_cfg, residual_cfg, split_spec,
-                paper_literal_combine, keep_model):
-    model, report = train_segment(index, values, base_cfg, residual_cfg, split_spec,
-                                  paper_literal_combine)
-    return (model if keep_model else None), report
+    return {kind: reports[k * n:(k + 1) * n] for k, kind in enumerate(kinds)}
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> None:
@@ -238,7 +224,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> None:
 
         trained = train_models(cfg, segments)
         summaries = {}
-        for kind, (_, reports) in trained.items():
+        for kind, reports in trained.items():
             rows = report_rows(reports, kind)
             write(f"report_{kind}.csv", render_csv(rows))
             write(f"report_{kind}.json", render_json(rows))

@@ -24,10 +24,11 @@ def report_rows(reports: list[SegmentReport], model_name: str) -> list[dict]:
             rows.append({"segment": r.segment_index, "model": model_name,
                          "stage": "failed", "error": r.failed})
             continue
-        both = r.base_epochs + r.residual_epochs
+        base = r.base_trace.epochs_run
+        both = base + r.residual_trace.epochs_run
         for model, stage, metrics, epochs in (
-            (model_name, "val", r.base_val, r.base_epochs),
-            (model_name, "test", r.base_test, r.base_epochs),
+            (model_name, "val", r.base_val, base),
+            (model_name, "test", r.base_test, base),
             (f"{model_name}+reslearn", "val", r.combined_val, both),
             (f"{model_name}+reslearn", "test", r.combined_test, both),
         ):

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import CheckpointError, ConfigError, LengthMismatch, ResLearnError
 from .metrics import MetricsResult, evaluate
-from .models import Predictor, PredictorConfig, build_predictor
+from .models import Predictor, PredictorConfig, TrainTrace, build_predictor
 from .seriesprep import (
     Scaler,
     SplitSpec,
@@ -28,15 +28,17 @@ class ResLearnModel:
     residual: Predictor
     res_b: float                       # |min(train residuals)|, scaled units
     scaler: Scaler
-    paper_literal_combine: bool = False
 
 
 @dataclass
 class SegmentReport:
+    """One (kind, segment) training task's result. `model` is None for a
+    failed segment, and unless the caller keeps models."""
+
     segment_index: int
     res_b: float = 0.0
-    base_epochs: int = 0
-    residual_epochs: int = 0
+    base_trace: TrainTrace | None = None
+    residual_trace: TrainTrace | None = None
     base_val: MetricsResult | None = None
     base_test: MetricsResult | None = None
     combined_val: MetricsResult | None = None
@@ -44,6 +46,7 @@ class SegmentReport:
     failed: str | None = None
     # (actual, base, combined) on the test windows in physical units
     test_series: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    model: ResLearnModel | None = None
 
 
 FORMAT_VERSION = 1
@@ -56,7 +59,8 @@ def save_reslearn(model: ResLearnModel, path) -> None:
         "res_b": model.res_b,
         "scaler": {"lo": model.scaler.lo, "hi": model.scaler.hi,
                    "identity": model.scaler.identity},
-        "paper_literal_combine": model.paper_literal_combine,
+        # format 1's field for a combine rule that kept res_b; always false
+        "paper_literal_combine": False,
         "base_config": asdict(model.base.config),
         "residual_config": asdict(model.residual.config),
     }
@@ -68,11 +72,11 @@ def save_reslearn(model: ResLearnModel, path) -> None:
 def load_reslearn(path) -> ResLearnModel:
     """The model that save_reslearn wrote to `path`. A file that is not such a
     checkpoint, in any part, raises CheckpointError."""
-    try:
-        data = np.load(path, allow_pickle=False)
-        if not isinstance(data, np.lib.npyio.NpzFile):
+    with open(path, "rb") as fh:
+        if fh.read(4) != b"PK\x03\x04":     # np.load would try the other numpy formats
             raise CheckpointError("not an npz archive")
-        with data:
+    try:
+        with np.load(path, allow_pickle=False) as data:
             arrays = {k: data[k] for k in data.files}
     # zipfile raises RuntimeError for an encrypted member, NotImplementedError
     # for an unsupported compression or patched-data flag
@@ -95,6 +99,9 @@ def load_reslearn(path) -> ResLearnModel:
         res_b, literal = float(meta["res_b"]), bool(meta["paper_literal_combine"])
     except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise CheckpointError(f"malformed metadata: {type(exc).__name__}: {exc}") from None
+    if literal:
+        raise CheckpointError("paper_literal_combine is set: its combine rule, which keeps "
+                              "res_b in the forecast, is gone")
     for name, value in (("res_b", res_b), ("scaler.lo", scaler.lo), ("scaler.hi", scaler.hi)):
         if not math.isfinite(value):
             raise CheckpointError(f"{name} is not finite: {value}")
@@ -110,7 +117,7 @@ def load_reslearn(path) -> ResLearnModel:
             if not np.isfinite(arrays[key]).all():
                 raise CheckpointError(f"{key} has a non-finite value")
             model.params[k][...] = arrays[key]
-    return ResLearnModel(base, residual, res_b, scaler, literal)
+    return ResLearnModel(base, residual, res_b, scaler)
 
 
 def residual_targets(
@@ -134,12 +141,9 @@ def residual_targets(
 def combine_predictions(
     model: ResLearnModel, base_pred: np.ndarray, residual_pred: np.ndarray
 ) -> np.ndarray:
-    """Base + residual predictions with the training-time bias removed
-    (kept when paper_literal_combine is set), in physical units."""
-    combined = base_pred + residual_pred
-    if not model.paper_literal_combine:
-        combined = combined - model.res_b
-    return model.scaler.inverse(combined)
+    """Base + residual predictions with the training-time bias removed, in
+    physical units."""
+    return model.scaler.inverse(base_pred + residual_pred - model.res_b)
 
 
 def score(
@@ -162,12 +166,13 @@ def train_segment(
     base_cfg: PredictorConfig,
     residual_cfg: PredictorConfig,
     split_spec: SplitSpec,
-    paper_literal_combine: bool,
-) -> tuple[ResLearnModel | None, SegmentReport]:
+    keep_model: bool,
+) -> SegmentReport:
     """The per-segment pipeline: split, scale on train, fit base, fit the
     residual learner on bias-shifted train residuals, score both stages on
-    val and test in physical units. A ResLearnError is recorded in the
-    report's `failed`, with no model, so the caller can go on."""
+    val and test in physical units. The report holds the model only when
+    `keep_model` is set. A ResLearnError is recorded in the report's
+    `failed`, with no model, so the caller can go on."""
     try:
         w = base_cfg.lookback
         train, val, test = split(values, split_spec, lookback=w)
@@ -186,20 +191,20 @@ def train_segment(
                                            seed=residual_cfg.seed + 1000 * index + 1))
         res_trace = residual.fit(x_train, shifted, x_val, (y_val - base_val) + res_b)
 
-        model = ResLearnModel(base, residual, res_b, scaler, paper_literal_combine)
+        model = ResLearnModel(base, residual, res_b, scaler)
         base_val_m, combined_val_m, _ = score(model, x_val, y_val, base_val)
         base_test_m, combined_test_m, test_series = score(model, x_test, y_test, base_test)
     except ResLearnError as exc:
-        return None, SegmentReport(segment_index=index,
-                                   failed=f"{type(exc).__name__}: {exc}")
-    return model, SegmentReport(
+        return SegmentReport(segment_index=index, failed=f"{type(exc).__name__}: {exc}")
+    return SegmentReport(
         segment_index=index,
         res_b=res_b,
-        base_epochs=base_trace.epochs_run,
-        residual_epochs=res_trace.epochs_run,
+        base_trace=base_trace,
+        residual_trace=res_trace,
         base_val=base_val_m,
         base_test=base_test_m,
         combined_val=combined_val_m,
         combined_test=combined_test_m,
         test_series=test_series,
+        model=model if keep_model else None,
     )

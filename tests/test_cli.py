@@ -13,12 +13,12 @@ import pytest
 
 from reslearn import cli, harness
 from reslearn.cli import main
-from reslearn.config import ExperimentConfig, parse_config
+from reslearn.config import ExperimentConfig, apply_overrides, load_config, parse_config
 from reslearn.ingest import EndpointFilter
 from reslearn.metrics import evaluate
 from reslearn.models import Predictor, PredictorConfig, build_predictor
 from reslearn.residual import ResLearnModel, combine_predictions, load_reslearn, save_reslearn
-from reslearn.seriesprep import Scaler, make_windows
+from reslearn.seriesprep import Scaler, make_windows, segment
 from reslearn.synth import gen_series, gen_trace
 
 from oracles import DOWNLINK, UPLINK, table, write_pcap
@@ -396,11 +396,11 @@ def blas_threads():
     return None
 
 def probe(index, *args):
-    return None, SegmentReport(index, failed=f"{os.getpid()} {blas_threads()}")
+    return SegmentReport(index, failed=f"{os.getpid()} {blas_threads()}")
 
 harness.train_segment = probe
 cfg = ExperimentConfig(models="fcnn", jobs=2, segment_size=10)
-reports = harness.train_models(cfg, segment(list(range(20)), 10))["fcnn"][1]
+reports = harness.train_models(cfg, segment(list(range(20)), 10))["fcnn"]
 print(os.getpid(), os.environ["OPENBLAS_NUM_THREADS"], *(r.failed for r in reports))
 """
 
@@ -495,6 +495,12 @@ class TestParallelParse:
                 os.kill(pid, signal.SIGKILL)
 
 
+def broken_train_segment(*args):
+    """A task that fails as no toolkit error does; module-level, so that the
+    worker pool can pickle it."""
+    raise RuntimeError("not a toolkit error")
+
+
 class TestParallelTraining:
     @pytest.fixture
     def cfg_path(self, tmp_path):
@@ -564,13 +570,25 @@ class TestParallelTraining:
                     np.testing.assert_array_equal(one[key], two[key])
 
     def test_worker_error_reaches_caller(self, small_cfg, tmp_path, monkeypatch):
-        def broken(*args):
-            raise RuntimeError("not a toolkit error")
-
-        monkeypatch.setattr(harness, "train_segment", broken)
+        monkeypatch.setattr(harness, "train_segment", broken_train_segment)
         with pytest.raises(RuntimeError, match="not a toolkit error"):
             main(["run", "--config", str(small_cfg), "--jobs", "2",
                   "--out", str(tmp_path / "o")])
+
+    def test_reports_carry_the_same_traces_at_any_jobs(self, cfg_path, tmp_path):
+        diverging_features(tmp_path / "features.csv", [1])
+        traces = {}
+        for jobs in (1, 2):
+            cfg = apply_overrides(load_config(cfg_path), {"jobs": jobs})
+            values = harness.feature_series(cfg)[0]
+            trained = harness.train_models(cfg, segment(values, cfg.segment_size))
+            reports = [r for kind in ("fcnn", "gru") for r in trained[kind]]
+            assert all(r.model is None for r in reports)      # keep_models unset
+            traces[jobs] = [(r.base_trace, r.residual_trace) for r in reports]
+        # segment 1 of each kind failed, and has no traces
+        assert [pair == (None, None) for pair in traces[1]] == [False, True, False] * 2
+        assert all(t.val_loss for pair in traces[1] if pair[0] for t in pair)
+        assert traces[1] == traces[2]
 
     @needs_proc
     def test_killed_run_leaves_no_worker(self, tmp_path):
@@ -857,6 +875,8 @@ class TestBadCheckpoint:
         err = capsys.readouterr().err
         assert "CheckpointError" in err
         assert "Traceback" not in err
+        if case == "not_npz":             # not numpy's guess at another format
+            assert err == "data error: CheckpointError: not an npz archive\n"
 
     @pytest.mark.parametrize("flag", [0x1, 0x20], ids=["encrypted", "patched_data"])
     def test_unreadable_zip_member_is_data_error(self, flag, tmp_path, capsys):
@@ -936,14 +956,16 @@ class TestBadUserInput:
 
     @pytest.mark.parametrize("setting, message", [
         ("reslearn = off\n", "unknown key 'reslearn'"),
+        # the key of a deleted combine rule, which kept res_b in the forecast
+        ("paper_literal_combine = false\n", "unknown key 'paper_literal_combine'"),
         ("residual_epochs = 0\n", "residual_epochs must be >= 1"),
         ("segment_size = 60\nlookback = 8\n", "segment_size 60 is too short for lookback 8"),
         # both stages train with these
         ("patience = 0\n", "config error: patience must be >= 1"),
         ("min_delta = nan\n", "config error: min_delta must be finite and >= 0"),
         ("learning_rate = nan\n", "config error: learning_rate must be finite and positive"),
-    ], ids=["reslearn_off", "residual_epochs", "segment_too_short", "patience", "min_delta",
-            "learning_rate"])
+    ], ids=["reslearn_off", "literal_combine", "residual_epochs", "segment_too_short",
+            "patience", "min_delta", "learning_rate"])
     @pytest.mark.parametrize("command", ["run", "train"])
     def test_residual_stage_settings(self, command, setting, message, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -956,3 +978,33 @@ class TestBadUserInput:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, kind, code, error", [
+        (["run", "--config", "{bad}"], "config", 1, "config error: "),
+        (["train", "--config", "{bad}"], "config", 1, "config error: "),
+        (["ingest", "--csv", "{bad}"], "packets", 2, "data error: SchemaMismatch: "),
+        (["frames", "--csv", "{bad}"], "packets", 2, "data error: SchemaMismatch: "),
+        (["run", "--config", "{cfg}"], "packets", 2, "data error: SchemaMismatch: "),
+        (["eda", "--features", "{bad}"], "features", 2, "data error: SchemaMismatch: "),
+        (["evaluate", "--features", "{bad}", "--model", "{ckpt}"], "features", 2,
+         "data error: SchemaMismatch: "),
+        (["run", "--config", "{cfg}"], "features", 2, "data error: SchemaMismatch: "),
+    ], ids=["run_config", "train_config", "ingest_csv", "frames_csv", "run_csv",
+            "eda_features", "evaluate_features", "run_features"])
+    def test_non_utf8_input(self, argv, kind, code, error, tmp_path):
+        text = {"config": SMALL_CFG, "packets": "ts,length,direction\n0.5,100,down\n",
+                "features": FEATURES_CSV}[kind]
+        bad = tmp_path / "bad"
+        bad.write_bytes(text.encode() + b"# caf\xe9\n")     # Latin-1, not UTF-8
+        cfg = tmp_path / "exp.cfg"
+        input_kind = "csv" if kind == "packets" else "features"
+        cfg.write_text(SMALL_CFG + f"input_kind = {input_kind}\ninput_path = {bad}\n")
+        paths = {"bad": bad, "cfg": cfg, "ckpt": checkpoint(tmp_path)}
+        argv = [a.format(**paths) for a in argv]
+        if argv[0] != "evaluate":
+            argv += ["--out", str(tmp_path / "out")]
+        proc = subprocess.run([sys.executable, "-m", "reslearn.cli", *argv],
+                              capture_output=True, text=True, env=src_env(), timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith(error)
+        assert f"{bad}: byte " in proc.stderr and "is not UTF-8" in proc.stderr
+        assert "Traceback" not in proc.stderr

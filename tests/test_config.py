@@ -17,12 +17,10 @@ class TestParse:
             "models = lstm, gru\n"
             "seed = 3\n"
             "learning_rate = 0.01  # fast\n"
-            "paper_literal_combine = true\n"
         )
         assert cfg.model_kinds() == ["lstm", "gru"]
         assert cfg.seed == 3
         assert cfg.learning_rate == 0.01
-        assert cfg.paper_literal_combine is True
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -31,10 +29,6 @@ class TestParse:
     def test_bad_int(self):
         with pytest.raises(ConfigError, match="bad value"):
             parse_config("seed = three\n")
-
-    def test_bad_bool(self):
-        with pytest.raises(ConfigError):
-            parse_config("paper_literal_combine = maybe\n")
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="key = value"):

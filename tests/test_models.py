@@ -450,6 +450,7 @@ MALFORMED = {
     # a JSON integer past the float range
     "scaler_bound_overflows": meta_edit(lambda meta: meta["scaler"].update(lo=10**400)),
     "res_b_missing": meta_edit(lambda meta: meta.pop("res_b")),
+    "literal_combine_missing": meta_edit(lambda meta: meta.pop("paper_literal_combine")),
     "parameter_missing": lambda arrays: arrays.pop("residual__b3"),
     "parameter_not_float": lambda arrays: arrays.update(base__b1=np.array(["x"] * 8)),
 }
@@ -464,8 +465,8 @@ def set_entry(key, value):
     return edit
 
 
-# checkpoints whose values would make every prediction nan, inf or unscaled,
-# and the field each one's error names
+# checkpoints whose values would make every prediction nan, inf, unscaled or
+# shifted by res_b, and the field each one's error names
 BAD_VALUES = {
     "res_b_nan": (meta_edit(lambda meta: meta.update(res_b=float("nan"))), "res_b"),
     "res_b_inf": (meta_edit(lambda meta: meta.update(res_b=float("inf"))), "res_b"),
@@ -477,6 +478,9 @@ BAD_VALUES = {
                                "scaler.hi"),
     "weight_nan": (set_entry("base__W1", np.nan), "base__W1"),
     "weight_inf": (set_entry("residual__b3", -np.inf), "residual__b3"),
+    # written by an older build whose config set the key: its combine kept res_b
+    "literal_combine": (meta_edit(lambda meta: meta.update(paper_literal_combine=True)),
+                        "paper_literal_combine"),
 }
 
 
@@ -497,6 +501,14 @@ class TestCheckpoints:
             assert getattr(loaded, stage).config == getattr(model, stage).config
         np.testing.assert_array_equal(loaded.base.predict(X), model.base.predict(X))
         assert (loaded.res_b, loaded.scaler) == (model.res_b, model.scaler)
+
+    def test_metadata_keeps_format_1(self, tmp_path):
+        # older builds, and the benchmark's reference forecast, read these keys
+        with np.load(checkpoint(tmp_path)) as data:
+            meta = json.loads(str(data["__meta__"]))
+        assert list(meta) == ["version", "res_b", "scaler", "paper_literal_combine",
+                              "base_config", "residual_config"]
+        assert meta["version"] == 1 and meta["paper_literal_combine"] is False
 
     def test_version_rejected(self, tmp_path):
         path = checkpoint(tmp_path, meta_edit(lambda meta: meta.update(version=99)))

@@ -5,6 +5,7 @@ import pytest
 from reslearn import harness
 from reslearn.config import ExperimentConfig
 from reslearn.metrics import MetricsResult
+from reslearn.models import TrainTrace
 from reslearn.report import (
     ROW_HEADER,
     comparison_csv,
@@ -28,8 +29,8 @@ def sample_report(idx=0, failed=None):
     return SegmentReport(
         segment_index=idx,
         res_b=0.123456789,
-        base_epochs=12,
-        residual_epochs=7,
+        base_trace=TrainTrace(train_loss=[0.5] * 12),
+        residual_trace=TrainTrace(train_loss=[0.5] * 7),
         base_val=metrics(404.05, 0.40, 0.36),
         base_test=metrics(410.0, 0.41, 0.37),
         combined_val=metrics(0.36, 0.004, 0.00032),
@@ -103,7 +104,7 @@ class TestEmit:
     def run(self, tmp_path, monkeypatch):
         def run(report):
             monkeypatch.setattr(harness, "train_models",
-                                lambda cfg, segments: {"gru": ([None], [report])})
+                                lambda cfg, segments: {"gru": [report]})
             cfg = ExperimentConfig(models="gru", synth_length=40, segment_size=40,
                                    lookback=3, eda_window=4)
             harness.run_experiment(cfg, tmp_path)

@@ -74,9 +74,9 @@ def forecast(model, inputs):
 
 def train_all(segments, base_cfg, residual_cfg, split_spec):
     """train_segment over every segment, in order: (models, reports)."""
-    results = [train_segment(i, seg, base_cfg, residual_cfg, split_spec, False)
+    reports = [train_segment(i, seg, base_cfg, residual_cfg, split_spec, True)
                for i, seg in enumerate(segments)]
-    return [m for m, _ in results], [r for _, r in results]
+    return [r.model for r in reports], reports
 
 
 class TestPredictCombined:
@@ -99,15 +99,6 @@ class TestPredictCombined:
         np.testing.assert_allclose(
             forecast(model, np.zeros((3, 8))), [1.0, 2.0, 3.0], atol=1e-12
         )
-
-    def test_literal_combine_keeps_bias(self):
-        base = _StubPredictor(np.zeros(2))
-        residual = _StubPredictor(np.array([1.0, 1.0]))
-        shifted = ResLearnModel(base, residual, 1.0, IDENTITY)
-        literal = ResLearnModel(base, residual, 1.0, IDENTITY, paper_literal_combine=True)
-        x = np.zeros((2, 8))
-        np.testing.assert_allclose(forecast(shifted, x), [0.0, 0.0])
-        np.testing.assert_allclose(forecast(literal, x), [1.0, 1.0])
 
     def test_inverse_scaling_applied(self):
         base = _StubPredictor(np.array([0.5]))
@@ -136,7 +127,7 @@ class TestTrainReslearn:
             assert m is not None
             assert r.failed is None
             assert r.res_b >= 0
-            assert r.base_epochs > 0 and r.residual_epochs > 0
+            assert r.base_trace.epochs_run > 0 and r.residual_trace.epochs_run > 0
             assert r.base_test.rmse > 0
             assert np.isfinite(r.combined_test.smape)
 
