@@ -48,6 +48,7 @@ from .errors import (  # noqa: E402
     NonFiniteLoss,
     ResLearnError,
     SchemaMismatch,
+    WorkerDied,
     read_text,
 )
 from .harness import (  # noqa: E402
@@ -61,6 +62,7 @@ from .harness import (  # noqa: E402
     write_frame_files,
 )
 from .ingest import PacketTable, write_csv  # noqa: E402
+from .placement import usable_cpus  # noqa: E402
 from .report import _f  # noqa: E402
 from .residual import load_reslearn, save_reslearn, score  # noqa: E402
 from .seriesprep import make_windows, segment  # noqa: E402
@@ -165,7 +167,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    threads = ExperimentConfig().jobs  # every CPU the process may use
+    threads = len(usable_cpus())
     model = load_reslearn(args.model)
     values = read_feature_csv(read_text(args.features, SchemaMismatch), args.feature)
     x, y = make_windows(model.scaler.transform(values), model.base.config.lookback)
@@ -186,7 +188,7 @@ def _config(args) -> ExperimentConfig:
     """The `--config` file, or the defaults, with the command's flags over it."""
     flags = vars(args)
     cfg = load_config(args.config) if flags.get("config") else ExperimentConfig()
-    overrides = {key: flags.get(key) for key in ("seed", "jobs", "server", "port")}
+    overrides = {key: flags.get(key) for key in ("seed", "server", "port")}
     kind = "pcap" if flags.get("pcap") else "csv" if flags.get("csv") else None
     overrides.update(input_kind=kind, input_path=flags[kind] if kind else None)
     return apply_overrides(cfg, overrides)     # a None value leaves its key as it is
@@ -224,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the model matrix and save checkpoints")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_train)
 
@@ -237,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full pipeline from config to report files")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_run)
 
@@ -251,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NonFiniteLoss as exc:
+    except (NonFiniteLoss, WorkerDied) as exc:
         print(f"training failure: {exc}", file=sys.stderr)
         return EXIT_TRAINING
     except (ResLearnError, OSError) as exc:

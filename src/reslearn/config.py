@@ -6,7 +6,7 @@ CLI flags override file values; the file overrides defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -14,12 +14,12 @@ import numpy as np
 from .errors import ConfigError, SplitTooSmall, read_text
 from .ingest import EndpointFilter
 from .models import PredictorConfig
-from .placement import usable_cpus
 from .seriesprep import SplitSpec, split
 from .synth import SeriesSpec, TraceSpec
 
 INPUT_KINDS = ("synth-series", "synth-trace", "pcap", "csv", "features")
 FEATURES = ("f_c", "f_s", "f_iat")
+MIN_SEGMENT_SIZE = 8
 
 
 @dataclass
@@ -36,10 +36,6 @@ class ExperimentConfig:
     val_ratio: float = 0.2
     models: str = "transformer"
     seed: int = 7
-    # most worker processes `run` and `train` train in, each on one thread;
-    # above 1, `frames` and `run` parse a large pcap in two processes; `ingest`
-    # has no config, so it does so whenever the process may use two CPUs
-    jobs: int = field(default_factory=lambda: len(usable_cpus()))
     epochs: int = 300
     residual_epochs: int = 300
     hidden_width: int = 64
@@ -137,8 +133,6 @@ class ExperimentConfig:
         repeated = next((kind for i, kind in enumerate(kinds) if kind in kinds[:i]), None)
         if repeated is not None:      # its results would be keyed, and kept, once
             raise ConfigError(f"models names {repeated!r} more than once")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
         if self.input_kind == "synth-series":
             self.series_spec()
         if self.input_kind == "synth-trace":
@@ -154,6 +148,8 @@ class ExperimentConfig:
             raise ConfigError("residual_epochs must be >= 1")
         if self.eda_window < 1:
             raise ConfigError("eda_window must be >= 1")
+        if self.segment_size < MIN_SEGMENT_SIZE:
+            raise ConfigError(f"segment_size must be >= {MIN_SEGMENT_SIZE}")
         # every segment has segment_size values, so one stands for them all
         try:
             split(np.empty(max(self.segment_size, 0)), self.split_spec(), self.lookback)

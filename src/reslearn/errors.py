@@ -107,3 +107,7 @@ class ZeroBase(ResLearnError):
 
 class ConfigError(ResLearnError):
     pass
+
+
+class WorkerDied(ResLearnError):
+    pass

@@ -3,9 +3,9 @@ and deterministic report files.
 
 Outputs carry no timestamps, so a rerun with the same config and seed is
 byte-identical. Training (train_models) runs each (model kind, segment)
-pair as one task on one thread; with jobs > 1 the tasks go to forked worker
-processes and the results are merged in configured order, which keeps the
-bytes identical too.
+pair as one task on one thread; on more than one usable CPU the tasks go to
+forked worker processes and the results are merged in configured order, which
+keeps the bytes identical too.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from .errors import (
     NonFiniteLoss,
     ResLearnError,
     SchemaMismatch,
+    WorkerDied,
     read_text,
 )
 from .ingest import PacketTable, ParseResult, parse_csv, parse_pcap
-from .placement import settle_child
+from .placement import settle_child, usable_cpus
 from .report import (
     comparison_csv,
     plot_data_csv,
@@ -63,7 +64,7 @@ def load_packets(cfg: ExperimentConfig) -> ParseResult:
         return ParseResult(gen_trace(cfg.trace_spec())[0])
     if cfg.input_kind == "pcap":
         with open(cfg.input_path, "rb") as stream:
-            return parse_pcap(stream, cfg.endpoint_filter(), cfg.jobs)
+            return parse_pcap(stream, cfg.endpoint_filter())
     if cfg.input_kind == "csv":
         return ParseResult(parse_csv(read_text(cfg.input_path, SchemaMismatch)))
     raise ConfigError(f"input_kind {cfg.input_kind} has no packets; pcap, csv and synth-trace do")
@@ -168,29 +169,33 @@ def train_models(
     each kind, in segment order. A report holds its model only when
     keep_models is set.
 
-    With jobs > 1 and more than one pair, the pairs run in min(jobs, pairs)
-    forked worker processes, all joined before this returns; otherwise they
-    run in this process. Each pair trains and predicts on one thread, with
-    the same arithmetic in a worker as in-process, so the results are the
-    same at any jobs.
+    Where `fork` exists and more than one pair is to train, the pairs run in
+    min(usable CPUs, pairs) forked worker processes, all joined before this
+    returns; otherwise they run in this process. Each pair trains and
+    predicts on one thread, with the same arithmetic in a worker as
+    in-process, so the results are the same on any number of CPUs. A worker
+    that dies before its task ends raises WorkerDied.
     """
     split_spec = cfg.split_spec()
     base_cfgs, residual_cfg = cfg.model_configs()
     kinds = cfg.model_kinds()
-    workers = min(cfg.jobs, len(kinds) * segments.num_segments)
     tasks = [(i, seg, base_cfgs[kind], residual_cfg, split_spec, keep_models)
              for kind in kinds for i, seg in enumerate(segments.segments)]
+    workers = min(len(usable_cpus()), len(tasks)) if hasattr(os, "fork") else 1
     if workers > 1:
         # imported here: they add about 14 ms to every CLI start
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
         context = multiprocessing.get_context("fork")
         # the kernel kills a worker when this process dies, so a killed run
         # leaves no idle worker behind
-        with ProcessPoolExecutor(workers, mp_context=context, initializer=settle_child,
-                                 initargs=(os.getpid(),)) as pool:
-            reports = list(pool.map(train_segment, *zip(*tasks)))
+        try:
+            with ProcessPoolExecutor(workers, mp_context=context, initializer=settle_child,
+                                     initargs=(os.getpid(),)) as pool:
+                reports = list(pool.map(train_segment, *zip(*tasks)))
+        except BrokenProcessPool:      # a worker was killed, or ran out of memory
+            raise WorkerDied("a training worker process died before its task ended") from None
     else:
         reports = [train_segment(*task) for task in tasks]
     n = segments.num_segments

@@ -103,7 +103,7 @@ class ParseResult:
     warnings: int = 0     # truncation events (parse stopped early)
 
 
-def parse_pcap(stream: BinaryIO, filt: EndpointFilter, jobs: int = 1) -> ParseResult:
+def parse_pcap(stream: BinaryIO, filt: EndpointFilter) -> ParseResult:
     """Decode a classic pcap at the start of a seekable binary stream into the
     packets matching `filt`.
 
@@ -113,13 +113,13 @@ def parse_pcap(stream: BinaryIO, filt: EndpointFilter, jobs: int = 1) -> ParseRe
     with the warning counter bumped. The capture is read CHUNK_BYTES at a
     time, so memory does not grow with its size.
 
-    With `jobs` > 1, two usable CPUs, a stream backed by a file, `fork`, and
-    at least SPLIT_CHUNKS chunks, the records are walked in two halves at
-    once (see `_split_walk`); the result is the same.
+    With two usable CPUs, a stream backed by a file, `fork`, and at least
+    SPLIT_CHUNKS chunks, the records are walked in two halves at once (see
+    `_split_walk`); the result is the same.
     """
     cap = _capture(stream, filt)
     split = None
-    if (jobs > 1 and len(usable_cpus()) > 1 and cap.fd is not None and hasattr(os, "fork")
+    if (len(usable_cpus()) > 1 and cap.fd is not None and hasattr(os, "fork")
             and cap.size - GLOBAL_HEADER_LEN >= SPLIT_CHUNKS * CHUNK_BYTES):
         split = _guess_record_start(cap, cap.size // 2)
     if split is not None:
@@ -270,34 +270,32 @@ def _guess_record_start(cap: _Capture, offset: int) -> int | None:
     GUESS_CHAIN chained record headers look plausible: each header's fraction
     is below one second, 0 < incl_len <= orig_len <= GUESS_MAX_ORIG and
     incl_len <= snaplen, and the next header lies inside the file (a chain may
-    end at the file's end). Zero-filled payload is not plausible, since
+    end at the file's end); a header past the window's end is not checked,
+    so the chain fails there. Zero-filled payload is not plausible, since
     incl_len must be positive. It is only a guess: a walk that lands there
     shows that a record starts there."""
     buf = bytearray(max(min(GUESS_WINDOW, cap.size - offset), 0))
     size = cap.read_at(memoryview(buf), offset) if buf else 0
-    heads = size - RECORD_HEADER_LEN + 1      # window offsets with a whole header
-    if heads < 1:
-        return None
-    u32 = _at_each_offset(np.frombuffer(buf, dtype=np.uint8, count=size), cap.endian + "u4")
-    frac, incl, orig = u32[4:4 + heads], u32[8:8 + heads], u32[12:12 + heads]
-    nxt = np.arange(heads, dtype=np.int64) + RECORD_HEADER_LEN + incl
-    to_end = cap.size - offset - nxt          # bytes after the next header's start
-    plausible = ((frac < round(1 / cap.frac_scale)) & (incl > 0) & (incl <= orig)
-                 & (orig <= GUESS_MAX_ORIG) & (incl <= cap.snaplen)
-                 & ((to_end == 0) | (to_end >= RECORD_HEADER_LEN)))
-    # two sentinels past the window's headers: the file's end, which closes a
-    # chain, and a next header beyond the window, which is left unchecked
-    at_end, unknown = heads, heads + 1
-    nxt = np.where(to_end == 0, at_end, np.where(nxt < heads, nxt, unknown))
-    nxt = np.append(nxt, [at_end, unknown])
-    plausible = np.append(plausible, [True, False])
-    chain = np.flatnonzero(plausible[:heads])
-    here, alive = chain, np.ones(chain.size, dtype=bool)
-    for _ in range(GUESS_CHAIN - 1):
-        here = nxt[here]
-        alive &= plausible[here]
-    found = chain[alive]
-    return offset + int(found[0]) if found.size else None
+    header = struct.Struct(cap.endian + "4I").unpack_from
+    last = size - RECORD_HEADER_LEN        # the last offset of a whole header in the window
+    end = cap.size - offset                # the file's end, as a window offset
+    one_second = round(1 / cap.frac_scale)
+
+    def chained(head: int) -> bool:
+        for _ in range(GUESS_CHAIN):
+            if head == end:
+                return True
+            if head > last:
+                return False
+            _, frac, incl, orig = header(buf, head)
+            head += RECORD_HEADER_LEN + incl
+            if not (frac < one_second and 0 < incl <= orig <= GUESS_MAX_ORIG
+                    and incl <= cap.snaplen
+                    and (head == end or head + RECORD_HEADER_LEN <= end)):
+                return False
+        return True
+
+    return next((offset + start for start in range(last + 1) if chained(start)), None)
 
 
 def _split_walk(cap: _Capture, split: int) -> list[_Range]:

@@ -9,8 +9,6 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateSeries, SeriesTooShort, SplitTooSmall
 
-MIN_SEGMENT_SIZE = 8
-
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -78,8 +76,6 @@ def impute_absent(values: list[float | None]) -> np.ndarray:
 
 def segment(values: np.ndarray, n: int) -> SegmentedSeries:
     values = np.asarray(values, dtype=np.float64)
-    if n < MIN_SEGMENT_SIZE:
-        raise ConfigError(f"segment size must be >= {MIN_SEGMENT_SIZE}")
     if values.size < n:
         raise SeriesTooShort(f"{values.size} values cannot fill one segment of {n}")
     x = values.size // n

@@ -7,7 +7,9 @@ and builders of packet tables from rows and of captures from packet tables.
 packet and one frame at a time. They state the rules in the most direct form
 and must agree exactly with the columnar parser, the frame scan and the
 grouping of `FrameTable` columns. `write_pcap` builds the classic pcap test
-captures.
+captures. `vector_guess_record_start` is the split-point guess as whole-window
+array passes, which the scalar chain walk of `ingest._guess_record_start`
+must match.
 `dict_adam_fit` is Adam with early stopping over a dict of separate arrays,
 one key at a time, each gradient and each validation forward taken from
 float32 copies of the arrays and windows, which the one-vector update of
@@ -23,7 +25,9 @@ import math
 import struct
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
+from reslearn import ingest
 from reslearn.errors import BadMagic, TruncatedHeader
 from reslearn.ingest import EndpointFilter, PacketTable
 from reslearn.viewframe import FrameTable, SegmentFeatures
@@ -128,6 +132,40 @@ def parse_pcap_records(data: bytes, server: bytes, port: int | None):
         t0 = raw[0][0]
         raw = [(t - t0, ln, d) for t, ln, d in raw]
     return raw, skipped, warnings
+
+
+def vector_guess_record_start(cap, offset: int) -> int | None:
+    """`ingest._guess_record_start` of the capture `cap` at `offset`: every
+    window offset's header fields as one strided view, a plausibility mask
+    over them, and the chains followed through a next-header array for all
+    candidates at once. The window and chain length are read from `ingest`
+    at each call, so a test that patches them patches both."""
+    buf = bytearray(max(min(ingest.GUESS_WINDOW, cap.size - offset), 0))
+    size = cap.read_at(memoryview(buf), offset) if buf else 0
+    heads = size - 16 + 1                     # window offsets with a whole header
+    if heads < 1:
+        return None
+    data = np.frombuffer(buf, dtype=np.uint8, count=size)
+    u32 = as_strided(data, (size - 3, 4), (1, 1), writeable=False).view(cap.endian + "u4")[:, 0]
+    frac, incl, orig = u32[4:4 + heads], u32[8:8 + heads], u32[12:12 + heads]
+    nxt = np.arange(heads, dtype=np.int64) + 16 + incl
+    to_end = cap.size - offset - nxt          # bytes after the next header's start
+    plausible = ((frac < round(1 / cap.frac_scale)) & (incl > 0) & (incl <= orig)
+                 & (orig <= ingest.GUESS_MAX_ORIG) & (incl <= cap.snaplen)
+                 & ((to_end == 0) | (to_end >= 16)))
+    # two sentinels past the window's headers: the file's end, which closes a
+    # chain, and a next header beyond the window, which is left unchecked
+    at_end, unknown = heads, heads + 1
+    nxt = np.where(to_end == 0, at_end, np.where(nxt < heads, nxt, unknown))
+    nxt = np.append(nxt, [at_end, unknown])
+    plausible = np.append(plausible, [True, False])
+    chain = np.flatnonzero(plausible[:heads])
+    here, alive = chain, np.ones(chain.size, dtype=bool)
+    for _ in range(ingest.GUESS_CHAIN - 1):
+        here = nxt[here]
+        alive &= plausible[here]
+    found = chain[alive]
+    return offset + int(found[0]) if found.size else None
 
 
 def match_frame(frame: bytes, server: bytes, port: int | None) -> bool | None:

@@ -24,6 +24,7 @@ from reslearn.seriesprep import (
 from reslearn.synth import SeriesSpec, TraceSpec, gen_series, gen_trace
 from reslearn.viewframe import estimate_thresholds, identify_frames
 
+from cpus import on_cpus
 from test_models import grad_fixture, max_relative_grad_error, small_config
 from test_residual import forecast, train_all
 
@@ -233,9 +234,9 @@ class TestCriterion8Determinism:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(RUN_CFG)
 
-        def run(out, jobs):
-            rc = cli_main(["run", "--config", str(cfg), "--seed", "7",
-                           "--jobs", str(jobs), "--out", str(out)])
+        def run(out, cpus):
+            with on_cpus(cpus):
+                rc = cli_main(["run", "--config", str(cfg), "--seed", "7", "--out", str(out)])
             assert rc == 0
             return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 

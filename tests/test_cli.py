@@ -11,16 +11,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reslearn import cli, harness
+from reslearn import cli, harness, ingest
 from reslearn.cli import main
-from reslearn.config import ExperimentConfig, apply_overrides, load_config, parse_config
+from reslearn.config import ExperimentConfig, load_config, parse_config
 from reslearn.ingest import EndpointFilter
 from reslearn.metrics import evaluate
 from reslearn.models import Predictor, PredictorConfig, build_predictor
+from reslearn.report import render_json, report_rows
 from reslearn.residual import ResLearnModel, combine_predictions, load_reslearn, save_reslearn
 from reslearn.seriesprep import Scaler, make_windows, segment
 from reslearn.synth import gen_series, gen_trace
 
+from cpus import on_cpus
 from oracles import DOWNLINK, UPLINK, table, write_pcap
 from test_models import BAD_VALUES, MALFORMED, checkpoint
 
@@ -224,8 +226,8 @@ class TestOnePacketPath:
                      "--out", str(tmp_path / "frames")]) == 0
         parsed = capsys.readouterr().err.splitlines()[0]
         assert parsed == f"parsed {len(packets)} packets, skipped 0, warnings 0"
-        assert main(["run", "--config", str(run_cfg), "--jobs", "1",
-                     "--out", str(tmp_path / "run")]) == 0
+        with on_cpus(1):
+            assert main(["run", "--config", str(run_cfg), "--out", str(tmp_path / "run")]) == 0
         for name in ("thresholds.json", "features.csv"):
             frames_bytes = (tmp_path / "frames" / name).read_bytes()
             assert frames_bytes == (tmp_path / "run" / name).read_bytes()
@@ -290,19 +292,24 @@ class TestRun:
         assert read_tree(a) == read_tree(b)
 
     def test_jobs_do_not_change_bytes(self, small_cfg, tmp_path):
+        """The same bytes on one usable CPU, on two, and on four: four tasks
+        train in-process, in two workers and in four."""
         cfg_path = tmp_path / "multi.cfg"
         cfg_path.write_text(small_cfg.read_text().replace("models = fcnn", "models = fcnn, gru"))
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["run", "--config", str(cfg_path), "--jobs", "1", "--out", str(a)]) == 0
-        assert main(["run", "--config", str(cfg_path), "--jobs", "4", "--out", str(b)]) == 0
-        assert read_tree(a) == read_tree(b)
+        trees = []
+        for n in (1, 2, 4):
+            out = tmp_path / str(n)
+            with on_cpus(n):
+                assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+            trees.append(read_tree(out))
+        assert trees[0] == trees[1] == trees[2]
 
     # the ids name the prediction threads these runs once gave each task; a
     # training task now predicts on one thread, so one task trains in-process
-    # whatever `jobs` is, and two tasks train in two worker processes
-    @pytest.mark.parametrize("segment_size, jobs", [(400, "2"), (200, "4")],
+    # on any number of CPUs, and two tasks train in two worker processes
+    @pytest.mark.parametrize("segment_size, cpus", [(400, 2), (200, 4)],
                              ids=["one_task_two_threads", "two_workers_two_threads"])
-    def test_prediction_threads_do_not_change_bytes(self, segment_size, jobs, small_cfg,
+    def test_prediction_threads_do_not_change_bytes(self, segment_size, cpus, small_cfg,
                                                     tmp_path):
         # each split of a segment this long spans several 32-window blocks
         cfg_path = tmp_path / "long.cfg"
@@ -310,9 +317,18 @@ class TestRun:
                             .replace("synth_length = 130", "synth_length = 400")
                             .replace("segment_size = 60", f"segment_size = {segment_size}"))
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["run", "--config", str(cfg_path), "--jobs", "1", "--out", str(a)]) == 0
-        assert main(["run", "--config", str(cfg_path), "--jobs", jobs, "--out", str(b)]) == 0
+        with on_cpus(1):
+            assert main(["run", "--config", str(cfg_path), "--out", str(a)]) == 0
+        with on_cpus(cpus):
+            assert main(["run", "--config", str(cfg_path), "--out", str(b)]) == 0
         assert read_tree(a) == read_tree(b)
+
+    @pytest.mark.parametrize("command", ["run", "train"])
+    def test_jobs_flag_is_gone(self, command, small_cfg, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--config", str(small_cfg), "--jobs", "2"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_unknown_config_key_exit_1(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -398,26 +414,29 @@ def blas_threads():
 def probe(index, *args):
     return SegmentReport(index, failed=f"{os.getpid()} {blas_threads()}")
 
+cpus = harness.usable_cpus()
+harness.usable_cpus = lambda: (cpus * 2)[:2]
 harness.train_segment = probe
-cfg = ExperimentConfig(models="fcnn", jobs=2, segment_size=10)
+cfg = ExperimentConfig(models="fcnn", segment_size=10)
 reports = harness.train_models(cfg, segment(list(range(20)), 10))["fcnn"]
 print(os.getpid(), os.environ["OPENBLAS_NUM_THREADS"], *(r.failed for r in reports))
 """
 
-# runs in a fresh interpreter, which the test then kills with SIGKILL
+# runs the CLI in a fresh interpreter, its training tasks stuck in two
+# workers, each of which marks its pid in the directory argv[1]; the test then
+# kills the CLI or a worker with SIGKILL
 STUCK_RUN = """
 import os, sys, time
-from reslearn import harness
-from reslearn.config import ExperimentConfig
-from reslearn.seriesprep import segment
+from reslearn import cli, harness
 
 def stuck(index, *args):
     open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
     time.sleep(120)
 
+cpus = harness.usable_cpus()
+harness.usable_cpus = lambda: (cpus * 2)[:2]
 harness.train_segment = stuck
-harness.train_models(ExperimentConfig(models="fcnn", jobs=2, segment_size=10),
-                     segment(list(range(20)), 10))
+sys.exit(cli.main(sys.argv[2:]))
 """
 
 
@@ -472,7 +491,7 @@ class TestParallelParse:
         pcap.write_bytes(write_pcap(table((t, 1200, DOWNLINK) for t in ts.tolist()),
                                     EndpointFilter("10.0.0.1")))
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("jobs = 2\nsegment_duration = 0.01\n")
+        cfg.write_text("segment_duration = 0.01\n")
         run = subprocess.Popen([sys.executable, "-c", STUCK_FRAMES, str(marks), "frames",
                                 "--config", str(cfg), "--pcap", str(pcap), "--server",
                                 "10.0.0.1", "--out", str(tmp_path / "out")], env=src_env())
@@ -485,14 +504,46 @@ class TestParallelParse:
             run.wait(timeout=60)
         children = [int(p.name) for p in marks.iterdir()]
         assert len(children) == 1
-        try:
-            deadline = time.monotonic() + 10
-            while any(map(running, children)) and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert not any(map(running, children))
-        finally:
-            for pid in filter(running, children):
-                os.kill(pid, signal.SIGKILL)
+        assert_ended(children)
+
+    def test_frames_same_bytes_on_one_and_two_cpus(self, tmp_path, monkeypatch):
+        """A capture of SPLIT_CHUNKS chunks is parsed in two processes on two
+        usable CPUs, and in one on one CPU, to the same frame files."""
+        monkeypatch.setattr(ingest, "CHUNK_BYTES", 4096)
+        rng = np.random.default_rng(3)
+        ts = np.cumsum(rng.uniform(1e-4, 1e-3, 300)) + 10.0
+        lengths = rng.integers(200, 1400, 300)
+        pcap = tmp_path / "t.pcap"
+        pcap.write_bytes(write_pcap(table(zip(ts.tolist(), lengths.tolist(), [DOWNLINK] * 300)),
+                                    EndpointFilter("10.0.0.1")))
+        assert pcap.stat().st_size >= ingest.SPLIT_CHUNKS * ingest.CHUNK_BYTES
+        splits, split_walk = [], ingest._split_walk
+
+        def counted(cap, split):
+            splits.append(split)
+            return split_walk(cap, split)
+
+        monkeypatch.setattr(ingest, "_split_walk", counted)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("segment_duration = 0.01\n")
+        for cpus in (1, 2):
+            with on_cpus(cpus):
+                assert main(["frames", "--config", str(cfg), "--pcap", str(pcap), "--server",
+                             "10.0.0.1", "--out", str(tmp_path / str(cpus))]) == 0
+        assert len(splits) == 1                      # on two CPUs only
+        assert read_tree(tmp_path / "1") == read_tree(tmp_path / "2")
+
+
+def assert_ended(pids: list[int]) -> None:
+    """Every process of `pids` ends within 10 s; any left is killed."""
+    try:
+        deadline = time.monotonic() + 10
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, pids))
+    finally:
+        for pid in filter(running, pids):
+            os.kill(pid, signal.SIGKILL)
 
 
 def broken_train_segment(*args):
@@ -511,15 +562,17 @@ class TestParallelTraining:
     def test_failed_segment_same_bytes_at_any_jobs(self, cfg_path, tmp_path):
         diverging_features(tmp_path / "features.csv", [1])
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["run", "--config", str(cfg_path), "--jobs", "1", "--out", str(a)]) == 0
-        assert main(["run", "--config", str(cfg_path), "--jobs", "2", "--out", str(b)]) == 0
+        with on_cpus(1):
+            assert main(["run", "--config", str(cfg_path), "--out", str(a)]) == 0
+        with on_cpus(2):
+            assert main(["run", "--config", str(cfg_path), "--out", str(b)]) == 0
         assert read_tree(a) == read_tree(b)
         assert "segments_ok=2" in (a / "run.log").read_text()
 
     def test_every_segment_failed_exits_3(self, cfg_path, tmp_path):
         diverging_features(tmp_path / "features.csv", [0, 1, 2])
-        assert main(["run", "--config", str(cfg_path), "--jobs", "2",
-                     "--out", str(tmp_path / "o")]) == 3
+        with on_cpus(2):
+            assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
 
     def test_train_with_every_segment_failed_exits_3(self, cfg_path, tmp_path, capsys):
         diverging_features(tmp_path / "features.csv", [0, 1, 2])
@@ -552,12 +605,12 @@ class TestParallelTraining:
     def test_train_jobs_same_checkpoints(self, cfg_path, tmp_path, capsys):
         diverging_features(tmp_path / "features.csv", [1])
         saved = {}
-        for jobs in ("1", "2"):
-            out = tmp_path / f"ckpt{jobs}"
-            assert main(["train", "--config", str(cfg_path), "--jobs", jobs,
-                         "--out", str(out)]) == 0
+        for cpus in ("1", "2"):
+            out = tmp_path / f"ckpt{cpus}"
+            with on_cpus(int(cpus)):
+                assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
             err = capsys.readouterr().err.splitlines()
-            saved[jobs] = [Path(line.split()[-1]).name if line.startswith("saved ") else line
+            saved[cpus] = [Path(line.split()[-1]).name if line.startswith("saved ") else line
                            for line in err]
             assert len(list(out.glob("*.npz"))) == 4
         assert saved["1"] == saved["2"]
@@ -571,46 +624,89 @@ class TestParallelTraining:
 
     def test_worker_error_reaches_caller(self, small_cfg, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "train_segment", broken_train_segment)
-        with pytest.raises(RuntimeError, match="not a toolkit error"):
-            main(["run", "--config", str(small_cfg), "--jobs", "2",
-                  "--out", str(tmp_path / "o")])
+        with pytest.raises(RuntimeError, match="not a toolkit error"), on_cpus(2):
+            main(["run", "--config", str(small_cfg), "--out", str(tmp_path / "o")])
 
     def test_reports_carry_the_same_traces_at_any_jobs(self, cfg_path, tmp_path):
         diverging_features(tmp_path / "features.csv", [1])
         traces = {}
-        for jobs in (1, 2):
-            cfg = apply_overrides(load_config(cfg_path), {"jobs": jobs})
-            values = harness.feature_series(cfg)[0]
-            trained = harness.train_models(cfg, segment(values, cfg.segment_size))
+        cfg = load_config(cfg_path)
+        values = harness.feature_series(cfg)[0]
+        for cpus in (1, 2):
+            with on_cpus(cpus):
+                trained = harness.train_models(cfg, segment(values, cfg.segment_size))
             reports = [r for kind in ("fcnn", "gru") for r in trained[kind]]
             assert all(r.model is None for r in reports)      # keep_models unset
-            traces[jobs] = [(r.base_trace, r.residual_trace) for r in reports]
+            traces[cpus] = [(r.base_trace, r.residual_trace) for r in reports]
         # segment 1 of each kind failed, and has no traces
         assert [pair == (None, None) for pair in traces[1]] == [False, True, False] * 2
         assert all(t.val_loss for pair in traces[1] if pair[0] for t in pair)
         assert traces[1] == traces[2]
 
+    def test_trains_in_process_without_fork(self, cfg_path, tmp_path, monkeypatch):
+        diverging_features(tmp_path / "features.csv", [1])
+        cfg = load_config(cfg_path)
+        segments = segment(harness.feature_series(cfg)[0], cfg.segment_size)
+        calls, train_segment = [], harness.train_segment
+
+        def in_process(index, *args):        # a closure: a worker pool cannot pickle it
+            calls.append(index)
+            return train_segment(index, *args)
+
+        with on_cpus(2):
+            forked = harness.train_models(cfg, segments)
+            monkeypatch.delattr(os, "fork")
+            monkeypatch.setattr(harness, "train_segment", in_process)
+            alone = harness.train_models(cfg, segments)
+        assert calls == [0, 1, 2] * 2
+        for kind in ("fcnn", "gru"):
+            assert render_json(report_rows(alone[kind], kind)) == \
+                render_json(report_rows(forked[kind], kind))
+            for one, two in zip(alone[kind], forked[kind]):
+                assert (one.base_trace, one.residual_trace) == (two.base_trace, two.residual_trace)
+                for a, b in zip(one.test_series or (), two.test_series or ()):
+                    np.testing.assert_array_equal(a, b)
+
+    def stuck_run(self, small_cfg, tmp_path):
+        """`run` of the small config with its two training tasks stuck in two
+        workers, once both have started; and the workers' pids."""
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        run = subprocess.Popen([sys.executable, "-c", STUCK_RUN, str(marks), "run", "--config",
+                                str(small_cfg), "--out", str(tmp_path / "out")],
+                               env=src_env(), stderr=subprocess.PIPE, text=True)
+        deadline = time.monotonic() + 60
+        while len(list(marks.iterdir())) < 2 and time.monotonic() < deadline:
+            if run.poll() is not None:
+                break
+            time.sleep(0.05)
+        return run, [int(p.name) for p in marks.iterdir()]
+
     @needs_proc
-    def test_killed_run_leaves_no_worker(self, tmp_path):
-        run = subprocess.Popen([sys.executable, "-c", STUCK_RUN, str(tmp_path)],
-                               env=src_env())
-        try:
-            deadline = time.monotonic() + 60
-            while len(list(tmp_path.iterdir())) < 2 and time.monotonic() < deadline:
-                time.sleep(0.05)
-        finally:
-            run.kill()
-            run.wait(timeout=60)
-        workers = [int(p.name) for p in tmp_path.iterdir()]
+    def test_killed_run_leaves_no_worker(self, small_cfg, tmp_path):
+        run, workers = self.stuck_run(small_cfg, tmp_path)
+        run.kill()
+        run.communicate(timeout=60)
         assert len(workers) == 2
+        assert_ended(workers)
+
+    @needs_proc
+    def test_killed_worker_is_a_training_failure(self, small_cfg, tmp_path):
+        run, workers = self.stuck_run(small_cfg, tmp_path)
         try:
-            deadline = time.monotonic() + 10
-            while any(map(running, workers)) and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert not any(map(running, workers))
+            assert len(workers) == 2
+            os.kill(workers[0], signal.SIGKILL)
+            err = run.communicate(timeout=60)[1]
         finally:
-            for pid in filter(running, workers):
-                os.kill(pid, signal.SIGKILL)
+            if run.poll() is None:
+                run.kill()
+                run.communicate(timeout=60)
+            assert_ended(workers)
+        message = "a training worker process died before its task ended"
+        assert run.returncode == 3, err
+        assert err.splitlines() == [f"training failure: {message}"]
+        log = (tmp_path / "out" / "run.log").read_text().splitlines()
+        assert log[-1] == f"error: WorkerDied: {message}"
 
     @needs_proc
     def test_worker_runs_one_blas_thread(self):
@@ -958,14 +1054,20 @@ class TestBadUserInput:
         ("reslearn = off\n", "unknown key 'reslearn'"),
         # the key of a deleted combine rule, which kept res_b in the forecast
         ("paper_literal_combine = false\n", "unknown key 'paper_literal_combine'"),
+        # the key of the deleted CPU budget: the process's affinity sets it
+        ("jobs = 2\n", "unknown key 'jobs'"),
         ("residual_epochs = 0\n", "residual_epochs must be >= 1"),
         ("segment_size = 60\nlookback = 8\n", "segment_size 60 is too short for lookback 8"),
+        # each part of this split holds one window, but segment() takes no
+        # segment under MIN_SEGMENT_SIZE values
+        ("synth_length = 70\nsegment_size = 7\nlookback = 1\ntrain_ratio = 0.6\n"
+         "val_ratio = 0.5\n", "segment_size must be >= 8"),
         # both stages train with these
         ("patience = 0\n", "config error: patience must be >= 1"),
         ("min_delta = nan\n", "config error: min_delta must be finite and >= 0"),
         ("learning_rate = nan\n", "config error: learning_rate must be finite and positive"),
-    ], ids=["reslearn_off", "literal_combine", "residual_epochs", "segment_too_short",
-            "patience", "min_delta", "learning_rate"])
+    ], ids=["reslearn_off", "literal_combine", "jobs", "residual_epochs", "segment_too_short",
+            "segment_under_minimum", "patience", "min_delta", "learning_rate"])
     @pytest.mark.parametrize("command", ["run", "train"])
     def test_residual_stage_settings(self, command, setting, message, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

@@ -1,5 +1,3 @@
-import os
-
 import pytest
 
 from reslearn.config import ExperimentConfig, apply_overrides, load_config, parse_config
@@ -54,16 +52,13 @@ class TestValidate:
     def test_valid_default_passes(self):
         parse_config("").validate()
 
-    def test_jobs_default_to_usable_cpus(self):
-        assert ExperimentConfig().jobs == len(os.sched_getaffinity(0))
-
 
 class TestOverridesAndFiles:
     def test_overrides_win(self):
         cfg = parse_config("seed = 1\n")
-        apply_overrides(cfg, {"seed": 9, "jobs": 4, "epochs": None})
+        apply_overrides(cfg, {"seed": 9, "port": 4, "epochs": None})
         assert cfg.seed == 9
-        assert cfg.jobs == 4
+        assert cfg.port == 4
         assert cfg.epochs == ExperimentConfig().epochs
 
     def test_unknown_override(self):

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from reslearn import ingest
 from reslearn.errors import (
@@ -27,7 +27,16 @@ from reslearn.ingest import (
     write_csv,
 )
 
-from oracles import DOWNLINK, UPLINK, parse_pcap_records, rows, table, write_pcap
+from cpus import on_cpus
+from oracles import (
+    DOWNLINK,
+    UPLINK,
+    parse_pcap_records,
+    rows,
+    table,
+    vector_guess_record_start,
+    write_pcap,
+)
 
 SERVER = "10.0.0.1"
 FILT = EndpointFilter(SERVER)
@@ -247,16 +256,19 @@ def frames(draw):
 
 
 @st.composite
-def captures(draw):
+def captures(draw, plausible=False):
+    """A classic pcap of random records; with `plausible`, every header's
+    fraction is below one second and its orig_len at least its incl_len, so
+    that chains of plausible headers are common."""
     endian = draw(st.sampled_from("<>"))
     magic = draw(st.sampled_from([0xA1B2C3D4, 0xA1B23C4D]))
     out = bytearray(global_header(magic, endian=endian))
     for _ in range(draw(st.integers(0, 25))):
         frame = draw(frames())
         incl = draw(st.integers(0, len(frame)))      # snap length cuts the frame
-        orig = draw(st.integers(0, 2**32 - 1))
+        orig = draw(st.integers(incl, incl + 1500) if plausible else st.integers(0, 2**32 - 1))
         sec = draw(st.integers(0, 2**32 - 1))
-        frac = draw(st.integers(0, 2**32 - 1))
+        frac = draw(st.integers(0, 999_999) if plausible else st.integers(0, 2**32 - 1))
         out += struct.pack(endian + "IIII", sec, frac, incl, orig) + frame[:incl]
     if draw(st.booleans()):
         out = out[:len(out) - draw(st.integers(0, 40))]
@@ -340,13 +352,10 @@ def assert_same_parse(result, expected):
     assert (result.skipped, result.warnings) == (expected.skipped, expected.warnings)
 
 
-def split_parse(path, filt, jobs=2):
-    """parse_pcap of the file at `path` with `jobs`, on two usable CPUs (the
-    same one twice on a 1-CPU host)."""
-    cpus = ingest.usable_cpus()
-    with mock.patch.object(ingest, "usable_cpus", lambda: (cpus * 2)[:2]):
-        with open(path, "rb") as stream:
-            return parse_pcap(stream, filt, jobs)
+def split_parse(path, filt):
+    """parse_pcap of the file at `path` on two usable CPUs."""
+    with on_cpus(2), open(path, "rb") as stream:
+        return parse_pcap(stream, filt)
 
 
 class ScanSpy:
@@ -402,6 +411,19 @@ class TestSplitParse:
         with mock.patch.object(ingest, "CHUNK_BYTES", chunk), \
                 mock.patch.object(ingest, "_guess_record_start", lambda cap, offset: split):
             assert_same_parse(split_parse(path, filt), expected)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.one_of(captures(), captures(plausible=True)),
+           st.one_of(st.integers(16, 300), st.just(ingest.GUESS_WINDOW)),
+           st.integers(1, ingest.GUESS_CHAIN), st.sampled_from([ingest.GUESS_MAX_ORIG, 2**32]))
+    def test_guess_matches_the_vector_oracle(self, data, window, chain, max_orig):
+        assume(len(data) >= 24)
+        cap = ingest._capture(io.BytesIO(data), FILT)
+        with mock.patch.multiple(ingest, GUESS_WINDOW=window, GUESS_CHAIN=chain,
+                                 GUESS_MAX_ORIG=max_orig):
+            for offset in range(24, len(data) + 1):
+                assert (ingest._guess_record_start(cap, offset)
+                        == vector_guess_record_start(cap, offset)), offset
 
     def test_guess_finds_the_true_record_starts(self, tmp_path):
         data = long_capture()
@@ -480,11 +502,9 @@ class TestSplitParse:
                 walks.append(start)
             return scan(cap, start, stop)
 
-        cpus = ingest.usable_cpus()
         with stream, mock.patch.object(ingest, "CHUNK_BYTES", 1024), \
-                mock.patch.object(ingest, "_scan", scan_moving_offset), \
-                mock.patch.object(ingest, "usable_cpus", lambda: (cpus * 2)[:2]):
-            result = parse_pcap(stream, FILT, 2)
+                mock.patch.object(ingest, "_scan", scan_moving_offset), on_cpus(2):
+            result = parse_pcap(stream, FILT)
         assert_same_parse(result, parse(data))
         assert walks == [24]                           # the child's range kept
         # the child's one call on the stream is the test's own seek
@@ -494,6 +514,7 @@ class TestSplitParse:
     @pytest.mark.parametrize("placed", [True, False], ids=["cpu_given", "kernel_places"])
     def test_child_runs_on_the_cpu_it_is_given(self, placed, tmp_path):
         cpus = ingest.usable_cpus()
+        pair = cpus[:2]                                # the CPUs split_parse runs on
         marks = tmp_path / "marks"
         marks.mkdir()
 
@@ -505,9 +526,9 @@ class TestSplitParse:
         path.write_bytes(data)
         with mock.patch.object(ingest, "CHUNK_BYTES", 1024), \
                 mock.patch.object(ingest, "_scan", ScanSpy(note_mask)), \
-                mock.patch.object(ingest, "child_cpu", lambda: cpus[-1] if placed else None):
+                mock.patch.object(ingest, "child_cpu", lambda: pair[-1] if placed else None):
             split_parse(path, FILT)
-        expected = [cpus[-1]] if placed else cpus
+        expected = [pair[-1]] if placed else pair
         assert [m.name for m in marks.iterdir()] == [",".join(map(str, expected))]
         assert sorted(os.sched_getaffinity(0)) == cpus
 
@@ -519,12 +540,11 @@ class TestSplitParse:
         with mock.patch.object(ingest, "_scan", spy):
             split_parse(path, FILT)                   # under SPLIT_CHUNKS chunks
             with mock.patch.object(ingest, "CHUNK_BYTES", 1024):
-                parse_pcap(io.BytesIO(data), FILT, 2)  # no file descriptor
-                split_parse(path, FILT, 1)
-                with mock.patch.object(ingest, "usable_cpus", lambda: [0]), \
-                        open(path, "rb") as stream:
-                    parse_pcap(stream, FILT, 2)        # one usable CPU
-        assert spy.calls == [(24, len(data))] * 4
+                with on_cpus(2):
+                    parse_pcap(io.BytesIO(data), FILT)  # no file descriptor
+                with on_cpus(1), open(path, "rb") as stream:
+                    parse_pcap(stream, FILT)            # one usable CPU
+        assert spy.calls == [(24, len(data))] * 3
 
 
 class TestEndpointFilter:

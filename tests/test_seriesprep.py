@@ -26,10 +26,6 @@ class TestSegment:
         assert seg.dropped == 4
         np.testing.assert_array_equal(seg.segments[0], np.arange(8))
 
-    def test_rejects_tiny_segment_size(self):
-        with pytest.raises(ConfigError):
-            segment(np.arange(20), 4)
-
     def test_exact_fit(self):
         seg = segment(np.arange(8), 8)
         assert seg.num_segments == 1
