@@ -2,15 +2,35 @@
 
 Exit codes: 0 success, 1 config error, 2 data error, 3 training failure.
 The default output directory can be set with RESLEARN_OUT_DIR.
+
+Each command imports the modules it runs, and no others: at module level
+this file loads only the standard library and `errors`, so `--help` and a
+usage error load no numpy, and `evaluate` loads neither the packet path nor
+the config.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+from .errors import (
+    ConfigError,
+    NonFiniteLoss,
+    ResLearnError,
+    SchemaMismatch,
+    WorkerDied,
+    read_text,
+)
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
+    from .ingest import PacketTable
 
 # One OpenBLAS thread per process, set before numpy loads: training runs in
 # worker processes (harness.train_models), and more BLAS threads would only
@@ -42,32 +62,6 @@ def _keep_freed_memory() -> None:
 
 _keep_freed_memory()
 
-from .config import ExperimentConfig, apply_overrides, load_config  # noqa: E402
-from .errors import (  # noqa: E402
-    ConfigError,
-    NonFiniteLoss,
-    ResLearnError,
-    SchemaMismatch,
-    WorkerDied,
-    read_text,
-)
-from .harness import (  # noqa: E402
-    eda_csv,
-    feature_series,
-    load_packets,
-    packet_features,
-    read_feature_csv,
-    run_experiment,
-    train_models,
-    write_frame_files,
-)
-from .ingest import PacketTable, write_csv  # noqa: E402
-from .placement import usable_cpus  # noqa: E402
-from .report import _f  # noqa: E402
-from .residual import load_reslearn, save_reslearn, score  # noqa: E402
-from .seriesprep import make_windows, segment  # noqa: E402
-from .synth import gen_series, gen_trace  # noqa: E402
-
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
@@ -86,8 +80,9 @@ def _add_packet_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--port", type=int, help="optional server port filter")
 
 
-def _packets(cfg: ExperimentConfig) -> PacketTable:
-    """The configured input's packets, read after `run`'s config check; prints counters."""
+def _packets(cfg: ExperimentConfig, load_packets) -> PacketTable:
+    """The configured input's packets, read by `load_packets` after `run`'s
+    config check; prints counters."""
     cfg.validate()
     result = load_packets(cfg)
     print(f"parsed {len(result.records)} packets, skipped {result.skipped}, "
@@ -105,16 +100,34 @@ def _output(path):
         yield sys.stdout
 
 
+def _loaded() -> None:
+    """Called by each command once its modules are imported and its config is
+    read. `main` runs until here with the cyclic GC off; `gc.freeze` then
+    leaves every object made so far, nearly all of them import-time objects,
+    out of every later collection, including the one at interpreter exit, and
+    the GC goes back on for the command's own work."""
+    gc.freeze()
+    gc.enable()
+
+
 def cmd_ingest(args) -> int:
-    packets = _packets(_config(args))
+    from .harness import load_packets
+    from .ingest import write_csv
+
+    cfg = _config(args)
+    _loaded()
+    packets = _packets(cfg, load_packets)
     with _output(args.out) as out:
         write_csv(packets, out)
     return EXIT_OK
 
 
 def cmd_frames(args) -> int:
+    from .harness import load_packets, packet_features, write_frame_files
+
     cfg = _config(args)
-    thresholds, frames, feats, partial = packet_features(_packets(cfg), cfg)
+    _loaded()
+    thresholds, frames, feats, partial = packet_features(_packets(cfg, load_packets), cfg)
     out = Path(args.out or _default_out())
     out.mkdir(parents=True, exist_ok=True)
     write_frame_files(out, thresholds, feats)
@@ -124,6 +137,10 @@ def cmd_frames(args) -> int:
 
 
 def cmd_eda(args) -> int:
+    from .harness import eda_csv
+    from .seriesprep import read_feature_csv
+
+    _loaded()
     values = read_feature_csv(read_text(args.features, SchemaMismatch), args.feature)
     text = eda_csv(values, args.window)
     with _output(args.out) as out:
@@ -132,7 +149,11 @@ def cmd_eda(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .ingest import write_csv
+    from .synth import gen_series, gen_trace
+
     cfg = _config(args)
+    _loaded()
     if args.kind == "trace":
         packets, _ = gen_trace(cfg.trace_spec())
         with _output(args.out) as out:
@@ -145,7 +166,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .harness import feature_series, train_models
+    from .residual import save_reslearn
+    from .seriesprep import segment
+
     cfg = _config(args)
+    _loaded()
     cfg.validate()
     out = Path(args.out or _default_out())
     out.mkdir(parents=True, exist_ok=True)
@@ -167,6 +193,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .placement import usable_cpus
+    from .report import _f
+    from .residual import load_reslearn, score
+    from .seriesprep import make_windows, read_feature_csv
+
+    _loaded()
     threads = len(usable_cpus())
     model = load_reslearn(args.model)
     values = read_feature_csv(read_text(args.features, SchemaMismatch), args.feature)
@@ -180,12 +212,18 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    run_experiment(_config(args), Path(args.out or _default_out()))
+    from .harness import run_experiment
+
+    cfg = _config(args)
+    _loaded()
+    run_experiment(cfg, Path(args.out or _default_out()))
     return EXIT_OK
 
 
 def _config(args) -> ExperimentConfig:
     """The `--config` file, or the defaults, with the command's flags over it."""
+    from .config import ExperimentConfig, apply_overrides, load_config
+
     flags = vars(args)
     cfg = load_config(args.config) if flags.get("config") else ExperimentConfig()
     overrides = {key: flags.get(key) for key in ("seed", "server", "port")}
@@ -245,8 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    gc.disable()                       # back on in _loaded, or on the way out
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -257,6 +296,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ResLearnError, OSError) as exc:
         print(f"data error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        gc.enable()
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ keeps the bytes identical too.
 
 from __future__ import annotations
 
-import math
 import os
 from pathlib import Path
 
@@ -41,6 +40,7 @@ from .residual import SegmentReport, train_segment
 from .seriesprep import (
     SegmentedSeries,
     impute_absent,
+    read_feature_csv,
     rolling_mean,
     runs_test,
     segment,
@@ -120,32 +120,6 @@ def _feature_column(feats, feature: str) -> np.ndarray:
     if feature == "f_s":
         return np.array([sf.f_s for sf in feats], dtype=np.float64)
     return impute_absent([sf.f_iat for sf in feats])
-
-
-def read_feature_csv(text: str, feature: str) -> np.ndarray:
-    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines or lines[0][1].strip() != "segment,f_c,f_s,f_iat":
-        raise SchemaMismatch("expected header 'segment,f_c,f_s,f_iat'")
-    col = {"f_c": 1, "f_s": 2, "f_iat": 3}[feature]
-    raw = []
-    for i, ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise SchemaMismatch(f"line {i}: expected 4 fields, got {len(parts)}")
-        cell = parts[col]
-        if cell == "NA":
-            raw.append(None)
-            continue
-        try:
-            value = float(cell)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):     # nan and inf would reach training
-            raise SchemaMismatch(f"line {i}: bad {feature} {cell!r}")
-        raw.append(value)
-    if feature == "f_iat":
-        return impute_absent(raw)
-    return np.array([0.0 if v is None else v for v in raw], dtype=np.float64)
 
 
 def eda_csv(values: np.ndarray, window: int) -> str:

@@ -14,9 +14,10 @@ __all__ = [
 ]
 
 
-def build_predictor(config: PredictorConfig) -> Predictor:
+def build_predictor(config: PredictorConfig, draw: bool = True) -> Predictor:
+    """A predictor of `config.kind`; see Predictor for `draw`."""
     if config.kind == "transformer":
-        return TransformerPredictor(config)
+        return TransformerPredictor(config, draw)
     if config.kind in ("lstm", "gru", "stacked_lstm"):
-        return RecurrentPredictor(config)
-    return FCNNPredictor(config)
+        return RecurrentPredictor(config, draw)
+    return FCNNPredictor(config, draw)

@@ -87,7 +87,12 @@ class TrainTrace:
         return len(self.train_loss)
 
 
-def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+def uniform_init(rng: np.random.Generator | None, shape: tuple[int, ...],
+                 fan_in: int) -> np.ndarray:
+    """Weights drawn uniformly within 1/sqrt(fan_in) of 0; zeros without a
+    generator, for weights that are overwritten next."""
+    if rng is None:
+        return np.zeros(shape)
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
@@ -95,9 +100,12 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) 
 class Predictor:
     """Common machinery; subclasses supply init_params / _forward / _backward."""
 
-    def __init__(self, config: PredictorConfig):
+    def __init__(self, config: PredictorConfig, draw: bool = True):
+        """Weights drawn from `config.seed`; with `draw` false, zero weights
+        that the caller overwrites (a loaded or unpickled model), laid out by
+        the same `init_params` without importing or running numpy's generator."""
         self.config = config
-        init = self.init_params(np.random.default_rng(config.seed))
+        init = self.init_params(np.random.default_rng(config.seed) if draw else None)
         self.flat = np.concatenate([v.ravel() for v in init.values()])
         self.params = _views(self.flat, init)
 
@@ -107,12 +115,12 @@ class Predictor:
         return {"config": self.config, "flat": self.flat}
 
     def __setstate__(self, state):
-        self.__init__(state["config"])
+        self.__init__(state["config"], draw=False)
         self.flat[...] = state["flat"]
 
     # --- subclass surface ---
 
-    def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    def init_params(self, rng: np.random.Generator | None) -> dict[str, np.ndarray]:
         raise NotImplementedError
 
     def _forward(self, params: dict, inputs: np.ndarray):

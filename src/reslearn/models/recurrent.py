@@ -149,9 +149,9 @@ class RecurrentPredictor(Predictor):
     """One- or two-layer gated recurrence over the lookback window; the final
     hidden state feeds a linear head."""
 
-    def __init__(self, config: PredictorConfig):
+    def __init__(self, config: PredictorConfig, draw: bool = True):
         self.n_layers = 2 if config.kind == "stacked_lstm" else 1
-        super().__init__(config)
+        super().__init__(config, draw)
 
     def init_params(self, rng):
         d = self.config.hidden_width

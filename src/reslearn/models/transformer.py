@@ -72,10 +72,10 @@ def _softmax(scores):
 
 
 class TransformerPredictor(Predictor):
-    def __init__(self, config: PredictorConfig):
+    def __init__(self, config: PredictorConfig, draw: bool = True):
         self.head_dim = config.d_model // config.n_heads
         self.pe = positional_encoding(config.lookback, config.d_model)
-        super().__init__(config)
+        super().__init__(config, draw)
 
     def init_params(self, rng):
         d = self.config.d_model

@@ -79,8 +79,10 @@ def load_reslearn(path) -> ResLearnModel:
         with np.load(path, allow_pickle=False) as data:
             arrays = {k: data[k] for k in data.files}
     # zipfile raises RuntimeError for an encrypted member, NotImplementedError
-    # for an unsupported compression or patched-data flag
-    except (ValueError, EOFError, zipfile.BadZipFile, RuntimeError, NotImplementedError) as exc:
+    # for an unsupported compression or patched-data flag, and OSError for a
+    # member offset that points before the start of the file
+    except (ValueError, EOFError, zipfile.BadZipFile, RuntimeError, NotImplementedError,
+            OSError) as exc:
         raise CheckpointError(f"not an npz archive: {exc}") from None
     if "__meta__" not in arrays:
         raise CheckpointError("missing checkpoint metadata")
@@ -92,8 +94,9 @@ def load_reslearn(path) -> ResLearnModel:
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     try:
-        base = build_predictor(PredictorConfig(**meta["base_config"]))
-        residual = build_predictor(PredictorConfig(**meta["residual_config"]))
+        # the weights are laid out here and filled from the file below
+        base = build_predictor(PredictorConfig(**meta["base_config"]), draw=False)
+        residual = build_predictor(PredictorConfig(**meta["residual_config"]), draw=False)
         s = meta["scaler"]
         scaler = Scaler(float(s["lo"]), float(s["hi"]), bool(s["identity"]))
         res_b, literal = float(meta["res_b"]), bool(meta["paper_literal_combine"])

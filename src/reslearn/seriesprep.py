@@ -1,4 +1,5 @@
-"""Segmentation, chronological splits, scaling, windowing, and EDA helpers."""
+"""Feature CSV reading, segmentation, chronological splits, scaling,
+windowing, and EDA helpers."""
 
 from __future__ import annotations
 
@@ -7,7 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateSeries, SeriesTooShort, SplitTooSmall
+from .errors import (
+    ConfigError,
+    DegenerateSeries,
+    SchemaMismatch,
+    SeriesTooShort,
+    SplitTooSmall,
+)
 
 
 @dataclass(frozen=True)
@@ -72,6 +79,35 @@ def impute_absent(values: list[float | None]) -> np.ndarray:
             last = float(v)
         out[i] = last
     return out
+
+
+def read_feature_csv(text: str, feature: str) -> np.ndarray:
+    """The `feature` column of a features CSV (`segment,f_c,f_s,f_iat`). `NA`
+    marks an absent value: forward-filled in `f_iat`, 0 in the others. A
+    malformed row or a cell that is not a finite number raises SchemaMismatch."""
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1].strip() != "segment,f_c,f_s,f_iat":
+        raise SchemaMismatch("expected header 'segment,f_c,f_s,f_iat'")
+    col = {"f_c": 1, "f_s": 2, "f_iat": 3}[feature]
+    raw = []
+    for i, ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != 4:
+            raise SchemaMismatch(f"line {i}: expected 4 fields, got {len(parts)}")
+        cell = parts[col]
+        if cell == "NA":
+            raw.append(None)
+            continue
+        try:
+            value = float(cell)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):     # nan and inf would reach training
+            raise SchemaMismatch(f"line {i}: bad {feature} {cell!r}")
+        raw.append(value)
+    if feature == "f_iat":
+        return impute_absent(raw)
+    return np.array([0.0 if v is None else v for v in raw], dtype=np.float64)
 
 
 def segment(values: np.ndarray, n: int) -> SegmentedSeries:

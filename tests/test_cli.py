@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from reslearn.metrics import evaluate
 from reslearn.models import Predictor, PredictorConfig, build_predictor
 from reslearn.report import render_json, report_rows
 from reslearn.residual import ResLearnModel, combine_predictions, load_reslearn, save_reslearn
-from reslearn.seriesprep import Scaler, make_windows, segment
+from reslearn.seriesprep import Scaler, make_windows, read_feature_csv, segment
 from reslearn.synth import gen_series, gen_trace
 
 from cpus import on_cpus
@@ -769,20 +770,83 @@ class TestAllocator:
         assert faults > 100 * ALLOC_CYCLES
 
 
-# modules that only some commands need, imported where they are used: on a
-# 2-vCPU VM (Python 3.11, numpy 2.4.6) `numpy.random` took 12-17 ms to import,
-# and `concurrent.futures` with `multiprocessing` 12-18 ms, which every CLI
-# start would pay
+# modules that a command loads only when it runs them. Measured with
+# `python -X importtime` on a 2-vCPU VM (Python 3.11, numpy 2.4.6, no bytecode
+# caches): numpy took 72-82 ms, `numpy.random` 14-27 ms, `concurrent.futures`
+# 6-11 ms and `multiprocessing` 6-7 ms; config, ingest, viewframe and synth,
+# which `evaluate` does not run, about 40 ms between them
 DEFERRED_MODULES = ("concurrent.futures", "multiprocessing", "numpy.random")
+PIPELINE_MODULES = tuple(f"reslearn.{m}" for m in ("config", "ingest", "viewframe", "synth",
+                                                   "harness"))
+
+
+def loaded_after(code: str, modules) -> list[str]:
+    """Those of `modules` that a fresh interpreter holds after running `code`,
+    which must print nothing."""
+    done = subprocess.run([sys.executable, "-c", code + "\nimport sys\n"
+                           f"print(*[m for m in {tuple(modules)!r} if m in sys.modules])"],
+                          env=src_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
 
 
 def test_cli_import_defers_pools_and_random():
-    code = ("import sys, reslearn.cli\n"
-            f"print(*[m for m in {DEFERRED_MODULES!r} if m in sys.modules])")
-    done = subprocess.run([sys.executable, "-c", code], env=src_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == []
+    assert loaded_after("import reslearn.cli", ("numpy", *DEFERRED_MODULES)) == []
+
+
+def test_help_loads_no_numpy():
+    code = ("import contextlib, io\nfrom reslearn.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n        main(['--help'])\n    except SystemExit:\n        pass")
+    assert loaded_after(code, ("numpy",)) == []
+
+
+def test_evaluate_loads_only_its_own_modules(small_cfg, tmp_path):
+    out = tmp_path / "ckpts"
+    assert main(["train", "--config", str(small_cfg), "--out", str(out)]) == 0
+    features = tmp_path / "features.csv"
+    features.write_text(FEATURES_CSV)
+    argv = ["evaluate", "--model", str(sorted(out.glob("*.npz"))[0]),
+            "--features", str(features)]
+    code = ("import contextlib, io\nfrom reslearn.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0")
+    assert loaded_after(code, DEFERRED_MODULES + PIPELINE_MODULES) == []
+
+
+class TestGarbageCollector:
+    """`main` runs with the cyclic GC off until the command's modules are
+    loaded; it is on again however `main` ends, since callers run it
+    in-process."""
+
+    def test_on_after_success(self, tmp_path):
+        assert main(["synth", "--seed", "3", "--out", str(tmp_path / "s.csv")]) == 0
+        assert gc.isenabled()
+
+    def test_on_after_config_error(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("colour = blue\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert gc.isenabled()
+
+    def test_on_after_data_error(self, tmp_path):
+        argv = ["evaluate", "--model", str(tmp_path / "absent.npz"), "--features",
+                str(tmp_path / "absent.csv")]
+        assert main(argv) == 2
+        assert gc.isenabled()
+
+    def test_on_after_training_failure(self, tmp_path):
+        diverging_features(tmp_path / "features.csv", [0, 1, 2])
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(PARALLEL_CFG + f"input_path = {tmp_path / 'features.csv'}\n")
+        with on_cpus(1):
+            assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert gc.isenabled()
+
+    def test_on_after_usage_error(self):
+        with pytest.raises(SystemExit):
+            main(["run", "--jobs", "2"])
+        assert gc.isenabled()
 
 
 class TestTrainEvaluate:
@@ -808,8 +872,9 @@ class TestTrainEvaluate:
         features = tmp_path / "features.csv"
         features.write_text(FEATURES_CSV)
         loaded, calls = [], []
-        real_load, real_predict = cli.load_reslearn, Predictor.predict
-        monkeypatch.setattr(cli, "load_reslearn",
+        real_load, real_predict = load_reslearn, Predictor.predict
+        # evaluate imports it from reslearn.residual when it runs
+        monkeypatch.setattr("reslearn.residual.load_reslearn",
                             lambda path: loaded.append(real_load(path)) or loaded[-1])
         monkeypatch.setattr(Predictor, "predict", lambda model, x, **kw:
                             calls.append(model) or real_predict(model, x, **kw))
@@ -923,8 +988,8 @@ class TestBadFeatureCsv:
 
     def test_na_cells_stay_absent_values(self):
         text = "segment,f_c,f_s,f_iat\n0,1,NA,NA\n1,1,5,0.5\n2,1,NA,NA\n"
-        assert harness.read_feature_csv(text, "f_s").tolist() == [0.0, 5.0, 0.0]
-        assert harness.read_feature_csv(text, "f_iat").tolist() == [0.5, 0.5, 0.5]
+        assert read_feature_csv(text, "f_s").tolist() == [0.0, 5.0, 0.0]
+        assert read_feature_csv(text, "f_iat").tolist() == [0.5, 0.5, 0.5]
 
 
 class TestBadSynthSetting:

@@ -1,3 +1,5 @@
+import functools
+import io
 import json
 import pickle
 import re
@@ -6,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from reslearn.errors import CheckpointError, ConfigError, NonFiniteLoss, ShapeMismatch
 from reslearn.models import KINDS, PredictorConfig, build_predictor
@@ -551,3 +554,62 @@ class TestCheckpoints:
         path = checkpoint(tmp_path, meta_edit(
             lambda meta: meta.update(scaler={"lo": 2.0, "hi": 2.0, "identity": True})))
         assert load_reslearn(path).scaler == Scaler(2.0, 2.0, identity=True)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_load_and_unpickle_keep_every_bit_and_draw_nothing(self, kind, tmp_path,
+                                                               monkeypatch):
+        X, y = grad_fixture()
+        model = two_stage(kind)
+        model.base.fit(X, y, X, y)
+        path = tmp_path / "model.npz"
+        save_reslearn(model, path)
+
+        def draw(*args):
+            raise AssertionError("initial weights drawn for a model whose weights are saved")
+
+        monkeypatch.setattr(np.random, "default_rng", draw)
+        loaded = load_reslearn(path)
+        unpickled = pickle.loads(pickle.dumps(model))
+        for copy in (loaded, unpickled):
+            for stage in ("base", "residual"):
+                assert getattr(copy, stage).flat.tobytes() == getattr(model, stage).flat.tobytes()
+                assert_views_of_flat(getattr(copy, stage))
+
+    def test_central_directory_offset_past_its_place_rejected(self, tmp_path):
+        # found by the fuzz below: with the end record's central-directory
+        # offset raised by 0xE20000, zipfile seeks each member to a negative
+        # offset, an OSError
+        content = bytearray(saved_fcnn_checkpoint())
+        content[content.rfind(b"PK\x05\x06") + 18] ^= 0xE2
+        path = tmp_path / "ckpt.npz"
+        path.write_bytes(content)
+        with pytest.raises(CheckpointError, match="^not an npz archive"):
+            load_reslearn(path)
+
+    # a bad checkpoint never ends in another error. 20000 such mutations, run
+    # apart from this test, gave about 97.5% CheckpointError and 2.5% loaded
+    # (a change in a field that zip does not check) and no other outcome
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_mutated_checkpoint_loads_or_is_rejected(self, tmp_path, data):
+        content = bytearray(saved_fcnn_checkpoint())
+        for _ in range(data.draw(st.integers(1, 4), label="bytes changed")):
+            at = data.draw(st.integers(0, len(content) - 1), label="offset")
+            content[at] ^= data.draw(st.integers(1, 255), label="xor")
+        cut = data.draw(st.none() | st.integers(0, len(content) - 1), label="truncated to")
+        path = tmp_path / "ckpt.npz"
+        path.write_bytes(content[:cut])
+        try:
+            model = load_reslearn(path)
+        except CheckpointError:
+            return
+        assert np.isfinite(model.base.flat).all() and np.isfinite(model.residual.flat).all()
+
+
+@functools.cache
+def saved_fcnn_checkpoint() -> bytes:
+    """The bytes of a saved two-stage fcnn checkpoint, made once."""
+    buffer = io.BytesIO()
+    save_reslearn(two_stage(), buffer)
+    return buffer.getvalue()
