@@ -5,8 +5,8 @@ The default output directory can be set with RESLEARN_OUT_DIR.
 
 Each command imports the modules it runs, and no others: at module level
 this file loads only the standard library and `errors`, so `--help` and a
-usage error load no numpy, and `evaluate` loads neither the packet path nor
-the config.
+usage error load no numpy, `evaluate` loads neither the packet path nor the
+config, and `eda` loads `seriesprep` alone.
 """
 
 from __future__ import annotations
@@ -137,8 +137,7 @@ def cmd_frames(args) -> int:
 
 
 def cmd_eda(args) -> int:
-    from .harness import eda_csv
-    from .seriesprep import read_feature_csv
+    from .seriesprep import eda_csv, read_feature_csv
 
     _loaded()
     values = read_feature_csv(read_text(args.features, SchemaMismatch), args.feature)

@@ -1,16 +1,20 @@
 """Exception hierarchy shared across the toolkit, and the text-file reader
 that maps bytes which are not UTF-8 onto it."""
 
+import codecs
 from pathlib import Path
 
 
 def read_text(path, error: type[Exception]) -> str:
-    """The UTF-8 text of the file at `path`; a byte that is not UTF-8 raises
-    `error`, the reader's own error for a bad input."""
+    """The UTF-8 text of the file at `path`, less one leading byte-order mark;
+    a byte that is not UTF-8 raises `error`, the reader's own error for a bad
+    input, with its offset in the file."""
+    data = Path(path).read_bytes()
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return str(memoryview(data)[start:], "utf-8")
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
+        raise error(f"{path}: byte {start + exc.start} is not UTF-8 ({exc.reason})") from None
 
 
 class ResLearnError(Exception):

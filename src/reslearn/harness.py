@@ -19,7 +19,6 @@ from .config import ExperimentConfig
 from .errors import (
     CaptureTooShort,
     ConfigError,
-    DegenerateSeries,
     NonFiniteLoss,
     ResLearnError,
     SchemaMismatch,
@@ -39,10 +38,9 @@ from .report import (
 from .residual import SegmentReport, train_segment
 from .seriesprep import (
     SegmentedSeries,
+    eda_csv,
     impute_absent,
     read_feature_csv,
-    rolling_mean,
-    runs_test,
     segment,
 )
 from .synth import gen_series, gen_trace
@@ -120,20 +118,6 @@ def _feature_column(feats, feature: str) -> np.ndarray:
     if feature == "f_s":
         return np.array([sf.f_s for sf in feats], dtype=np.float64)
     return impute_absent([sf.f_iat for sf in feats])
-
-
-def eda_csv(values: np.ndarray, window: int) -> str:
-    """Runs-test rows for the raw series and its rolling mean."""
-    lines = ["series,n,n_runs,z,p_value"]
-    for name, series in (("raw", values), ("rolling_mean", rolling_mean(values, window))):
-        try:
-            r = runs_test(series)
-            lines.append(
-                f"{name},{series.size},{r.n_runs},{format(r.z, '.6g')},{format(r.p_value, '.6g')}"
-            )
-        except DegenerateSeries:
-            lines.append(f"{name},{series.size},NA,NA,NA")
-    return "\n".join(lines) + "\n"
 
 
 def train_models(

@@ -86,7 +86,8 @@ class EndpointFilter:
 
     def __post_init__(self):
         parts = self.server_address.split(".")
-        if len(parts) != 4 or not all(p.isdigit() and 0 <= int(p) <= 255 for p in parts):
+        if len(parts) != 4 or not all(p.isascii() and p.isdigit() and 0 <= int(p) <= 255
+                                      for p in parts):
             raise ConfigError(f"server must be a dotted-quad IPv4 address, got "
                               f"{self.server_address!r}")
         if self.port is not None and not 0 <= self.port <= 65535:
@@ -417,7 +418,7 @@ def _decode(buf, size, heads, endian, frac_scale, server, port):
 def parse_csv(text: str) -> PacketTable:
     """Read the `ts,length,direction` trace schema; finite, monotone ts re-based to row 1."""
     lines = text.splitlines()
-    if not lines or lines[0].lstrip("﻿").strip() != CSV_HEADER:
+    if not lines or lines[0].strip() != CSV_HEADER:
         got = lines[0].strip() if lines else "<empty>"
         raise SchemaMismatch(f"expected header {CSV_HEADER!r}, got {got!r}")
     ts_col, length_col, down_col = [], [], []

@@ -165,6 +165,20 @@ def runs_test(values: np.ndarray) -> RunsTestResult:
     return RunsTestResult(n_runs=runs, z=z, p_value=p)
 
 
+def eda_csv(values: np.ndarray, window: int) -> str:
+    """Runs-test rows for the raw series and its rolling mean."""
+    lines = ["series,n,n_runs,z,p_value"]
+    for name, series in (("raw", values), ("rolling_mean", rolling_mean(values, window))):
+        try:
+            r = runs_test(series)
+            lines.append(
+                f"{name},{series.size},{r.n_runs},{format(r.z, '.6g')},{format(r.p_value, '.6g')}"
+            )
+        except DegenerateSeries:
+            lines.append(f"{name},{series.size},NA,NA,NA")
+    return "\n".join(lines) + "\n"
+
+
 def minmax_scale(values: np.ndarray) -> tuple[np.ndarray, Scaler]:
     """Fit a [0,1] scaler; a constant series passes through with an identity
     scaler flagged rather than raising."""

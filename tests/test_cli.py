@@ -1,7 +1,9 @@
+import codecs
 import gc
 import json
 import math
 import os
+import pkgutil
 import platform
 import signal
 import subprocess
@@ -12,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reslearn
 from reslearn import cli, harness, ingest
 from reslearn.cli import main
 from reslearn.config import ExperimentConfig, load_config, parse_config
@@ -814,6 +817,18 @@ def test_evaluate_loads_only_its_own_modules(small_cfg, tmp_path):
     assert loaded_after(code, DEFERRED_MODULES + PIPELINE_MODULES) == []
 
 
+def test_eda_loads_only_seriesprep(tmp_path):
+    features = tmp_path / "features.csv"
+    features.write_text(FEATURES_CSV)
+    argv = ["eda", "--features", str(features)]
+    code = ("import contextlib, io\nfrom reslearn.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0")
+    others = {f"reslearn.{m.name}" for m in pkgutil.iter_modules(reslearn.__path__)}
+    others -= {"reslearn.cli", "reslearn.errors", "reslearn.seriesprep"}
+    assert loaded_after(code, DEFERRED_MODULES + tuple(sorted(others))) == []
+
+
 class TestGarbageCollector:
     """`main` runs with the cyclic GC off until the command's modules are
     loaded; it is on again however `main` ends, since callers run it
@@ -1175,3 +1190,30 @@ class TestBadUserInput:
         assert proc.stderr.startswith(error)
         assert f"{bad}: byte " in proc.stderr and "is not UTF-8" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    # every text input drops one leading byte-order mark, as editors on
+    # Windows write it
+    @pytest.mark.parametrize("argv, text", [
+        (["synth", "--config", "{path}"], "seed = 3\nsynth_length = 40\n"),
+        (["ingest", "--csv", "{path}"], "ts,length,direction\n0.5,100,down\n0.7,90,up\n"),
+        (["eda", "--features", "{path}"], FEATURES_CSV),
+    ], ids=["synth_config", "ingest_csv", "eda_features"])
+    def test_byte_order_mark_is_dropped(self, argv, text, tmp_path):
+        outputs = []
+        for name, data in (("plain", text.encode()), ("bom", codecs.BOM_UTF8 + text.encode())):
+            path = tmp_path / name
+            path.write_bytes(data)
+            out = tmp_path / f"{name}.out"
+            proc = subprocess.run([sys.executable, "-m", "reslearn.cli",
+                                   *[a.format(path=path) for a in argv], "--out", str(out)],
+                                  capture_output=True, text=True, env=src_env(), timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_non_utf8_offset_counts_the_byte_order_mark(self, tmp_path, capsys):
+        data = codecs.BOM_UTF8 + FEATURES_CSV.encode() + b"# caf\xe9\n"
+        bad = tmp_path / "bad"
+        bad.write_bytes(data)
+        assert main(["eda", "--features", str(bad)]) == 2
+        assert f"{bad}: byte {data.index(0xE9)} is not UTF-8" in capsys.readouterr().err

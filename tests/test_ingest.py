@@ -554,6 +554,14 @@ class TestEndpointFilter:
         with pytest.raises(ConfigError):
             EndpointFilter("not-an-ip")
 
+    # digits to str.isdigit; int() rejects the first two, and reads the last as 10
+    @pytest.mark.parametrize("address", ["10.0.0.1\u00b2", "10.0.0.\u2468",
+                                         "\u0661\u0660.0.0.1"],
+                             ids=["superscript", "circled", "arabic_indic"])
+    def test_rejects_digits_outside_ascii(self, address):
+        with pytest.raises(ConfigError, match="dotted-quad"):
+            EndpointFilter(address)
+
     def test_rejects_bad_port(self):
         with pytest.raises(ConfigError):
             EndpointFilter(SERVER, port=70000)

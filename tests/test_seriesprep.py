@@ -4,17 +4,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reslearn.errors import ConfigError, DegenerateSeries, SeriesTooShort, SplitTooSmall
+from reslearn.errors import (
+    ConfigError,
+    DegenerateSeries,
+    SchemaMismatch,
+    SeriesTooShort,
+    SplitTooSmall,
+)
 from reslearn.seriesprep import (
     SplitSpec,
     impute_absent,
     make_windows,
     minmax_scale,
+    read_feature_csv,
     rolling_mean,
     runs_test,
     segment,
     split,
 )
+
+from fuzz import edits, mutate
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -190,3 +199,23 @@ class TestImpute:
     def test_all_absent(self):
         with pytest.raises(DegenerateSeries):
             impute_absent([None, None])
+
+
+# a features CSV with NA cells in every column and a blank line
+FEATURES_TEXT = ("segment,f_c,f_s,f_iat\n0,3,3600,0.0139\n1,NA,NA,NA\n\n"
+                 "2,2,2400.5,NA\n3,0,0,0.02\n")
+
+
+class TestReadFeatureCsv:
+    # a guard: 20000 random edits of each column's file, run apart from this
+    # test, gave no other outcome
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(("f_c", "f_s", "f_iat")), edits(),
+           st.none() | st.integers(0, len(FEATURES_TEXT)))
+    def test_mutated_text_returns_or_raises_its_error(self, feature, changes, cut):
+        text = mutate(FEATURES_TEXT, changes)[:cut]
+        try:
+            values = read_feature_csv(text, feature)
+        except (SchemaMismatch, DegenerateSeries):   # every cell of f_iat NA
+            return
+        assert values.dtype == np.float64 and np.isfinite(values).all()
