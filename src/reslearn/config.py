@@ -9,12 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError, SplitTooSmall, read_text
 from .ingest import EndpointFilter
 from .models import PredictorConfig
-from .seriesprep import SplitSpec, split
+from .seriesprep import SplitSpec, split_sizes
 from .synth import SeriesSpec, TraceSpec
 
 INPUT_KINDS = ("synth-series", "synth-trace", "pcap", "csv", "features")
@@ -152,7 +150,7 @@ class ExperimentConfig:
             raise ConfigError(f"segment_size must be >= {MIN_SEGMENT_SIZE}")
         # every segment has segment_size values, so one stands for them all
         try:
-            split(np.empty(max(self.segment_size, 0)), self.split_spec(), self.lookback)
+            split_sizes(self.segment_size, self.split_spec(), self.lookback)
         except SplitTooSmall as exc:
             raise ConfigError(f"segment_size {self.segment_size} is too short for "
                               f"lookback {self.lookback}: {exc}") from None

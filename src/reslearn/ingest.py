@@ -9,8 +9,6 @@ from __future__ import annotations
 import io
 import math
 import os
-import pickle
-import signal
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Callable
@@ -25,7 +23,7 @@ from .errors import (
     SchemaMismatch,
     TruncatedHeader,
 )
-from .placement import child_cpu, settle_child, usable_cpus
+from .placement import child_cpu, fork_call, usable_cpus
 
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_NS_MAGIC = 0xA1B23C4D
@@ -208,7 +206,7 @@ def _scan(cap: _Capture, start: int, stop: int) -> _Range:
     """Walk the records from `start` to the first record start at or past
     `stop`, or to the end of the capture, decoding each chunk's records.
     `_scan(cap, GLOBAL_HEADER_LEN, cap.size)` is the whole parse."""
-    incl_at = struct.Struct(cap.endian + "I").unpack_from
+    incl_at = struct.Struct(cap.endian + "8xI").unpack_from   # at a record's start
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     skipped = warnings = 0
     unread = max(cap.size - start, 0)
@@ -219,20 +217,25 @@ def _scan(cap: _Capture, start: int, stop: int) -> _Range:
     offset = start
     size = pos = 0
     while True:
-        # walk the records that fit in the buffer: one unpack of incl_len each
+        # walk the records that fit in the buffer: one unpack of incl_len each.
+        # A header cut short ends it: a record that starts within 16 bytes of
+        # `size` ends past it whatever its incl_len (bytes past `size` are
+        # stale), and an unpack past the buffer's end raises struct.error
         heads = []
         append = heads.append
-        last_head = size - RECORD_HEADER_LEN
         limit = stop - offset
         end = size
-        while pos <= last_head and pos < limit:
-            # incl_len bytes follow the header; orig_len is the packet's length on
-            # the wire, larger than incl_len in a snap-length capture
-            end = pos + RECORD_HEADER_LEN + incl_at(buf, pos + 8)[0]
-            if end > size:
-                break
-            append(pos)
-            pos = end
+        try:
+            while pos < limit:
+                # incl_len bytes follow the header; orig_len is the packet's length
+                # on the wire, larger than incl_len in a snap-length capture
+                end = pos + RECORD_HEADER_LEN + incl_at(buf, pos)[0]
+                if end > size:
+                    break
+                append(pos)
+                pos = end
+        except struct.error:
+            pass
         if heads:
             part, n_skipped = _decode(buf, size, np.array(heads, dtype=np.int64), cap.endian,
                                       cap.frac_scale, cap.server, cap.port)
@@ -242,7 +245,7 @@ def _scan(cap: _Capture, start: int, stop: int) -> _Range:
             break
         # a partial record whose header is buffered lacks `end - size` bytes:
         # read them with the next chunk in one read, never past the capture's end
-        missing = end - size if pos <= last_head else 0
+        missing = end - size if pos <= size - RECORD_HEADER_LEN else 0
         if unread == 0 or missing > unread:
             warnings = int(pos < size)      # a truncated record ends the scan
             break
@@ -301,65 +304,35 @@ def _guess_record_start(cap: _Capture, offset: int) -> int | None:
 
 def _split_walk(cap: _Capture, split: int) -> list[_Range]:
     """The walk of the records in two ranges at once: [24, split) in this
-    process and [split, end) in a forked child, which sends its range back
-    through a pipe.
+    process and [split, end) in a child forked by `fork_call`, which sends
+    its range back.
 
     The child's range is kept only when this process's walk stopped exactly
     at `split`, so that `split` is a record start of the sequential walk, and
     the child sent its range. Otherwise (the walk stepped over `split`, a
-    truncated record ended it first, or the child failed) the child is killed
-    and the walk carries on here from where it stopped, which after a
-    truncated record ends at once with the same warning. So the ranges are
+    truncated record ended it first, or the child failed or died) the child
+    is killed and the walk carries on here from where it stopped, which after
+    a truncated record ends at once with the same warning. So the ranges are
     those of the one sequential scan whatever the guess, which decides only
-    the speed. The child is reaped before this returns."""
-    parent, cpu = os.getpid(), child_cpu()
+    the speed. The child is reaped before this returns; it reads with the
+    capture's positional reads, which leave the file offset it shares with
+    this process alone."""
     try:
-        read_end, write_end = os.pipe()
-    except OSError:                     # out of file descriptors
+        child = fork_call(_scan, cap, split, cap.size, cpu=child_cpu())
+    except OSError:                     # out of file descriptors, processes or memory
         return [_scan(cap, GLOBAL_HEADER_LEN, cap.size)]
-    try:
-        pid = os.fork()
-    except OSError:                     # out of processes or memory
-        os.close(read_end)
-        os.close(write_end)
-        return [_scan(cap, GLOBAL_HEADER_LEN, cap.size)]
-    if pid == 0:
-        _walk_in_child(cap, split, write_end, parent, cpu)
-    os.close(write_end)
     try:
         ranges = [_scan(cap, GLOBAL_HEADER_LEN, split)]
         if ranges[0].stop == split:
-            with open(read_end, "rb", closefd=False) as pipe:
-                sent = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            pid = None
-            if status == 0:
-                ranges.append(pickle.loads(sent))
+            try:
+                ranges.append(child.result())
+            except Exception:           # whatever ended the child, its range is walked here
+                pass
     finally:
-        os.close(read_end)
-        if pid is not None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        child.kill()
     if ranges[-1].stop < cap.size:
         ranges.append(_scan(cap, ranges[-1].stop, cap.size))
     return ranges
-
-
-def _walk_in_child(cap: _Capture, start: int, write_end: int, parent: int,
-                   cpu: int | None) -> None:
-    """In a child forked from `parent`: walk the records from `start` to the
-    end with the capture's positional reads, which leave the file offset it
-    shares with the parent alone, write the range to the pipe and exit; exit 1
-    on any error. Never returns."""
-    code = 1
-    try:
-        settle_child(parent, cpu)
-        sent = pickle.dumps(_scan(cap, start, cap.size), protocol=pickle.HIGHEST_PROTOCOL)
-        with open(write_end, "wb") as pipe:
-            pipe.write(sent)
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def _at_each_offset(data: np.ndarray, dtype: str) -> np.ndarray:

@@ -28,12 +28,13 @@ from ..errors import ConfigError, InputOverflow, NonFiniteLoss, ShapeMismatch
 # Inference runs over blocks of this many windows, so its memory is bounded by
 # one block's layer caches rather than by the number of windows. At 32 windows
 # a transformer block's activations (32 x 32 x 64 float32, 0.25 MB each) stay in
-# L2; float32 blocks of 48 and 64 were not faster. The block must stay a
-# multiple of 16: BLAS computes a row of a product by a different kernel
-# depending on its place in the row tiling, so only blocks that start on a tile
-# edge keep `predict` bit-identical to one whole-batch forward. With OpenBLAS
-# 0.3.31 on AVX-512 a block of 30 changed bits and one of 20 did not; 16 leaves
-# room for wider tiles.
+# L2; float32 blocks of 48 and 64 were not faster. The block bounds depend only
+# on the number of windows, so the bits never depend on the thread count. BLAS
+# may compute a row of a product by a different kernel depending on its place in
+# the row tiling: with OpenBLAS 0.3.31's AVX-512 kernels, blocks that start on a
+# tile edge (a multiple of 16; a block of 30 changed bits and one of 20 did not)
+# keep `predict` bit-identical to one whole-batch forward, and with its Haswell
+# kernels `predict` differs from it in the last float32 digits.
 PREDICT_BLOCK = 32
 
 KINDS = ("transformer", "lstm", "gru", "stacked_lstm", "fcnn")
@@ -158,9 +159,9 @@ class Predictor:
         """Predictions of `_forward` block by block, widened to float64, each
         block's cache dropped once its predictions are copied out. Blocks start
         at multiples of PREDICT_BLOCK and a one-window remainder joins the block
-        before it: a one-row matrix product takes a different BLAS path, so
-        this keeps the result bit-identical to one forward over the whole
-        input.
+        before it, as a one-row matrix product takes a different BLAS path
+        (see PREDICT_BLOCK for when the result is bit-identical to one
+        forward over the whole input).
 
         The blocks are dealt into min(threads, blocks) contiguous runs; the
         calling thread does the first and one thread each the rest. Every

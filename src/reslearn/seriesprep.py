@@ -125,7 +125,12 @@ def split(
     """Chronological train/val/test split; never shuffles. Each part must be
     able to form at least one prediction window (length >= lookback + 1)."""
     values = np.asarray(values, dtype=np.float64)
-    n = values.size
+    n_train, pool = split_sizes(values.size, spec, lookback)
+    return values[:n_train], values[n_train:pool], values[pool:]
+
+
+def split_sizes(n: int, spec: SplitSpec, lookback: int) -> tuple[int, int]:
+    """Where `split` cuts `n` values: (train size, train + val size)."""
     pool = int(n * spec.train_ratio)
     n_val = int(pool * spec.val_ratio_within_train)
     n_train = pool - n_val
@@ -133,7 +138,7 @@ def split(
         raise SplitTooSmall(
             f"split {n_train}/{n_val}/{n - pool} cannot form windows of lookback {lookback}"
         )
-    return values[:n_train], values[n_train:pool], values[pool:]
+    return n_train, pool
 
 
 def rolling_mean(values: np.ndarray, window: int = 20) -> np.ndarray:
@@ -146,11 +151,19 @@ def rolling_mean(values: np.ndarray, window: int = 20) -> np.ndarray:
     return view.mean(axis=1)
 
 
+def _median(values: np.ndarray) -> float:
+    """`np.median` of a non-empty array of finite values, without the import
+    of `numpy.ma` that `np.median` makes."""
+    ordered, half = np.sort(values), values.size // 2
+    return ordered[half] if values.size % 2 else (ordered[half - 1] + ordered[half]) / 2
+
+
 def runs_test(values: np.ndarray) -> RunsTestResult:
     """Wald-Wolfowitz runs test about the median; ties at the median dropped."""
     values = np.asarray(values, dtype=np.float64)
-    med = np.median(values)
-    signs = np.sign(values - med)
+    if values.size == 0:
+        raise DegenerateSeries("no values")
+    signs = np.sign(values - _median(values))
     signs = signs[signs != 0]
     n1 = int((signs > 0).sum())
     n2 = int((signs < 0).sum())

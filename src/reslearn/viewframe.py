@@ -74,7 +74,7 @@ def _dur_threshold_with_peaks(packets: PacketTable, bins: int) -> tuple[float, l
         raise EmptySegment("duration threshold needs at least 3 packets")
     iat = np.diff(packets.ts)
     iat = iat[iat > 0]
-    if iat.size < 2 or np.unique(iat).size < 2:
+    if iat.size < 2 or (iat == iat[0]).all():
         raise DegenerateDistribution("need at least 2 distinct positive IATs")
     log_iat = np.log10(iat)
     if log_iat.max() - log_iat.min() < 1e-9:

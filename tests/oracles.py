@@ -347,6 +347,13 @@ def _flat(x):
     return x.reshape(-1, x.shape[-1])
 
 
+def _matmul_t(x, w):
+    """`x @ w.T` over the last axis of `x` as one 2-D product, the shape the
+    kernels multiply in: numpy multiplies a stacked `x` slice by slice, and a
+    BLAS kernel may round a row differently by its place in the tiling."""
+    return (_flat(x) @ w.T).reshape(*x.shape[:-1], w.shape[0])
+
+
 def transformer_forward(model, params, inputs):
     """(predictions, cache) of `model`, a TransformerPredictor, on `inputs`."""
     cfg = model.config
@@ -395,17 +402,17 @@ def transformer_backward(model, params, cache, d_pred):
         d_ffn = d_res2
         grads[p + "ffn_W2"] = _flat(a1).T @ _flat(d_ffn)
         grads[p + "ffn_b2"] = d_ffn.sum(axis=(0, 1))
-        d_a1 = d_ffn @ params[p + "ffn_W2"].T
+        d_a1 = _matmul_t(d_ffn, params[p + "ffn_W2"])
         d_z1 = d_a1 * (z1 > 0)
         grads[p + "ffn_W1"] = _flat(h1).T @ _flat(d_z1)
         grads[p + "ffn_b1"] = d_z1.sum(axis=(0, 1))
-        d_h1 = d_res2 + d_z1 @ params[p + "ffn_W1"].T
+        d_h1 = d_res2 + _matmul_t(d_z1, params[p + "ffn_W1"])
         d_res1, grads[p + "ln1_g"], grads[p + "ln1_b"] = layernorm_backward(
             d_h1, params[p + "ln1_g"], ln1_cache)
         d_attn_out = d_res1
         grads[p + "Wo"] = _flat(ctx).T @ _flat(d_attn_out)
         grads[p + "bo"] = d_attn_out.sum(axis=(0, 1))
-        d_ctx = model._split_heads(d_attn_out @ params[p + "Wo"].T)
+        d_ctx = model._split_heads(_matmul_t(d_attn_out, params[p + "Wo"]))
         d_attn = d_ctx @ v.transpose(0, 1, 3, 2)
         d_v = attn.transpose(0, 1, 3, 2) @ d_ctx
         d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
@@ -419,8 +426,8 @@ def transformer_backward(model, params, cache, d_pred):
         grads[p + "bk"] = d_k.sum(axis=(0, 1))
         grads[p + "Wv"] = _flat(h_in).T @ _flat(d_v)
         grads[p + "bv"] = d_v.sum(axis=(0, 1))
-        d_h = (d_res1 + d_q @ params[p + "Wq"].T + d_k @ params[p + "Wk"].T
-               + d_v @ params[p + "Wv"].T)
+        d_h = (d_res1 + _matmul_t(d_q, params[p + "Wq"]) + _matmul_t(d_k, params[p + "Wk"])
+               + _matmul_t(d_v, params[p + "Wv"]))
     grads["in_W"] = _flat(x_in).T @ _flat(d_h)
     grads["in_b"] = d_h.sum(axis=(0, 1))
     return grads

@@ -829,6 +829,32 @@ def test_eda_loads_only_seriesprep(tmp_path):
     assert loaded_after(code, DEFERRED_MODULES + tuple(sorted(others))) == []
 
 
+@pytest.mark.parametrize("source", ["pcap", "features"])
+def test_run_loads_no_pool_or_masked_arrays(source, tmp_path):
+    """`run` on two CPUs forks its training workers itself, with no process
+    pool, and finds the thresholds' distinct IATs and the runs test's median
+    without `numpy.ma`."""
+    if source == "pcap":
+        pcap = tmp_path / "t.pcap"
+        packets = gen_trace(parse_config(PACKET_CFG).trace_spec())[0]
+        pcap.write_bytes(write_pcap(packets, EndpointFilter("10.0.0.1")))
+        setting = PACKET_CFG + f"input_kind = pcap\ninput_path = {pcap}\nserver = 10.0.0.1\n"
+    else:
+        features = tmp_path / "features.csv"
+        features.write_text("segment,f_c,f_s,f_iat\n"
+                            + "".join(f"{i},1,{100 + i % 7},NA\n" for i in range(130)))
+        setting = SMALL_CFG + f"input_kind = features\ninput_path = {features}\n"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(setting)
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    code = ("from reslearn import cli, harness\n"
+            "cpus = harness.usable_cpus()\n"
+            "harness.usable_cpus = lambda: (cpus * 2)[:2]\n"
+            f"assert cli.main({argv!r}) == 0")
+    assert loaded_after(code, ("numpy.ma", "multiprocessing", "concurrent.futures")) == []
+    assert "segments: X=2 " in (tmp_path / "out" / "run.log").read_text()
+
+
 class TestGarbageCollector:
     """`main` runs with the cyclic GC off until the command's modules are
     loaded; it is on again however `main` ends, since callers run it
@@ -1210,6 +1236,18 @@ class TestBadUserInput:
             assert proc.returncode == 0, proc.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_segment_size_too_large_to_allocate_is_data_error(self, tmp_path):
+        """The config check sizes the split by arithmetic alone, so a segment
+        no array could hold passes it and is too long for the series."""
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("segment_size = 10000000000000\n")
+        proc = subprocess.run([sys.executable, "-m", "reslearn.cli", "run", "--config", str(cfg),
+                               "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, env=src_env(), timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "data error: SeriesTooShort: 2000 values cannot fill one segment of 10000000000000"]
 
     def test_non_utf8_offset_counts_the_byte_order_mark(self, tmp_path, capsys):
         data = codecs.BOM_UTF8 + FEATURES_CSV.encode() + b"# caf\xe9\n"

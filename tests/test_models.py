@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from reslearn.errors import CheckpointError, ConfigError, NonFiniteLoss, ShapeMismatch
 from reslearn.models import KINDS, PredictorConfig, build_predictor
+from reslearn.models.base import PREDICT_BLOCK
 from reslearn.models.transformer import _softmax, positional_encoding
 from reslearn.residual import ResLearnModel, load_reslearn, save_reslearn
 from reslearn.seriesprep import Scaler
@@ -315,18 +316,38 @@ class TestBlockInference:
     # sizes around the block edges, with one-window remainders
     SIZES = (0, 1, 2, 31, 32, 33, 34, 35, 39, 63, 64, 65, 100, 255, 256, 257, 513, 1968)
 
+    # The largest deviation of `predict` from one whole-batch float32 forward,
+    # relative to the largest absolute prediction, over SIZES: 0 with
+    # OpenBLAS 0.3.31's SkylakeX kernels; with its Haswell kernels transformer
+    # 0, lstm 1.0e-7, gru 5.9e-7, stacked_lstm 2.4e-6, fcnn 2.9e-7, as a BLAS
+    # kernel may round a row by its place in the tiling. 1e-5 is float32's
+    # epsilon times about 80.
+    WHOLE_BATCH_RTOL = 1e-5
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_predict_equals_whole_batch_forward(self, kind):
+        """`predict` gives the bits of one float32 forward per block, whatever
+        the threads, and is within WHOLE_BATCH_RTOL of one whole-batch
+        forward: blocks start at multiples of PREDICT_BLOCK, and a one-window
+        remainder joins the block before it."""
         model = build_predictor(PredictorConfig(kind=kind, seed=3))
         x = np.random.default_rng(0).uniform(0, 1, (max(self.SIZES), 32))
         params32 = {k: v.astype(np.float32) for k, v in model.params.items()}
         x32 = x.astype(np.float32)
         for n in self.SIZES:
-            whole, _ = model._forward(params32, x32[:n])
+            starts = list(range(0, n, PREDICT_BLOCK))
+            if len(starts) > 1 and n - starts[-1] == 1:
+                del starts[-1]
+            blocks = [model._forward(params32, x32[a:b])[0]
+                      for a, b in zip(starts, starts[1:] + [n])]
+            by_block = np.concatenate(blocks or [np.empty(0)]).astype(np.float64)
             # 2 and 3 threads: even and uneven runs, and fewer blocks than threads
             for threads in (1, 2, 3):
                 got = model.predict(x[:n], threads=threads)
-                assert np.array_equal(got, whole.astype(np.float64)), (n, threads)
+                assert np.array_equal(got, by_block), (n, threads)
+            whole, _ = model._forward(params32, x32[:n])
+            np.testing.assert_allclose(got, whole, rtol=0,
+                                       atol=self.WHOLE_BATCH_RTOL * np.max(np.abs(whole), initial=0))
 
     @pytest.mark.parametrize("failing_block", [0, 3], ids=["calling_thread", "worker_thread"])
     def test_block_error_reaches_caller(self, failing_block, monkeypatch):

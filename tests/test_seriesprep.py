@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reslearn import seriesprep
 from reslearn.errors import (
     ConfigError,
     DegenerateSeries,
@@ -128,6 +129,13 @@ class TestRunsTest:
     def test_degenerate(self):
         with pytest.raises(DegenerateSeries):
             runs_test(np.full(30, 1.0))
+        with pytest.raises(DegenerateSeries):
+            runs_test(np.array([]))
+
+    @given(st.lists(st.integers(-3, 3).map(float) | finite_floats, min_size=1, max_size=40))
+    def test_median_is_numpys(self, values):
+        x = np.array(values)
+        assert seriesprep._median(x) == np.median(x)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_invariant_under_monotone_transform(self, seed):
