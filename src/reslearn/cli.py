@@ -1,6 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 config error, 2 data error, 3 training failure.
+Exit codes: 0 success, 1 config error, 2 data error or out of memory, 3
+training failure or a dead worker process.
 The default output directory can be set with RESLEARN_OUT_DIR.
 
 Each command imports the modules it runs, and no others: at module level
@@ -32,8 +33,8 @@ if TYPE_CHECKING:
     from .config import ExperimentConfig
     from .ingest import PacketTable
 
-# One OpenBLAS thread per process, set before numpy loads: training runs in
-# worker processes (harness.train_models), and more BLAS threads would only
+# One OpenBLAS thread per process, set before numpy loads: `run`, `train` and
+# `evaluate` compute in worker processes, and more BLAS threads would only
 # oversubscribe the CPUs. A user's own setting wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -192,18 +193,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .placement import usable_cpus
+    from .placement import workers
     from .report import _f
-    from .residual import load_reslearn, score
+    from .residual import forecast, load_reslearn, score
     from .seriesprep import make_windows, read_feature_csv
 
     _loaded()
-    threads = len(usable_cpus())
     model = load_reslearn(args.model)
     values = read_feature_csv(read_text(args.features, SchemaMismatch), args.feature)
     x, y = make_windows(model.scaler.transform(values), model.base.config.lookback)
-    base_pred = model.base.predict(x, threads=threads)
-    base_m, comb_m, _ = score(model, x, y, base_pred, threads)
+    base_m, comb_m, _ = score(model, y, *forecast(model, x, workers(len(x))))
     print("model,rmse,mape,smape")
     print(f"base,{_f(base_m.rmse)},{_f(base_m.mape)},{_f(base_m.smape)}")
     print(f"reslearn,{_f(comb_m.rmse)},{_f(comb_m.mape)},{_f(comb_m.smape)}")
@@ -289,10 +288,13 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NonFiniteLoss, WorkerDied) as exc:
+    except NonFiniteLoss as exc:
         print(f"training failure: {exc}", file=sys.stderr)
         return EXIT_TRAINING
-    except (ResLearnError, OSError) as exc:
+    except WorkerDied as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
+        return EXIT_TRAINING
+    except (ResLearnError, OSError, MemoryError) as exc:    # numpy names the array
         print(f"data error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
     finally:

@@ -4,7 +4,7 @@ and deterministic report files.
 Outputs carry no timestamps, so a rerun with the same config and seed is
 byte-identical. Training (train_models) runs each (model kind, segment)
 pair as one task on one thread; on more than one usable CPU the tasks go to
-worker processes forked from this one and the results are put back in
+worker processes forked through `placement`, and the results are put back in
 configured order, which keeps the bytes identical too.
 """
 
@@ -23,11 +23,10 @@ from .errors import (
     NonFiniteLoss,
     ResLearnError,
     SchemaMismatch,
-    WorkerDied,
     read_text,
 )
 from .ingest import PacketTable, ParseResult, parse_csv, parse_pcap
-from .placement import ChildDied, Forked, fork_call, results, usable_cpus
+from .placement import Forked, fork_call, results, workers
 from .report import (
     comparison_csv,
     plot_data_csv,
@@ -130,9 +129,8 @@ def train_models(
     each kind, in segment order. A report holds its model only when
     keep_models is set.
 
-    Where `fork` exists and more than one pair is to train, the pairs run in
-    min(usable CPUs, pairs) worker processes forked from this one (see
-    `_train_in_workers`); otherwise they run in this process. Each pair
+    The pairs run in `placement.workers(pairs)` processes forked from this
+    one (see `_train_in_workers`), or in this one when that is one. Each pair
     trains and predicts on one thread, with the same arithmetic in a worker
     as in-process, so the results are the same on any number of CPUs.
     """
@@ -141,9 +139,9 @@ def train_models(
     kinds = cfg.model_kinds()
     tasks = [(i, seg, base_cfgs[kind], residual_cfg, split_spec, keep_models)
              for kind in kinds for i, seg in enumerate(segments.segments)]
-    workers = min(len(usable_cpus()), len(tasks)) if hasattr(os, "fork") else 1
-    if workers > 1:
-        reports = _train_in_workers(tasks, workers)
+    processes = workers(len(tasks))
+    if processes > 1:
+        reports = _train_in_workers(tasks, processes)
     else:
         reports = [train_segment(*task) for task in tasks]
     n = segments.num_segments
@@ -185,8 +183,6 @@ def _train_in_workers(tasks: list[tuple], workers: int) -> list[SegmentReport]:
         for done in results(forked):
             for i, report in done:
                 reports[i] = report
-    except ChildDied:
-        raise WorkerDied("a training worker process died before its task ended") from None
     finally:
         for worker in forked:
             worker.kill()
@@ -195,9 +191,9 @@ def _train_in_workers(tasks: list[tuple], workers: int) -> list[SegmentReport]:
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> None:
     """Full pipeline, its report files written to `out_dir`. Raises
-    ConfigError, data-stage ResLearnError/OSError, or NonFiniteLoss for the
-    CLI to map to exit codes. Once the output directory exists, `run.log` is
-    written however the run ends, with the error last if one ended it."""
+    ConfigError, ResLearnError, OSError or MemoryError for the CLI to map to
+    exit codes. Once the output directory exists, `run.log` is written however
+    the run ends, with the error last if one of these ended it."""
     cfg.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -241,7 +237,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> None:
         if all(summary is None for summary in summaries.values()):
             raise NonFiniteLoss("every segment failed to train")
         write("comparison.csv", comparison_csv(summaries))
-    except (ResLearnError, OSError) as exc:
+    except (ResLearnError, OSError, MemoryError) as exc:
         log.append(f"error: {type(exc).__name__}: {exc}")
         raise
     finally:

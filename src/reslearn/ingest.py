@@ -23,7 +23,7 @@ from .errors import (
     SchemaMismatch,
     TruncatedHeader,
 )
-from .placement import child_cpu, fork_call, usable_cpus
+from .placement import child_cpu, fork_call, workers
 
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_NS_MAGIC = 0xA1B23C4D
@@ -112,14 +112,14 @@ def parse_pcap(stream: BinaryIO, filt: EndpointFilter) -> ParseResult:
     with the warning counter bumped. The capture is read CHUNK_BYTES at a
     time, so memory does not grow with its size.
 
-    With two usable CPUs, a stream backed by a file, `fork`, and at least
-    SPLIT_CHUNKS chunks, the records are walked in two halves at once (see
+    With a stream backed by a file, at least SPLIT_CHUNKS chunks, and two
+    `placement.workers`, the records are walked in two halves at once (see
     `_split_walk`); the result is the same.
     """
     cap = _capture(stream, filt)
     split = None
-    if (len(usable_cpus()) > 1 and cap.fd is not None and hasattr(os, "fork")
-            and cap.size - GLOBAL_HEADER_LEN >= SPLIT_CHUNKS * CHUNK_BYTES):
+    if (cap.fd is not None and cap.size - GLOBAL_HEADER_LEN >= SPLIT_CHUNKS * CHUNK_BYTES
+            and workers(2) > 1):
         split = _guess_record_start(cap, cap.size // 2)
     if split is not None:
         ranges = _split_walk(cap, split)

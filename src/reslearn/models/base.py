@@ -11,14 +11,11 @@ laid out the same way and cast the windows to float32 once. Adam updates `flat`
 in float64, and the losses, early stopping and the predictions `predict`
 returns are float64.
 
-`predict` can split its blocks over threads: numpy releases the interpreter
-lock inside its matrix products and ufunc loops, and each block writes only its
-own slice of the output, so the result is the same at any thread count."""
+A model computes on one thread; `residual.forecast` forks `evaluate`'s runs."""
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +26,7 @@ from ..errors import ConfigError, InputOverflow, NonFiniteLoss, ShapeMismatch
 # one block's layer caches rather than by the number of windows. At 32 windows
 # a transformer block's activations (32 x 32 x 64 float32, 0.25 MB each) stay in
 # L2; float32 blocks of 48 and 64 were not faster. The block bounds depend only
-# on the number of windows, so the bits never depend on the thread count. BLAS
+# on the number of windows, so the bits never depend on the worker count. BLAS
 # may compute a row of a product by a different kernel depending on its place in
 # the row tiling: with OpenBLAS 0.3.31's AVX-512 kernels, blocks that start on a
 # tile edge (a multiple of 16; a block of 30 changed bits and one of 20 did not)
@@ -86,6 +83,16 @@ class TrainTrace:
     @property
     def epochs_run(self) -> int:
         return len(self.train_loss)
+
+
+def block_bounds(n: int, size: int) -> list[int]:
+    """[0, size, 2 size, ..., n]: `n` windows cut every `size`, with a
+    one-window remainder joined to the block before it, as a one-row matrix
+    product takes a different BLAS path (see PREDICT_BLOCK)."""
+    bounds = list(range(0, n, size)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return bounds
 
 
 def uniform_init(rng: np.random.Generator | None, shape: tuple[int, ...],
@@ -149,56 +156,19 @@ class Predictor:
             )
         return inputs
 
-    def predict(self, inputs: np.ndarray, threads: int = 1) -> np.ndarray:
-        """float64 predictions of a float32 forward over a copy of `flat`, its
-        blocks split over `threads` threads."""
+    def predict(self, inputs: np.ndarray) -> np.ndarray:
+        """float64 predictions of a float32 forward over a copy of `flat`."""
         params = _views(self.flat.astype(np.float32), self.params)
-        return self._forward_blocks(self._check_inputs(inputs), params, threads)
+        return self._forward_blocks(self._check_inputs(inputs), params)
 
-    def _forward_blocks(self, inputs: np.ndarray, params: dict, threads: int = 1) -> np.ndarray:
-        """Predictions of `_forward` block by block, widened to float64, each
-        block's cache dropped once its predictions are copied out. Blocks start
-        at multiples of PREDICT_BLOCK and a one-window remainder joins the block
-        before it, as a one-row matrix product takes a different BLAS path
-        (see PREDICT_BLOCK for when the result is bit-identical to one
-        forward over the whole input).
-
-        The blocks are dealt into min(threads, blocks) contiguous runs; the
-        calling thread does the first and one thread each the rest. Every
-        thread is joined before this returns, and the error of the first run
-        that failed is raised."""
-        n = inputs.shape[0]
-        bounds = list(range(0, n, PREDICT_BLOCK)) + [n]
-        if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-            del bounds[-2]
-        out = np.empty(n)
-
-        blocks = len(bounds) - 1
-        runs = max(1, min(threads, blocks))
-        edges = [blocks * i // runs for i in range(runs + 1)]
-        errors: list[BaseException | None] = [None] * runs
-
-        def run(i: int) -> None:
-            try:
-                for b in range(edges[i], edges[i + 1]):
-                    start, stop = bounds[b], bounds[b + 1]
-                    out[start:stop] = self._forward(params, inputs[start:stop])[0]
-            except BaseException as exc:       # raised in the calling thread
-                errors[i] = exc
-
-        started = []
-        try:
-            for i in range(1, runs):
-                thread = threading.Thread(target=run, args=(i,))
-                thread.start()
-                started.append(thread)
-            run(0)
-        finally:
-            for thread in started:
-                thread.join()
-        for exc in errors:
-            if exc is not None:
-                raise exc
+    def _forward_blocks(self, inputs: np.ndarray, params: dict) -> np.ndarray:
+        """Predictions of `_forward` over the blocks of `block_bounds(n,
+        PREDICT_BLOCK)`, widened to float64, each block's cache dropped once
+        its predictions are copied out."""
+        bounds = block_bounds(inputs.shape[0], PREDICT_BLOCK)
+        out = np.empty(inputs.shape[0])
+        for start, stop in zip(bounds, bounds[1:]):
+            out[start:stop] = self._forward(params, inputs[start:stop])[0]
         return out
 
     def loss_and_grad(self, inputs: np.ndarray, targets: np.ndarray, params: dict | None = None):

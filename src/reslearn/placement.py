@@ -1,5 +1,6 @@
-"""Processes forked from the CLI: the CPUs they may use, running one function
-in a forked child, and ending them with it.
+"""Processes forked from the CLI, and every fork of the package: how many a
+command runs, the CPUs they may use, running one function in a forked child,
+and ending them with it.
 
 The pcap parse puts its child on the CPU after its own (`child_cpu`): a child
 that starts computing at once stays on its parent's CPU where a cpuset turns
@@ -14,6 +15,8 @@ import select
 import signal
 from typing import Callable, Iterator
 
+from .errors import WorkerDied
+
 PR_SET_PDEATHSIG = 1                   # prctl option, from <sys/prctl.h>
 PIPE_READ = 1 << 16                    # bytes read from a child's pipe at a time
 
@@ -24,6 +27,12 @@ def usable_cpus() -> list[int]:
         return sorted(os.sched_getaffinity(0))
     except AttributeError:             # no affinity call on this platform
         return list(range(os.cpu_count() or 1))
+
+
+def workers(jobs: int) -> int:
+    """How many processes `jobs` independent jobs run in: one per usable CPU
+    and at most one per job; one where the platform has no `fork`."""
+    return min(len(usable_cpus()), jobs) if hasattr(os, "fork") else 1
 
 
 def _current_cpu() -> int | None:
@@ -63,11 +72,6 @@ def settle_child(parent: int, cpu: int | None = None) -> None:
         prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
     if os.getppid() != parent:         # died before the request took hold
         os._exit(1)
-
-
-class ChildDied(Exception):
-    """A forked child ended without sending back what its function returned
-    or raised."""
 
 
 class Forked:
@@ -126,7 +130,7 @@ def fork_call(fn: Callable, *args, cpu: int | None = None) -> Forked:
 def results(children: list[Forked]) -> Iterator:
     """What each of `children` returned, in the order they end: waits on all
     their pipes at once and reaps each child as its pipe closes. A child that
-    raised raises its exception here, and one that died ChildDied, as soon as
+    raised raises its exception here, and one that died WorkerDied, as soon as
     its pipe closes; the children still running are the caller's to kill."""
     waiting = {child.fd: child for child in children}
     poll = select.poll()
@@ -140,8 +144,9 @@ def results(children: list[Forked]) -> Iterator:
                 continue
             poll.unregister(fd)
             child = waiting.pop(fd)
-            if child._reap() != 0 or not child.sent:
-                raise ChildDied("a forked child ended before it answered")
+            if (status := child._reap()) != 0 or not child.sent:
+                raise WorkerDied("a worker process died before it answered (exit code "
+                                 f"{os.waitstatus_to_exitcode(status)})")
             raised, value = pickle.loads(child.sent)
             if raised:
                 raise value

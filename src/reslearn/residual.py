@@ -13,6 +13,8 @@ import numpy as np
 from .errors import CheckpointError, ConfigError, LengthMismatch, ResLearnError
 from .metrics import MetricsResult, evaluate
 from .models import Predictor, PredictorConfig, TrainTrace, build_predictor
+from .models.base import PREDICT_BLOCK, block_bounds
+from .placement import fork_call, results
 from .seriesprep import (
     Scaler,
     SplitSpec,
@@ -149,16 +151,40 @@ def combine_predictions(
     return model.scaler.inverse(base_pred + residual_pred - model.res_b)
 
 
+def forecast(model: ResLearnModel, inputs: np.ndarray,
+             workers: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both stages' predictions of the windows `inputs`, in scaled units, in
+    at most `workers` runs cut at `block_bounds(n, k * PREDICT_BLOCK)`, so the
+    bits are those of one `predict` of each. This process predicts the first
+    run and a child from `fork_call` each other; a run's exception, or a dead
+    child's WorkerDied, is raised here once all children are reaped."""
+    blocks = len(block_bounds(len(inputs), PREDICT_BLOCK)) - 1
+    edges = block_bounds(len(inputs), max(1, math.ceil(blocks / workers)) * PREDICT_BLOCK)
+    runs = list(zip(edges, edges[1:])) or [(0, 0)]
+
+    def stages(start: int, stop: int) -> tuple[int, np.ndarray, np.ndarray]:
+        x = inputs[start:stop]
+        return start, model.base.predict(x), model.residual.predict(x)
+
+    children = []
+    try:
+        for run in runs[1:]:
+            children.append(fork_call(stages, *run))
+        parts = sorted([stages(*runs[0]), *results(children)], key=lambda part: part[0])
+    finally:
+        for child in children:
+            child.kill()
+    _, base, residual = zip(*parts)
+    return np.concatenate(base), np.concatenate(residual)
+
+
 def score(
-    model: ResLearnModel, inputs: np.ndarray, targets: np.ndarray, base_pred: np.ndarray,
-    threads: int = 1,
+    model: ResLearnModel, targets: np.ndarray, base_pred: np.ndarray, residual_pred: np.ndarray
 ) -> tuple[MetricsResult, MetricsResult, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The base and combined metrics of `model` on the windows `inputs`, given
-    their scaled targets and the base model's predictions of them, and the
-    (actual, base, combined) series in physical units. The residual model
-    predicts on `threads` threads."""
+    """The base and combined metrics of `model` given the scaled targets of
+    some windows and both stages' predictions of them, and the (actual, base,
+    combined) series in physical units."""
     actual, base = model.scaler.inverse(targets), model.scaler.inverse(base_pred)
-    residual_pred = model.residual.predict(inputs, threads=threads)
     combined = combine_predictions(model, base_pred, residual_pred)
     return evaluate(actual, base), evaluate(actual, combined), (actual, base, combined)
 
@@ -195,8 +221,9 @@ def train_segment(
         res_trace = residual.fit(x_train, shifted, x_val, (y_val - base_val) + res_b)
 
         model = ResLearnModel(base, residual, res_b, scaler)
-        base_val_m, combined_val_m, _ = score(model, x_val, y_val, base_val)
-        base_test_m, combined_test_m, test_series = score(model, x_test, y_test, base_test)
+        base_val_m, combined_val_m, _ = score(model, y_val, base_val, residual.predict(x_val))
+        base_test_m, combined_test_m, test_series = score(model, y_test, base_test,
+                                                          residual.predict(x_test))
     except ResLearnError as exc:
         return SegmentReport(segment_index=index, failed=f"{type(exc).__name__}: {exc}")
     return SegmentReport(

@@ -2,8 +2,9 @@
 public method of a module-level class, has a caller inside the package: API
 that only tests call is deleted, not kept. Likewise every defaulted parameter
 of that API is passed by some call in the package: one that none passes is a
-constant. And packets reach the frame files by one path: one reader and one
-writer."""
+constant. Packets reach the frame files by one path: one reader and one
+writer. And work runs in parallel one way: in processes forked by
+`placement`, with no threads or pools."""
 
 import ast
 from collections import Counter
@@ -110,3 +111,24 @@ def test_every_default_is_overridden_by_a_caller():
     ]
     assert not constant, ("defaulted parameters that no call in src/reslearn passes, "
                           "constants in effect:\n" + "\n".join(constant))
+
+
+# the modules that would start threads or a process pool
+CONCURRENCY_MODULES = ("threading", "multiprocessing", "concurrent", "_thread")
+
+
+def test_only_placement_forks_and_nothing_starts_threads():
+    forks, imports = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "fork":
+                forks.append(module)
+            elif isinstance(node, ast.Import):
+                imports += [f"{module}: {a.name}" for a in node.names
+                            if a.name.split(".")[0] in CONCURRENCY_MODULES]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                if node.module.split(".")[0] in CONCURRENCY_MODULES:
+                    imports.append(f"{module}: {node.module}")
+    assert set(forks) == {"placement.py"}
+    assert not imports, "modules that import threads or pools:\n" + "\n".join(imports)

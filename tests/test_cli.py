@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import platform
 import signal
 import subprocess
@@ -400,7 +401,7 @@ hidden_width = 8
 BLAS_PROBE = """
 import ctypes, os
 import reslearn.cli
-from reslearn import harness
+from reslearn import harness, placement
 from reslearn.config import ExperimentConfig
 from reslearn.residual import SegmentReport
 from reslearn.seriesprep import segment
@@ -418,8 +419,8 @@ def blas_threads():
 def probe(index, *args):
     return SegmentReport(index, failed=f"{os.getpid()} {blas_threads()}")
 
-cpus = harness.usable_cpus()
-harness.usable_cpus = lambda: (cpus * 2)[:2]
+cpus = placement.usable_cpus()
+placement.usable_cpus = lambda: (cpus * 2)[:2]
 harness.train_segment = probe
 cfg = ExperimentConfig(models="fcnn", segment_size=10)
 reports = harness.train_models(cfg, segment(list(range(20)), 10))["fcnn"]
@@ -431,14 +432,14 @@ print(os.getpid(), os.environ["OPENBLAS_NUM_THREADS"], *(r.failed for r in repor
 # kills the CLI or a worker with SIGKILL
 STUCK_RUN = """
 import os, sys, time
-from reslearn import cli, harness
+from reslearn import cli, harness, placement
 
 def stuck(index, *args):
     open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
     time.sleep(120)
 
-cpus = harness.usable_cpus()
-harness.usable_cpus = lambda: (cpus * 2)[:2]
+cpus = placement.usable_cpus()
+placement.usable_cpus = lambda: (cpus * 2)[:2]
 harness.train_segment = stuck
 sys.exit(cli.main(sys.argv[2:]))
 """
@@ -466,7 +467,7 @@ def running(pid: int) -> bool:
 # stuck; the test then kills it with SIGKILL
 STUCK_FRAMES = """
 import os, sys, time
-from reslearn import cli, ingest
+from reslearn import cli, ingest, placement
 
 parent, scan = os.getpid(), ingest._scan
 
@@ -476,8 +477,8 @@ def stuck(cap, start, stop):
         time.sleep(120)
     return scan(cap, start, stop)
 
-cpus = ingest.usable_cpus()
-ingest.usable_cpus = lambda: (cpus * 2)[:2]
+cpus = placement.usable_cpus()
+placement.usable_cpus = lambda: (cpus * 2)[:2]
 ingest.CHUNK_BYTES = 4096
 ingest._scan = stuck
 cli.main(sys.argv[2:])
@@ -551,8 +552,8 @@ def assert_ended(pids: list[int]) -> None:
 
 
 def broken_train_segment(*args):
-    """A task that fails as no toolkit error does; module-level, so that the
-    worker pool can pickle it."""
+    """A task that fails as no toolkit error does; the worker that runs it
+    pickles the exception back to the CLI, which raises it as itself."""
     raise RuntimeError("not a toolkit error")
 
 
@@ -653,7 +654,7 @@ class TestParallelTraining:
         segments = segment(harness.feature_series(cfg)[0], cfg.segment_size)
         calls, train_segment = [], harness.train_segment
 
-        def in_process(index, *args):        # a closure: a worker pool cannot pickle it
+        def in_process(index, *args):        # records calls made in this process only
             calls.append(index)
             return train_segment(index, *args)
 
@@ -706,9 +707,9 @@ class TestParallelTraining:
                 run.kill()
                 run.communicate(timeout=60)
             assert_ended(workers)
-        message = "a training worker process died before its task ended"
+        message = "a worker process died before it answered (exit code -9)"
         assert run.returncode == 3, err
-        assert err.splitlines() == [f"training failure: {message}"]
+        assert err.splitlines() == [f"worker failure: {message}"]
         log = (tmp_path / "out" / "run.log").read_text().splitlines()
         assert log[-1] == f"error: WorkerDied: {message}"
 
@@ -847,9 +848,9 @@ def test_run_loads_no_pool_or_masked_arrays(source, tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(setting)
     argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
-    code = ("from reslearn import cli, harness\n"
-            "cpus = harness.usable_cpus()\n"
-            "harness.usable_cpus = lambda: (cpus * 2)[:2]\n"
+    code = ("from reslearn import cli, placement\n"
+            "cpus = placement.usable_cpus()\n"
+            "placement.usable_cpus = lambda: (cpus * 2)[:2]\n"
             f"assert cli.main({argv!r}) == 0")
     assert loaded_after(code, ("numpy.ma", "multiprocessing", "concurrent.futures")) == []
     assert "segments: X=2 " in (tmp_path / "out" / "run.log").read_text()
@@ -923,6 +924,31 @@ class TestTrainEvaluate:
         assert main(["evaluate", "--model", str(ckpt), "--features", str(features)]) == 0
         assert len(calls) == 2
         assert calls[0] is loaded[0].base and calls[1] is loaded[0].residual
+
+    def test_dead_inference_worker_is_one_line_and_exit_3(self, tmp_path, monkeypatch,
+                                                          capsys):
+        """On two CPUs, `evaluate` of 96 windows predicts the last of its three
+        blocks in a child; a child that dies ends it with one line."""
+        model = build_predictor(PredictorConfig(kind="fcnn", lookback=4, hidden_width=8))
+        ckpt = tmp_path / "ckpt.npz"
+        save_reslearn(ResLearnModel(model, model, 0.5, Scaler(0.0, 10.0)), ckpt)
+        features = tmp_path / "features.csv"
+        features.write_text("segment,f_c,f_s,f_iat\n"
+                            + "".join(f"{i},1,5.0,NA\n" for i in range(100)))
+        parent, real_forward = os.getpid(), type(model)._forward
+
+        def forward(self, params, inputs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real_forward(self, params, inputs)
+
+        monkeypatch.setattr(type(model), "_forward", forward)
+        with on_cpus(2):
+            assert main(["evaluate", "--model", str(ckpt), "--features", str(features)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "worker failure: a worker process died before it answered (exit code 1)"]
 
     @staticmethod
     def evaluate_huge_value(tmp_path, at: int) -> subprocess.CompletedProcess:
@@ -1248,6 +1274,32 @@ class TestBadUserInput:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.splitlines() == [
             "data error: SeriesTooShort: 2000 values cannot fill one segment of 10000000000000"]
+
+    # each array is larger than the 128 TiB a process may map on x86-64, so
+    # its allocation fails whatever the host's memory and overcommit setting
+    @pytest.mark.parametrize("command, setting, shape", [
+        ("run", SMALL_CFG + "synth_length = 100000000000000\n", "(100000000000000,)"),
+        # raised in a training worker on two or more CPUs
+        ("run", SMALL_CFG + "hidden_width = 10000000000000\n", "(4, 10000000000000)"),
+        ("frames", "input_kind = synth-trace\nbins = 100000000000000\n", "(100000000000001,)"),
+    ], ids=["synth_length", "hidden_width", "bins"])
+    def test_setting_too_large_to_allocate_is_data_error(self, command, setting, shape,
+                                                         tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(setting)
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "reslearn.cli", command, "--config",
+                               str(cfg), "--out", str(out)],
+                              capture_output=True, text=True, env=src_env(), timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        *parsed, line = proc.stderr.splitlines()
+        assert len(parsed) == (command == "frames")          # its packet counters
+        # numpy's MemoryError, _ArrayMemoryError, names the array
+        assert re.match(r"data error: _?\w*MemoryError: Unable to allocate ", line), line
+        assert f" for an array with shape {shape} " in line
+        if command == "run":
+            log = (out / "run.log").read_text().splitlines()
+            assert log[-1] == "error: " + line.removeprefix("data error: ")
 
     def test_non_utf8_offset_counts_the_byte_order_mark(self, tmp_path, capsys):
         data = codecs.BOM_UTF8 + FEATURES_CSV.encode() + b"# caf\xe9\n"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from reslearn import ingest
+from reslearn import ingest, placement
 from reslearn.errors import (
     BadMagic,
     ConfigError,
@@ -513,7 +513,7 @@ class TestSplitParse:
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs CPU affinity")
     @pytest.mark.parametrize("placed", [True, False], ids=["cpu_given", "kernel_places"])
     def test_child_runs_on_the_cpu_it_is_given(self, placed, tmp_path):
-        cpus = ingest.usable_cpus()
+        cpus = placement.usable_cpus()
         pair = cpus[:2]                                # the CPUs split_parse runs on
         marks = tmp_path / "marks"
         marks.mkdir()

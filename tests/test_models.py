@@ -1,20 +1,27 @@
 import functools
 import io
 import json
+import os
 import pickle
 import re
-import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from reslearn.errors import CheckpointError, ConfigError, NonFiniteLoss, ShapeMismatch
+from reslearn.errors import (
+    CheckpointError,
+    ConfigError,
+    NonFiniteLoss,
+    ShapeMismatch,
+    WorkerDied,
+)
 from reslearn.models import KINDS, PredictorConfig, build_predictor
 from reslearn.models.base import PREDICT_BLOCK
 from reslearn.models.transformer import _softmax, positional_encoding
-from reslearn.residual import ResLearnModel, load_reslearn, save_reslearn
+from reslearn.residual import ResLearnModel, forecast, load_reslearn, save_reslearn
 from reslearn.seriesprep import Scaler
 
 from oracles import dict_adam_fit, transformer_backward, transformer_forward
@@ -326,11 +333,13 @@ class TestBlockInference:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_predict_equals_whole_batch_forward(self, kind):
-        """`predict` gives the bits of one float32 forward per block, whatever
-        the threads, and is within WHOLE_BATCH_RTOL of one whole-batch
-        forward: blocks start at multiples of PREDICT_BLOCK, and a one-window
-        remainder joins the block before it."""
+        """`predict`, and `forecast` of the model as both stages at any number
+        of workers, give the bits of one float32 forward per block, and are
+        within WHOLE_BATCH_RTOL of one whole-batch forward: blocks start at
+        multiples of PREDICT_BLOCK, and a one-window remainder joins the block
+        before it."""
         model = build_predictor(PredictorConfig(kind=kind, seed=3))
+        both = ResLearnModel(model, model, 0.0, Scaler(0.0, 1.0))
         x = np.random.default_rng(0).uniform(0, 1, (max(self.SIZES), 32))
         params32 = {k: v.astype(np.float32) for k, v in model.params.items()}
         x32 = x.astype(np.float32)
@@ -341,31 +350,54 @@ class TestBlockInference:
             blocks = [model._forward(params32, x32[a:b])[0]
                       for a, b in zip(starts, starts[1:] + [n])]
             by_block = np.concatenate(blocks or [np.empty(0)]).astype(np.float64)
-            # 2 and 3 threads: even and uneven runs, and fewer blocks than threads
-            for threads in (1, 2, 3):
-                got = model.predict(x[:n], threads=threads)
-                assert np.array_equal(got, by_block), (n, threads)
+            got = model.predict(x[:n])
+            assert np.array_equal(got, by_block), n
+            # 2 and 3 workers: even and uneven runs, and fewer blocks than workers
+            for workers in (1, 2, 3):
+                base, residual = forecast(both, x[:n], workers)
+                assert np.array_equal(base, by_block), (n, workers)
+                assert np.array_equal(residual, by_block), (n, workers)
             whole, _ = model._forward(params32, x32[:n])
             np.testing.assert_allclose(got, whole, rtol=0,
                                        atol=self.WHOLE_BATCH_RTOL * np.max(np.abs(whole), initial=0))
 
-    @pytest.mark.parametrize("failing_block", [0, 3], ids=["calling_thread", "worker_thread"])
-    def test_block_error_reaches_caller(self, failing_block, monkeypatch):
+    @staticmethod
+    def marked_forecast(marks: dict, monkeypatch, workers: int = 2):
+        """`forecast` of an fcnn as both stages on 6 blocks of windows, in
+        `workers` runs, where block b calls `marks[b]`, if given, before its
+        forward."""
         model = build_predictor(PredictorConfig(kind="fcnn", seed=3))
-        x = np.random.default_rng(0).uniform(0, 1, (4 * 32, 32))
-        x[32 * failing_block, 0] = -1.0          # marks the block that fails
+        x = np.random.default_rng(0).uniform(0, 1, (6 * PREDICT_BLOCK, 32))
+        acts = {-1.0 - block: act for block, act in marks.items()}
+        for block in marks:
+            x[PREDICT_BLOCK * block, 0] = -1.0 - block      # no window value is negative
         real_forward = model._forward
 
         def forward(params, inputs):
-            if inputs[0, 0] == -1.0:
-                raise ValueError(f"block {failing_block}")
+            acts.get(float(inputs[0, 0]), lambda: None)()
             return real_forward(params, inputs)
 
         monkeypatch.setattr(model, "_forward", forward)
-        before = threading.active_count()
+        return forecast(ResLearnModel(model, model, 0.0, Scaler(0.0, 1.0)), x, workers)
+
+    @pytest.mark.parametrize("failing_block", [0, 5], ids=["in_process", "in_child"])
+    def test_block_error_reaches_caller(self, failing_block, monkeypatch):
+        def fail():
+            raise ValueError(f"block {failing_block}")
+
         with pytest.raises(ValueError, match=f"block {failing_block}"):
-            model.predict(x, threads=2)
-        assert threading.active_count() == before
+            self.marked_forecast({failing_block: fail}, monkeypatch)
+
+    def test_dead_child_is_worker_died_and_its_sibling_is_reaped(self, monkeypatch):
+        # three runs of two blocks: the third run's child dies in its first
+        # block, while the second run's child is still asleep in its own
+        start = time.monotonic()
+        with pytest.raises(WorkerDied, match=r"died before it answered \(exit code 7\)"):
+            self.marked_forecast({2: lambda: time.sleep(60), 4: lambda: os._exit(7)},
+                                 monkeypatch, workers=3)
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):          # every child reaped
+            os.waitpid(-1, os.WNOHANG)
 
     # The largest deviation of `predict` from a float64 forward, relative to
     # the largest absolute prediction, measured on these windows: transformer
@@ -393,17 +425,18 @@ class TestBlockInference:
             tracemalloc.stop()
         assert peak < 10e6
 
-    def test_threaded_predict_memory_bounded_by_blocks(self):
-        # two blocks are live at once
+    def test_forecast_memory_bounded_by_block(self):
+        # this process predicts the first run, one block at a time, and a
+        # child the second
         model = build_predictor(PredictorConfig(kind="transformer", seed=3))
         x = np.random.default_rng(0).uniform(0, 1, (2000, 32))
         tracemalloc.start()
         try:
-            model.predict(x, threads=2)
+            forecast(ResLearnModel(model, model, 0.0, Scaler(0.0, 1.0)), x, 2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 20e6
+        assert peak < 10e6
 
 
 class TestArchitectures:

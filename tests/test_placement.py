@@ -5,6 +5,7 @@ import time
 import pytest
 
 from reslearn import placement
+from reslearn.errors import WorkerDied
 
 
 @pytest.mark.parametrize("cpus, here, expected", [
@@ -19,6 +20,20 @@ def test_child_cpu(monkeypatch, cpus, here, expected):
     monkeypatch.setattr(placement, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(placement, "_current_cpu", lambda: here)
     assert placement.child_cpu() == expected
+
+
+@pytest.mark.parametrize("cpus, jobs, fork, expected", [
+    (4, 2, True, 2),
+    (2, 5, True, 2),
+    (4, 3, False, 1),
+], ids=["one_per_job", "one_per_cpu", "no_fork"])
+def test_workers(monkeypatch, cpus, jobs, fork, expected):
+    monkeypatch.setattr(placement, "usable_cpus", lambda: list(range(cpus)))
+    if fork and not hasattr(os, "fork"):
+        pytest.skip("needs fork")
+    if not fork:
+        monkeypatch.delattr(os, "fork", raising=False)
+    assert placement.workers(jobs) == expected
 
 
 def test_current_cpu_is_usable():
@@ -39,7 +54,7 @@ def test_fork_call_answers_as_the_function_ended():
     assert returned.result() == 1024
     with pytest.raises(ValueError, match="ten"):
         raised.result()
-    with pytest.raises(placement.ChildDied):
+    with pytest.raises(WorkerDied, match=r"died before it answered \(exit code 0\)"):
         silent.result()
     for child in (returned, raised, silent):
         assert child.pid == 0                           # reaped
@@ -56,7 +71,7 @@ def test_results_reports_a_dead_child_while_another_runs():
     dead = placement.fork_call(kill_self)
     pid = running.pid
     try:
-        with pytest.raises(placement.ChildDied):
+        with pytest.raises(WorkerDied, match=r"died before it answered \(exit code -9\)"):
             next(placement.results([running, dead]))
         assert running.pid == pid and os.waitpid(pid, os.WNOHANG) == (0, 0)
     finally:
