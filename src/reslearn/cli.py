@@ -193,7 +193,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .placement import workers
     from .report import _f
     from .residual import forecast, load_reslearn, score
     from .seriesprep import make_windows, read_feature_csv
@@ -202,7 +201,7 @@ def cmd_evaluate(args) -> int:
     model = load_reslearn(args.model)
     values = read_feature_csv(read_text(args.features, SchemaMismatch), args.feature)
     x, y = make_windows(model.scaler.transform(values), model.base.config.lookback)
-    base_m, comb_m, _ = score(model, y, *forecast(model, x, workers(len(x))))
+    base_m, comb_m, _ = score(model, y, *forecast(model, x))
     print("model,rmse,mape,smape")
     print(f"base,{_f(base_m.rmse)},{_f(base_m.mape)},{_f(base_m.smape)}")
     print(f"reslearn,{_f(comb_m.rmse)},{_f(comb_m.mape)},{_f(comb_m.smape)}")

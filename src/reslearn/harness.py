@@ -3,15 +3,13 @@ and deterministic report files.
 
 Outputs carry no timestamps, so a rerun with the same config and seed is
 byte-identical. Training (train_models) runs each (model kind, segment)
-pair as one task on one thread; on more than one usable CPU the tasks go to
-worker processes forked through `placement`, and the results are put back in
-configured order, which keeps the bytes identical too.
+pair as one task on one thread, through `placement.spread`, and the results
+come back in configured order, which keeps the bytes identical on any number
+of CPUs too.
 """
 
 from __future__ import annotations
 
-import os
-import select
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +24,7 @@ from .errors import (
     read_text,
 )
 from .ingest import PacketTable, ParseResult, parse_csv, parse_pcap
-from .placement import Forked, fork_call, results, workers
+from .placement import spread
 from .report import (
     comparison_csv,
     plot_data_csv,
@@ -54,8 +52,6 @@ from .viewframe import (
     segment_features,
     threshold_report,
 )
-
-TASK_INDEX_BYTES = 4                    # a training task's index, as a worker reads it
 
 
 def load_packets(cfg: ExperimentConfig) -> ParseResult:
@@ -129,64 +125,22 @@ def train_models(
     each kind, in segment order. A report holds its model only when
     keep_models is set.
 
-    The pairs run in `placement.workers(pairs)` processes forked from this
-    one (see `_train_in_workers`), or in this one when that is one. Each pair
-    trains and predicts on one thread, with the same arithmetic in a worker
-    as in-process, so the results are the same on any number of CPUs.
+    The pairs run through `placement.spread`: in forked workers, or in this
+    process on one usable CPU. Each pair trains and predicts on one thread,
+    with the same arithmetic in a worker as in-process, so the results are the
+    same on any number of CPUs.
     """
     split_spec = cfg.split_spec()
     base_cfgs, residual_cfg = cfg.model_configs()
     kinds = cfg.model_kinds()
     tasks = [(i, seg, base_cfgs[kind], residual_cfg, split_spec, keep_models)
              for kind in kinds for i, seg in enumerate(segments.segments)]
-    processes = workers(len(tasks))
-    if processes > 1:
-        reports = _train_in_workers(tasks, processes)
-    else:
-        reports = [train_segment(*task) for task in tasks]
-    n = segments.num_segments
-    return {kind: reports[k * n:(k + 1) * n] for k, kind in enumerate(kinds)}
-
-
-def _train_in_workers(tasks: list[tuple], workers: int) -> list[SegmentReport]:
-    """The reports of `tasks`, in task order, from `workers` forked processes
-    that take task indices from one pipe while this process waits on all of
-    them. A task's exception is raised here as itself, and a worker that dies
-    is WorkerDied as soon as its pipe closes; the other workers are killed."""
-    # every task draws its weights and batch order from it: load it once, before the fork
+    # every task draws its weights and batch order from it: load it once, before any fork
     import numpy.random  # noqa: F401
 
-    def take_tasks() -> list[tuple[int, SegmentReport]]:
-        os.close(queue_writer)          # else the pipe would never close
-        done = []
-        while index := os.read(queue, TASK_INDEX_BYTES):
-            i = int.from_bytes(index, "little")
-            done.append((i, train_segment(*tasks[i])))
-        return done
-
-    reports: list = [None] * len(tasks)
-    queue, queue_writer = os.pipe()
-    forked: list[Forked] = []
-    try:
-        with open(queue_writer, "wb", buffering=0) as out:
-            with open(queue, "rb", buffering=0):        # closed here once the workers hold it
-                for _ in range(workers):
-                    forked.append(fork_call(take_tasks))
-            # written after the fork, so that any number of tasks fits; a write
-            # of at most PIPE_BUF bytes lands whole, so no worker reads part of one
-            indices = b"".join(i.to_bytes(TASK_INDEX_BYTES, "little") for i in range(len(tasks)))
-            try:
-                for at in range(0, len(indices), select.PIPE_BUF):
-                    out.write(indices[at:at + select.PIPE_BUF])
-            except BrokenPipeError:                     # every worker ended: see below
-                pass
-        for done in results(forked):
-            for i, report in done:
-                reports[i] = report
-    finally:
-        for worker in forked:
-            worker.kill()
-    return reports
+    reports = spread(lambda i: train_segment(*tasks[i]), len(tasks))
+    n = segments.num_segments
+    return {kind: reports[k * n:(k + 1) * n] for k, kind in enumerate(kinds)}
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> None:

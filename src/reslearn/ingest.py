@@ -23,7 +23,7 @@ from .errors import (
     SchemaMismatch,
     TruncatedHeader,
 )
-from .placement import child_cpu, fork_call, workers
+from .placement import spread, workers
 
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_NS_MAGIC = 0xA1B23C4D
@@ -113,8 +113,8 @@ def parse_pcap(stream: BinaryIO, filt: EndpointFilter) -> ParseResult:
     time, so memory does not grow with its size.
 
     With a stream backed by a file, at least SPLIT_CHUNKS chunks, and two
-    `placement.workers`, the records are walked in two halves at once (see
-    `_split_walk`); the result is the same.
+    `placement.workers`, the records are walked in two halves at once, as two
+    tasks of `placement.spread` (see `_split_walk`); the result is the same.
     """
     cap = _capture(stream, filt)
     split = None
@@ -303,33 +303,25 @@ def _guess_record_start(cap: _Capture, offset: int) -> int | None:
 
 
 def _split_walk(cap: _Capture, split: int) -> list[_Range]:
-    """The walk of the records in two ranges at once: [24, split) in this
-    process and [split, end) in a child forked by `fork_call`, which sends
-    its range back.
+    """The walk of the records in two ranges at once, [24, split) and
+    [split, end), through `placement.spread`.
 
-    The child's range is kept only when this process's walk stopped exactly
-    at `split`, so that `split` is a record start of the sequential walk, and
-    the child sent its range. Otherwise (the walk stepped over `split`, a
-    truncated record ended it first, or the child failed or died) the child
-    is killed and the walk carries on here from where it stopped, which after
-    a truncated record ends at once with the same warning. So the ranges are
+    The second range is kept only when the first stopped exactly at `split`,
+    so that `split` is a record start of the sequential walk. Otherwise (the
+    walk stepped over `split`, or a truncated record ended it first) the walk
+    carries on in this process from where the first range stopped, which after
+    a truncated record ends at once with the same warning; and if a child
+    failed or died, this process walks the whole capture. So the ranges are
     those of the one sequential scan whatever the guess, which decides only
-    the speed. The child is reaped before this returns; it reads with the
-    capture's positional reads, which leave the file offset it shares with
-    this process alone."""
+    the speed. The children read with the capture's positional reads, which
+    leave the file offset they share with this process alone."""
+    bounds = [(GLOBAL_HEADER_LEN, split), (split, cap.size)]
     try:
-        child = fork_call(_scan, cap, split, cap.size, cpu=child_cpu())
-    except OSError:                     # out of file descriptors, processes or memory
+        ranges = spread(lambda k: _scan(cap, *bounds[k]), 2)
+    except Exception:                   # whatever ended a child, the walk is done here
         return [_scan(cap, GLOBAL_HEADER_LEN, cap.size)]
-    try:
-        ranges = [_scan(cap, GLOBAL_HEADER_LEN, split)]
-        if ranges[0].stop == split:
-            try:
-                ranges.append(child.result())
-            except Exception:           # whatever ended the child, its range is walked here
-                pass
-    finally:
-        child.kill()
+    if ranges[0].stop != split:
+        del ranges[1]
     if ranges[-1].stop < cap.size:
         ranges.append(_scan(cap, ranges[-1].stop, cap.size))
     return ranges

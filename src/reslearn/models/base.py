@@ -11,7 +11,8 @@ laid out the same way and cast the windows to float32 once. Adam updates `flat`
 in float64, and the losses, early stopping and the predictions `predict`
 returns are float64.
 
-A model computes on one thread; `residual.forecast` forks `evaluate`'s runs."""
+A model computes on one thread; `residual.forecast` cuts `evaluate`'s windows
+into runs, one per process of `placement.spread`."""
 
 from __future__ import annotations
 

@@ -14,7 +14,7 @@ from .errors import CheckpointError, ConfigError, LengthMismatch, ResLearnError
 from .metrics import MetricsResult, evaluate
 from .models import Predictor, PredictorConfig, TrainTrace, build_predictor
 from .models.base import PREDICT_BLOCK, block_bounds
-from .placement import fork_call, results
+from .placement import spread, workers
 from .seriesprep import (
     Scaler,
     SplitSpec,
@@ -151,30 +151,21 @@ def combine_predictions(
     return model.scaler.inverse(base_pred + residual_pred - model.res_b)
 
 
-def forecast(model: ResLearnModel, inputs: np.ndarray,
-             workers: int) -> tuple[np.ndarray, np.ndarray]:
+def forecast(model: ResLearnModel, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both stages' predictions of the windows `inputs`, in scaled units, in
-    at most `workers` runs cut at `block_bounds(n, k * PREDICT_BLOCK)`, so the
-    bits are those of one `predict` of each. This process predicts the first
-    run and a child from `fork_call` each other; a run's exception, or a dead
-    child's WorkerDied, is raised here once all children are reaped."""
+    one run of blocks per `placement.workers` process, cut at
+    `block_bounds(n, k * PREDICT_BLOCK)` so that the bits are those of one
+    `predict` of each; `placement.spread` runs them."""
     blocks = len(block_bounds(len(inputs), PREDICT_BLOCK)) - 1
-    edges = block_bounds(len(inputs), max(1, math.ceil(blocks / workers)) * PREDICT_BLOCK)
+    per_run = max(1, math.ceil(blocks / max(1, workers(blocks))))
+    edges = block_bounds(len(inputs), per_run * PREDICT_BLOCK)
     runs = list(zip(edges, edges[1:])) or [(0, 0)]
 
-    def stages(start: int, stop: int) -> tuple[int, np.ndarray, np.ndarray]:
-        x = inputs[start:stop]
-        return start, model.base.predict(x), model.residual.predict(x)
+    def stages(k: int) -> tuple[np.ndarray, np.ndarray]:
+        x = inputs[slice(*runs[k])]
+        return model.base.predict(x), model.residual.predict(x)
 
-    children = []
-    try:
-        for run in runs[1:]:
-            children.append(fork_call(stages, *run))
-        parts = sorted([stages(*runs[0]), *results(children)], key=lambda part: part[0])
-    finally:
-        for child in children:
-            child.kill()
-    _, base, residual = zip(*parts)
+    base, residual = zip(*spread(stages, len(runs)))
     return np.concatenate(base), np.concatenate(residual)
 
 

@@ -3,8 +3,8 @@ public method of a module-level class, has a caller inside the package: API
 that only tests call is deleted, not kept. Likewise every defaulted parameter
 of that API is passed by some call in the package: one that none passes is a
 constant. Packets reach the frame files by one path: one reader and one
-writer. And work runs in parallel one way: in processes forked by
-`placement`, with no threads or pools."""
+writer. And work runs in parallel one way: through `placement.spread`, the
+one fan-out, with no threads or pools."""
 
 import ast
 from collections import Counter
@@ -115,10 +115,13 @@ def test_every_default_is_overridden_by_a_caller():
 
 # the modules that would start threads or a process pool
 CONCURRENCY_MODULES = ("threading", "multiprocessing", "concurrent", "_thread")
+# what the rest of the package may use of `placement`: the fan-out and how
+# many processes it runs, never a fork, a CPU pin or a wait of its own
+PLACEMENT_API = {"spread", "workers", "usable_cpus"}
 
 
 def test_only_placement_forks_and_nothing_starts_threads():
-    forks, imports = [], []
+    forks, imports, placement = [], [], []
     for path in sorted(SRC.rglob("*.py")):
         module = path.relative_to(SRC).as_posix()
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -130,5 +133,12 @@ def test_only_placement_forks_and_nothing_starts_threads():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 if node.module.split(".")[0] in CONCURRENCY_MODULES:
                     imports.append(f"{module}: {node.module}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("placement"):
+                placement += [f"{module}: {a.name}" for a in node.names
+                              if a.name not in PLACEMENT_API]
+            elif isinstance(node, ast.Attribute) and node.attr in ("sched_setaffinity", "waitpid"):
+                forks.append(module)
     assert set(forks) == {"placement.py"}
     assert not imports, "modules that import threads or pools:\n" + "\n".join(imports)
+    assert not placement, ("modules that import more of placement than "
+                           f"{sorted(PLACEMENT_API)}:\n" + "\n".join(placement))

@@ -1,4 +1,5 @@
 import codecs
+import errno
 import gc
 import json
 import math
@@ -463,7 +464,7 @@ def running(pid: int) -> bool:
     return state != "Z"
 
 
-# runs `frames` in a fresh interpreter, with the child of its pcap parse
+# runs `frames` in a fresh interpreter, with both children of its pcap parse
 # stuck; the test then kills it with SIGKILL
 STUCK_FRAMES = """
 import os, sys, time
@@ -502,13 +503,13 @@ class TestParallelParse:
                                 "10.0.0.1", "--out", str(tmp_path / "out")], env=src_env())
         try:
             deadline = time.monotonic() + 60
-            while not any(marks.iterdir()) and time.monotonic() < deadline:
+            while len(list(marks.iterdir())) < 2 and time.monotonic() < deadline:
                 time.sleep(0.05)
         finally:
             run.kill()
             run.wait(timeout=60)
         children = [int(p.name) for p in marks.iterdir()]
-        assert len(children) == 1
+        assert len(children) == 2
         assert_ended(children)
 
     def test_frames_same_bytes_on_one_and_two_cpus(self, tmp_path, monkeypatch):
@@ -671,6 +672,41 @@ class TestParallelTraining:
                 assert (one.base_trace, one.residual_trace) == (two.base_trace, two.residual_trace)
                 for a, b in zip(one.test_series or (), two.test_series or ()):
                     np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("failing", [1, 2], ids=["first_fork", "second_fork"])
+    def test_failed_fork_is_no_error(self, failing, cfg_path, tmp_path, monkeypatch, capsys):
+        """A fork that fails with EAGAIN leaves its tasks to the workers already
+        running, or to the CLI: on two CPUs `run`, `train` and `evaluate` exit 0
+        with the bytes of one CPU."""
+        diverging_features(tmp_path / "features.csv", [])
+        real_fork = os.fork
+        outputs = {}
+        for cpus in (1, 2):
+            out = tmp_path / str(cpus)
+            argv = [["run", "--config", str(cfg_path), "--out", str(out / "run")],
+                    ["train", "--config", str(cfg_path), "--out", str(out / "ckpt")],
+                    ["evaluate", "--model", str(out / "ckpt" / "ckpt_gru_seg0.npz"),
+                     "--features", str(tmp_path / "features.csv")]]
+            for args in argv:
+                forks = []
+
+                def fork():
+                    forks.append(None)
+                    if len(forks) == failing:
+                        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+                    return real_fork()
+
+                with on_cpus(cpus), monkeypatch.context() as patch:
+                    patch.setattr(os, "fork", fork)
+                    assert main(args) == 0, capsys.readouterr().err
+                assert len(forks) == (0 if cpus == 1 else min(failing, 2)), args[0]
+            ckpts = {}
+            for path in (out / "ckpt").glob("*.npz"):
+                with np.load(path) as arrays:
+                    ckpts.update({(path.name, key): (arrays[key].shape, arrays[key].tobytes())
+                                  for key in arrays.files})
+            outputs[cpus] = read_tree(out / "run"), ckpts, capsys.readouterr().out
+        assert outputs[1] == outputs[2]
 
     def stuck_run(self, small_cfg, tmp_path):
         """`run` of the small config with its two training tasks stuck in two
@@ -927,8 +963,8 @@ class TestTrainEvaluate:
 
     def test_dead_inference_worker_is_one_line_and_exit_3(self, tmp_path, monkeypatch,
                                                           capsys):
-        """On two CPUs, `evaluate` of 96 windows predicts the last of its three
-        blocks in a child; a child that dies ends it with one line."""
+        """On two CPUs, `evaluate` of 96 windows predicts its three blocks in
+        two children; a child that dies ends it with one line."""
         model = build_predictor(PredictorConfig(kind="fcnn", lookback=4, hidden_width=8))
         ckpt = tmp_path / "ckpt.npz"
         save_reslearn(ResLearnModel(model, model, 0.5, Scaler(0.0, 10.0)), ckpt)

@@ -359,19 +359,26 @@ def split_parse(path, filt):
 
 
 class ScanSpy:
-    """Wraps ingest._scan: records (start, stop) of each call in this process,
-    and in a forked child runs `in_child`, if given, first."""
+    """Wraps ingest._scan: records (start, stop) of each call, in `calls` for
+    this process and as a file in the directory `marks` for a forked child,
+    which then runs `in_child`, if given."""
 
-    def __init__(self, in_child=None):
+    def __init__(self, marks, in_child=None):
         self.scan, self.parent, self.in_child = ingest._scan, os.getpid(), in_child
-        self.calls = []
+        self.marks, self.calls = marks, []
+        marks.mkdir()
 
     def __call__(self, cap, start, stop):
         if os.getpid() == self.parent:
             self.calls.append((start, stop))
-        elif self.in_child is not None:
-            self.in_child()
+        else:
+            (self.marks / f"{start}-{stop}-{os.getpid()}").touch()
+            if self.in_child is not None:
+                self.in_child()
         return self.scan(cap, start, stop)
+
+    def child_calls(self) -> list[tuple[int, int]]:
+        return sorted(tuple(map(int, m.name.split("-")[:2])) for m in self.marks.iterdir())
 
 
 def long_capture(n=400, seed=5) -> bytes:
@@ -435,15 +442,15 @@ class TestSplitParse:
             for offset in range(24, len(data), 97):
                 expected = next(s for s in starts if s >= offset) if offset <= starts[-1] else None
                 assert ingest._guess_record_start(cap, offset) == expected, offset
-        # and the split is taken: this process walks only the first half
-        spy = ScanSpy()
+        # and the split is taken: two children walk the halves, this process none
+        spy = ScanSpy(tmp_path / "marks")
         with mock.patch.object(ingest, "CHUNK_BYTES", 1024), \
                 mock.patch.object(ingest, "_scan", spy):
             result = split_parse(path, FILT)
         assert_same_parse(result, parse(data))
-        first_stop = spy.calls[0][1]
-        assert spy.calls == [(24, first_stop)]
-        assert first_stop == next(s for s in starts if s >= len(data) // 2)
+        split = next(s for s in starts if s >= len(data) // 2)
+        assert spy.calls == []
+        assert spy.child_calls() == [(24, split), (split, len(data))]
 
     @pytest.mark.parametrize("end_child", ["raise", "kill"])
     def test_failed_child_gives_the_same_result(self, end_child, tmp_path):
@@ -455,14 +462,14 @@ class TestSplitParse:
         data = long_capture()
         path = tmp_path / "capture.pcap"
         path.write_bytes(data)
-        spy = ScanSpy(fail)
+        spy = ScanSpy(tmp_path / "marks", fail)
         with mock.patch.object(ingest, "CHUNK_BYTES", 1024), \
                 mock.patch.object(ingest, "_scan", spy):
             result = split_parse(path, FILT)
         assert_same_parse(result, parse(data))
-        # the walk went on here from where this process's range stopped
-        (start, first_stop), (rest, stop) = spy.calls
-        assert (start, rest, stop) == (24, first_stop, len(data))
+        # a child walked a range and failed; this process walked the whole capture
+        assert spy.child_calls()
+        assert spy.calls == [(24, len(data))]
 
     def test_children_leave_the_shared_file_offset_alone(self, tmp_path):
         """After fork a child shares the parent's file offset: the child
@@ -506,37 +513,47 @@ class TestSplitParse:
                 mock.patch.object(ingest, "_scan", scan_moving_offset), on_cpus(2):
             result = parse_pcap(stream, FILT)
         assert_same_parse(result, parse(data))
-        assert walks == [24]                           # the child's range kept
-        # the child's one call on the stream is the test's own seek
-        assert [m.name.split("-")[0] for m in marks.iterdir()] == ["seek"]
+        assert walks == []                             # both children's ranges kept
+        # each child's one call on the stream is the test's own seek
+        assert sorted(m.name.split("-")[0] for m in marks.iterdir()) == ["seek", "seek"]
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs CPU affinity")
     @pytest.mark.parametrize("placed", [True, False], ids=["cpu_given", "kernel_places"])
     def test_child_runs_on_the_cpu_it_is_given(self, placed, tmp_path):
+        """The two children run on one CPU each of the two split_parse runs
+        on; without `sched_getcpu` the kernel places both on the pair."""
         cpus = placement.usable_cpus()
-        pair = cpus[:2]                                # the CPUs split_parse runs on
-        marks = tmp_path / "marks"
-        marks.mkdir()
+        pair = (cpus * 2)[:2]                          # the CPUs split_parse runs on
+        masks = tmp_path / "masks"
+        masks.mkdir()
 
         def note_mask():
-            (marks / ",".join(map(str, sorted(os.sched_getaffinity(0))))).touch()
+            mask = ",".join(map(str, sorted(os.sched_getaffinity(0))))
+            (masks / f"{os.getpid()}-{mask}").touch()
+            deadline = time.monotonic() + 10
+            while len(list(masks.iterdir())) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)                       # so that each child walks one range
 
         data = long_capture()
         path = tmp_path / "capture.pcap"
         path.write_bytes(data)
         with mock.patch.object(ingest, "CHUNK_BYTES", 1024), \
-                mock.patch.object(ingest, "_scan", ScanSpy(note_mask)), \
-                mock.patch.object(ingest, "child_cpu", lambda: pair[-1] if placed else None):
+                mock.patch.object(ingest, "_scan", ScanSpy(tmp_path / "marks", note_mask)), \
+                mock.patch.object(placement, "_current_cpu",
+                                  placement._current_cpu if placed else lambda: None):
             split_parse(path, FILT)
-        expected = [pair[-1]] if placed else pair
-        assert [m.name for m in marks.iterdir()] == [",".join(map(str, expected))]
+        noted = sorted(m.name.split("-")[1] for m in masks.iterdir())
+        if placed:
+            assert noted == sorted(map(str, pair))
+        else:
+            assert noted == [",".join(map(str, sorted(set(pair))))] * 2
         assert sorted(os.sched_getaffinity(0)) == cpus
 
     def test_small_or_unbacked_capture_is_not_split(self, tmp_path):
         data = long_capture()
         path = tmp_path / "capture.pcap"
         path.write_bytes(data)
-        spy = ScanSpy()
+        spy = ScanSpy(tmp_path / "marks")
         with mock.patch.object(ingest, "_scan", spy):
             split_parse(path, FILT)                   # under SPLIT_CHUNKS chunks
             with mock.patch.object(ingest, "CHUNK_BYTES", 1024):

@@ -24,6 +24,7 @@ from reslearn.models.transformer import _softmax, positional_encoding
 from reslearn.residual import ResLearnModel, forecast, load_reslearn, save_reslearn
 from reslearn.seriesprep import Scaler
 
+from cpus import on_cpus
 from oracles import dict_adam_fit, transformer_backward, transformer_forward
 
 
@@ -333,8 +334,8 @@ class TestBlockInference:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_predict_equals_whole_batch_forward(self, kind):
-        """`predict`, and `forecast` of the model as both stages at any number
-        of workers, give the bits of one float32 forward per block, and are
+        """`predict`, and `forecast` of the model as both stages on any number
+        of CPUs, give the bits of one float32 forward per block, and are
         within WHOLE_BATCH_RTOL of one whole-batch forward: blocks start at
         multiples of PREDICT_BLOCK, and a one-window remainder joins the block
         before it."""
@@ -352,19 +353,20 @@ class TestBlockInference:
             by_block = np.concatenate(blocks or [np.empty(0)]).astype(np.float64)
             got = model.predict(x[:n])
             assert np.array_equal(got, by_block), n
-            # 2 and 3 workers: even and uneven runs, and fewer blocks than workers
-            for workers in (1, 2, 3):
-                base, residual = forecast(both, x[:n], workers)
-                assert np.array_equal(base, by_block), (n, workers)
-                assert np.array_equal(residual, by_block), (n, workers)
+            # 2 and 3 runs: even and uneven runs, and fewer blocks than CPUs
+            for cpus in (1, 2, 3):
+                with on_cpus(cpus):
+                    base, residual = forecast(both, x[:n])
+                assert np.array_equal(base, by_block), (n, cpus)
+                assert np.array_equal(residual, by_block), (n, cpus)
             whole, _ = model._forward(params32, x32[:n])
             np.testing.assert_allclose(got, whole, rtol=0,
                                        atol=self.WHOLE_BATCH_RTOL * np.max(np.abs(whole), initial=0))
 
     @staticmethod
-    def marked_forecast(marks: dict, monkeypatch, workers: int = 2):
-        """`forecast` of an fcnn as both stages on 6 blocks of windows, in
-        `workers` runs, where block b calls `marks[b]`, if given, before its
+    def marked_forecast(marks: dict, monkeypatch, cpus: int = 2):
+        """`forecast` of an fcnn as both stages on 6 blocks of windows, on
+        `cpus` usable CPUs, where block b calls `marks[b]`, if given, before its
         forward."""
         model = build_predictor(PredictorConfig(kind="fcnn", seed=3))
         x = np.random.default_rng(0).uniform(0, 1, (6 * PREDICT_BLOCK, 32))
@@ -378,23 +380,25 @@ class TestBlockInference:
             return real_forward(params, inputs)
 
         monkeypatch.setattr(model, "_forward", forward)
-        return forecast(ResLearnModel(model, model, 0.0, Scaler(0.0, 1.0)), x, workers)
+        with on_cpus(cpus):
+            return forecast(ResLearnModel(model, model, 0.0, Scaler(0.0, 1.0)), x)
 
-    @pytest.mark.parametrize("failing_block", [0, 5], ids=["in_process", "in_child"])
-    def test_block_error_reaches_caller(self, failing_block, monkeypatch):
+    @pytest.mark.parametrize("failing_block, cpus", [(0, 1), (5, 2)],
+                             ids=["in_process", "in_child"])
+    def test_block_error_reaches_caller(self, failing_block, cpus, monkeypatch):
         def fail():
             raise ValueError(f"block {failing_block}")
 
         with pytest.raises(ValueError, match=f"block {failing_block}"):
-            self.marked_forecast({failing_block: fail}, monkeypatch)
+            self.marked_forecast({failing_block: fail}, monkeypatch, cpus)
 
     def test_dead_child_is_worker_died_and_its_sibling_is_reaped(self, monkeypatch):
-        # three runs of two blocks: the third run's child dies in its first
-        # block, while the second run's child is still asleep in its own
+        # three runs of two blocks: the child that takes the third run dies in
+        # its first block, while the one that took the second is still asleep
         start = time.monotonic()
         with pytest.raises(WorkerDied, match=r"died before it answered \(exit code 7\)"):
             self.marked_forecast({2: lambda: time.sleep(60), 4: lambda: os._exit(7)},
-                                 monkeypatch, workers=3)
+                                 monkeypatch, cpus=3)
         assert time.monotonic() - start < 30
         with pytest.raises(ChildProcessError):          # every child reaped
             os.waitpid(-1, os.WNOHANG)
@@ -426,17 +430,19 @@ class TestBlockInference:
         assert peak < 10e6
 
     def test_forecast_memory_bounded_by_block(self):
-        # this process predicts the first run, one block at a time, and a
-        # child the second
+        # on one CPU this process predicts every block, one at a time; on two
+        # the children predict, and this process holds only their answers
         model = build_predictor(PredictorConfig(kind="transformer", seed=3))
         x = np.random.default_rng(0).uniform(0, 1, (2000, 32))
-        tracemalloc.start()
-        try:
-            forecast(ResLearnModel(model, model, 0.0, Scaler(0.0, 1.0)), x, 2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 10e6
+        for cpus in (1, 2):
+            tracemalloc.start()
+            try:
+                with on_cpus(cpus):
+                    forecast(ResLearnModel(model, model, 0.0, Scaler(0.0, 1.0)), x)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 10e6, cpus
 
 
 class TestArchitectures:
