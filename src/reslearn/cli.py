@@ -193,7 +193,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .report import _f
+    from .report import metric_cells
     from .residual import forecast, load_reslearn, score
     from .seriesprep import make_windows, read_feature_csv
 
@@ -203,8 +203,8 @@ def cmd_evaluate(args) -> int:
     x, y = make_windows(model.scaler.transform(values), model.base.config.lookback)
     base_m, comb_m, _ = score(model, y, *forecast(model, x))
     print("model,rmse,mape,smape")
-    print(f"base,{_f(base_m.rmse)},{_f(base_m.mape)},{_f(base_m.smape)}")
-    print(f"reslearn,{_f(comb_m.rmse)},{_f(comb_m.mape)},{_f(comb_m.smape)}")
+    print(f"base,{metric_cells(base_m)}")
+    print(f"reslearn,{metric_cells(comb_m)}")
     return EXIT_OK
 
 

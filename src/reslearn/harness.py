@@ -25,14 +25,7 @@ from .errors import (
 )
 from .ingest import PacketTable, ParseResult, parse_csv, parse_pcap
 from .placement import spread
-from .report import (
-    comparison_csv,
-    plot_data_csv,
-    render_csv,
-    render_json,
-    report_rows,
-    smape_summary,
-)
+from .report import comparison_csv, plot_data_csv, render_csv, smape_summary
 from .residual import SegmentReport, train_segment
 from .seriesprep import (
     SegmentedSeries,
@@ -171,9 +164,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> None:
         trained = train_models(cfg, segments)
         summaries = {}
         for kind, reports in trained.items():
-            rows = report_rows(reports, kind)
-            write(f"report_{kind}.csv", render_csv(rows))
-            write(f"report_{kind}.json", render_json(rows))
+            write(f"report_{kind}.csv", render_csv(reports, kind))
             for r in reports:
                 if r.test_series is not None:
                     actual, base_pred, combined_pred = r.test_series
@@ -187,6 +178,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> None:
             else:
                 log.append(f"{kind}: segments_ok={summary.segments_ok} val_smape_improvement="
                            f"{summary.improvement:.4g}%")
+            log += [f"{kind} segment {r.segment_index}: {r.failed}"
+                    for r in reports if r.failed is not None]
 
         if all(summary is None for summary in summaries.values()):
             raise NonFiniteLoss("every segment failed to train")

@@ -4,10 +4,9 @@ display scaling of SMAPE/MAPE appears only here, in columns labeled _pct."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .metrics import smape_improvement
+from .metrics import MetricsResult, smape_improvement
 from .residual import SegmentReport
 
 ROW_HEADER = "segment,model,stage,rmse,mape,smape,res_b,epochs"
@@ -17,54 +16,31 @@ def _f(x: float) -> str:
     return format(x, ".6g")
 
 
-def report_rows(reports: list[SegmentReport], model_name: str) -> list[dict]:
-    rows = []
+def metric_cells(m: MetricsResult) -> str:
+    """The rmse, mape and smape cells of one report row."""
+    return f"{_f(m.rmse)},{_f(m.mape)},{_f(m.smape)}"
+
+
+def render_csv(reports: list[SegmentReport], kind: str) -> str:
+    """Four rows per segment that trained (base and combined, val and test)
+    and one NA row per segment that failed, in segment order."""
+    lines = [ROW_HEADER]
     for r in reports:
+        i = r.segment_index
         if r.failed is not None:
-            rows.append({"segment": r.segment_index, "model": model_name,
-                         "stage": "failed", "error": r.failed})
+            lines.append(f"{i},{kind},failed,NA,NA,NA,NA,NA")
             continue
         base = r.base_trace.epochs_run
         both = base + r.residual_trace.epochs_run
+        res_b = _f(r.res_b)
         for model, stage, metrics, epochs in (
-            (model_name, "val", r.base_val, base),
-            (model_name, "test", r.base_test, base),
-            (f"{model_name}+reslearn", "val", r.combined_val, both),
-            (f"{model_name}+reslearn", "test", r.combined_test, both),
+            (kind, "val", r.base_val, base),
+            (kind, "test", r.base_test, base),
+            (f"{kind}+reslearn", "val", r.combined_val, both),
+            (f"{kind}+reslearn", "test", r.combined_test, both),
         ):
-            rows.append(_row(r, model, stage, metrics, epochs))
-    return rows
-
-
-def _row(r: SegmentReport, model: str, stage: str, metrics, epochs: int) -> dict:
-    return {
-        "segment": r.segment_index,
-        "model": model,
-        "stage": stage,
-        "rmse": float(_f(metrics.rmse)),
-        "mape": float(_f(metrics.mape)),
-        "smape": float(_f(metrics.smape)),
-        "res_b": float(_f(r.res_b)),
-        "epochs": epochs,
-    }
-
-
-def render_csv(rows: list[dict]) -> str:
-    lines = [ROW_HEADER]
-    for row in rows:
-        if row["stage"] == "failed":
-            lines.append(f"{row['segment']},{row['model']},failed,NA,NA,NA,NA,NA")
-        else:
-            lines.append(
-                f"{row['segment']},{row['model']},{row['stage']},"
-                f"{_f(row['rmse'])},{_f(row['mape'])},{_f(row['smape'])},"
-                f"{_f(row['res_b'])},{row['epochs']}"
-            )
+            lines.append(f"{i},{model},{stage},{metric_cells(metrics)},{res_b},{epochs}")
     return "\n".join(lines) + "\n"
-
-
-def render_json(rows: list[dict]) -> str:
-    return json.dumps(rows, indent=2) + "\n"
 
 
 def plot_data_csv(actual, predicted) -> str:

@@ -23,7 +23,7 @@ from reslearn.config import ExperimentConfig, load_config, parse_config
 from reslearn.ingest import EndpointFilter
 from reslearn.metrics import evaluate
 from reslearn.models import Predictor, PredictorConfig, build_predictor
-from reslearn.report import render_json, report_rows
+from reslearn.report import render_csv
 from reslearn.residual import ResLearnModel, combine_predictions, load_reslearn, save_reslearn
 from reslearn.seriesprep import Scaler, make_windows, read_feature_csv, segment
 from reslearn.synth import gen_series, gen_trace
@@ -285,11 +285,28 @@ class TestRun:
     def test_run_writes_reports(self, small_cfg, tmp_path):
         out = tmp_path / "out"
         assert main(["run", "--config", str(small_cfg), "--out", str(out)]) == 0
-        names = set(read_tree(out))
-        assert {"run.log", "eda.csv", "comparison.csv",
-                "report_fcnn.csv", "report_fcnn.json"} <= names
-        assert any(n.startswith("plot_fcnn_seg") for n in names)
-        assert any(n.startswith("plot_fcnn_reslearn_seg") for n in names)
+        assert sorted(read_tree(out)) == [
+            "comparison.csv", "eda.csv",
+            "plot_fcnn_reslearn_seg0.csv", "plot_fcnn_reslearn_seg1.csv",
+            "plot_fcnn_seg0.csv", "plot_fcnn_seg1.csv",
+            "report_fcnn.csv", "run.log"]
+
+    def test_readme_example_file_set(self, tmp_path):
+        """The README example, at 2 epochs, writes these 21 files and no other."""
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("input_kind = synth-series\nsynth_spike_rate = 0.02\n"
+                       "synth_spike_height = 60\nmodels = transformer, lstm\nepochs = 2\n")
+        out = tmp_path / "out"
+        # a fresh interpreter, where the CLI sets the BLAS threads before numpy loads
+        proc = subprocess.run([sys.executable, "-m", "reslearn.cli", "run", "--config", str(cfg),
+                               "--seed", "7", "--out", str(out)],
+                              capture_output=True, text=True, env=src_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        plots = [f"plot_{kind}{stage}_seg{i}.csv" for kind in ("transformer", "lstm")
+                 for stage in ("", "_reslearn") for i in range(4)]
+        assert sorted(read_tree(out)) == sorted(
+            ["eda.csv", "report_transformer.csv", "report_lstm.csv", *plots,
+             "comparison.csv", "run.log"])
 
     def test_rerun_byte_identical(self, small_cfg, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -602,11 +619,13 @@ class TestParallelTraining:
                               capture_output=True, text=True, env=src_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+        log = (out / "run.log").read_text().splitlines()
         for kind in ("fcnn", "gru"):
-            rows = json.loads((out / f"report_{kind}.json").read_text())
-            failed = [r for r in rows if r["stage"] == "failed"]
-            assert [r["segment"] for r in failed] == [1]
-            assert failed[0]["error"].startswith(cause)
+            failed = [line for line in log if line.startswith(f"{kind} segment ")]
+            assert len(failed) == 1
+            assert failed[0].startswith(f"{kind} segment 1: {cause}")
+            rows = (out / f"report_{kind}.csv").read_text().splitlines()[1:]
+            assert [row.split(",")[0] for row in rows if ",failed," in row] == ["1"]
 
     def test_train_jobs_same_checkpoints(self, cfg_path, tmp_path, capsys):
         diverging_features(tmp_path / "features.csv", [1])
@@ -666,8 +685,8 @@ class TestParallelTraining:
             alone = harness.train_models(cfg, segments)
         assert calls == [0, 1, 2] * 2
         for kind in ("fcnn", "gru"):
-            assert render_json(report_rows(alone[kind], kind)) == \
-                render_json(report_rows(forked[kind], kind))
+            assert render_csv(alone[kind], kind) == render_csv(forked[kind], kind)
+            assert [r.failed for r in alone[kind]] == [r.failed for r in forked[kind]]
             for one, two in zip(alone[kind], forked[kind]):
                 assert (one.base_trace, one.residual_trace) == (two.base_trace, two.residual_trace)
                 for a, b in zip(one.test_series or (), two.test_series or ()):

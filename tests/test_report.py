@@ -1,6 +1,8 @@
-import json
+import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from reslearn import harness
 from reslearn.config import ExperimentConfig
@@ -8,11 +10,11 @@ from reslearn.metrics import MetricsResult
 from reslearn.models import TrainTrace
 from reslearn.report import (
     ROW_HEADER,
+    _f,
     comparison_csv,
+    metric_cells,
     plot_data_csv,
     render_csv,
-    render_json,
-    report_rows,
     smape_summary,
 )
 from reslearn.residual import SegmentReport
@@ -38,27 +40,39 @@ def sample_report(idx=0, failed=None):
     )
 
 
+# rendered at the commit before the CSV was written straight from the reports,
+# when every cell was parsed back to a float before it was printed
+GOLDEN_CSV = (
+    "segment,model,stage,rmse,mape,smape,res_b,epochs\n"
+    "0,transformer,val,404.05,0.4,0.333333,0.123457,12\n"
+    "0,transformer,test,1.23457e+06,2.5e-07,0.37,0.123457,12\n"
+    "0,transformer+reslearn,val,0.36,0.004,0.00032,0.123457,19\n"
+    "0,transformer+reslearn,test,4.94066e-324,1e+16,1,0.123457,19\n"
+    "1,transformer,failed,NA,NA,NA,NA,NA\n"
+)
+
+
 class TestRows:
     def test_stages_and_names(self):
-        rows = report_rows([sample_report()], "transformer")
-        assert [(r["model"], r["stage"]) for r in rows] == [
-            ("transformer", "val"),
-            ("transformer", "test"),
-            ("transformer+reslearn", "val"),
-            ("transformer+reslearn", "test"),
+        lines = render_csv([sample_report()], "transformer").splitlines()[1:]
+        assert [line.split(",")[1:3] for line in lines] == [
+            ["transformer", "val"],
+            ["transformer", "test"],
+            ["transformer+reslearn", "val"],
+            ["transformer+reslearn", "test"],
         ]
-        assert rows[0]["epochs"] == 12
-        assert rows[2]["epochs"] == 19
+        assert [line.split(",")[-1] for line in lines] == ["12", "12", "19", "19"]
 
     def test_failed_row(self):
-        rows = report_rows([sample_report(failed="SplitTooSmall: too short")], "gru")
-        assert rows == [{"segment": 0, "model": "gru", "stage": "failed",
-                         "error": "SplitTooSmall: too short"}]
+        """A failed segment is one row of NA cells; its cause, which may hold
+        commas, stays out of the CSV."""
+        text = render_csv([sample_report(failed="SplitTooSmall: too short, by 3")], "gru")
+        assert text == ROW_HEADER + "\n0,gru,failed,NA,NA,NA,NA,NA\n"
 
 
 class TestRendering:
     def test_csv_layout(self):
-        text = render_csv(report_rows([sample_report()], "lstm"))
+        text = render_csv([sample_report()], "lstm")
         lines = text.splitlines()
         assert lines[0] == ROW_HEADER
         assert lines[1].startswith("0,lstm,val,404.05,0.4,0.36,0.123457,12")
@@ -66,29 +80,55 @@ class TestRendering:
         assert "\r" not in text
 
     def test_failed_csv_uses_na(self):
-        text = render_csv(report_rows([sample_report(failed="x")], "lstm"))
+        text = render_csv([sample_report(failed="x")], "lstm")
         assert text.splitlines()[1] == "0,lstm,failed,NA,NA,NA,NA,NA"
 
-    def test_json_numbers_match_csv_strings(self):
-        rows = report_rows([sample_report()], "fcnn")
-        parsed = json.loads(render_json(rows))
-        csv_lines = render_csv(rows).splitlines()[1:]
-        for row, line in zip(parsed, csv_lines):
-            fields = line.split(",")
-            assert row["rmse"] == float(fields[3])
-            assert row["smape"] == float(fields[5])
-            assert row["res_b"] == float(fields[6])
+    def test_metric_cells_are_the_row_cells(self):
+        report = sample_report()
+        lines = render_csv([report], "fcnn").splitlines()[1:]
+        stages = (report.base_val, report.base_test, report.combined_val, report.combined_test)
+        for line, m in zip(lines, stages):
+            assert ",".join(line.split(",")[3:6]) == metric_cells(m)
 
     def test_six_significant_digits(self):
         report = sample_report()
-        text = render_csv(report_rows([report], "m"))
+        text = render_csv([report], "m")
         assert "0.123457" in text      # res_b rounded to 6 significant digits
         assert "0.123456789" not in text
 
     def test_deterministic(self):
         reports = [sample_report(0), sample_report(1, failed="y")]
-        assert render_csv(report_rows(reports, "m")) == render_csv(report_rows(reports, "m"))
-        assert render_json(report_rows(reports, "m")) == render_json(report_rows(reports, "m"))
+        assert render_csv(reports, "m") == render_csv(reports, "m")
+
+    def test_golden(self):
+        good = SegmentReport(
+            segment_index=0,
+            res_b=0.123456789,
+            base_trace=TrainTrace(train_loss=[0.5] * 12),
+            residual_trace=TrainTrace(train_loss=[0.5] * 7),
+            base_val=metrics(404.0500001, 0.40, 1 / 3),
+            base_test=metrics(1234567.89, 2.5e-7, 0.37),
+            combined_val=metrics(0.36, 0.004, 0.00032),
+            combined_test=metrics(5e-324, 1e16, 0.999999951),
+        )
+        failed = SegmentReport(
+            segment_index=1,
+            failed="NonFiniteLoss: validation loss overflows float64 at epoch 0")
+        assert render_csv([good, failed], "transformer") == GOLDEN_CSV
+
+    @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    @example(math.nan)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(2.2250738585072014e-308)
+    @example(1.7976931348623157e308)
+    def test_cell_format_is_idempotent(self, x):
+        """A cell parsed back and printed again is the same cell, so printing a
+        value once gives the bytes of a parse-and-print round trip."""
+        assert _f(float(_f(x))) == _f(x)
 
 
 class TestPlotData:
@@ -102,9 +142,9 @@ class TestEmit:
 
     @pytest.fixture
     def run(self, tmp_path, monkeypatch):
-        def run(report):
+        def run(*reports):
             monkeypatch.setattr(harness, "train_models",
-                                lambda cfg, segments: {"gru": [report]})
+                                lambda cfg, segments: {"gru": list(reports)})
             cfg = ExperimentConfig(models="gru", synth_length=40, segment_size=40,
                                    lookback=3, eda_window=4)
             harness.run_experiment(cfg, tmp_path)
@@ -112,14 +152,19 @@ class TestEmit:
 
         return run
 
-    def test_csv_and_json_files(self, run, tmp_path):
+    def test_one_report_file(self, run, tmp_path):
         report = sample_report()
         written = run(report)
-        assert {"report_gru.csv", "report_gru.json"} <= set(written)
-        rows = report_rows([report], "gru")
-        assert (tmp_path / "report_gru.csv").read_text() == render_csv(rows)
-        assert (tmp_path / "report_gru.json").read_text() == render_json(rows)
-        assert (tmp_path / "report_gru.csv").read_text().startswith(ROW_HEADER)
+        assert sorted(written) == ["comparison.csv", "eda.csv", "report_gru.csv", "run.log"]
+        assert (tmp_path / "report_gru.csv").read_text() == render_csv([report], "gru")
+
+    def test_failed_segment_cause_in_log(self, run, tmp_path):
+        run(sample_report(0, failed="NonFiniteLoss: a"), sample_report(1),
+            sample_report(2, failed="InputOverflow: b"))
+        log = (tmp_path / "run.log").read_text().splitlines()
+        at = log.index("gru: segments_ok=1 val_smape_improvement=99.91%")
+        assert log[at + 1:] == ["gru segment 0: NonFiniteLoss: a",
+                                "gru segment 2: InputOverflow: b"]
 
     def test_log_and_comparison_share_the_summary(self, run, tmp_path):
         ok = sample_report(1)
