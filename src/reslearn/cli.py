@@ -35,7 +35,8 @@ if TYPE_CHECKING:
 
 # One OpenBLAS thread per process, set before numpy loads: `run`, `train` and
 # `evaluate` compute in worker processes, and more BLAS threads would only
-# oversubscribe the CPUs. A user's own setting wins.
+# oversubscribe the CPUs. A user's own setting wins. `placement` also sets one
+# thread in each worker it forks, for a caller that loaded numpy first.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3     # mallopt options, from <malloc.h>

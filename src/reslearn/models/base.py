@@ -212,8 +212,9 @@ class Predictor:
         rng = np.random.default_rng(cfg.seed + 1)
         adam_m = np.zeros_like(self.flat)
         adam_v = np.zeros_like(self.flat)
+        grad = np.empty_like(self.flat)       # Adam's two work vectors
+        term = np.empty_like(self.flat)
         step = 0
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
         best_val = np.inf
         stall = 0
         n = inputs.shape[0]
@@ -230,13 +231,8 @@ class Predictor:
                         f"diverged at epoch {epoch}; last finite epochs: {trace.train_loss}"
                     )
                 epoch_loss += loss * idx.size
-                g = g.astype(np.float64)
                 step += 1
-                adam_m = beta1 * adam_m + (1 - beta1) * g
-                adam_v = beta2 * adam_v + (1 - beta2) * g * g
-                m_hat = adam_m / (1 - beta1 ** step)
-                v_hat = adam_v / (1 - beta2 ** step)
-                self.flat -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+                _adam_step(self.flat, g, adam_m, adam_v, grad, term, step, cfg.learning_rate)
             trace.train_loss.append(epoch_loss / n)
 
             work[...] = self.flat
@@ -262,6 +258,30 @@ class Predictor:
                     break
         self.flat[...] = best_params
         return trace
+
+
+def _adam_step(flat, g, m, v, grad, term, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam step on `flat` from the gradient `g`, in place in the moments
+    `m` and `v` and the work vectors `grad` and `term`, all float64 and laid
+    out like `flat`. Each operation is one of `m = beta1 * m + (1 - beta1) *
+    g`, `v = beta2 * v + (1 - beta2) * g * g` and `flat -= lr * m_hat /
+    (sqrt(v_hat) + eps)`, in their order; a float product or sum commutes
+    exactly, so the bits are theirs."""
+    grad[...] = g                      # widened from float32
+    m *= beta1
+    np.multiply(grad, 1 - beta1, out=term)
+    m += term
+    v *= beta2
+    np.multiply(grad, 1 - beta2, out=term)
+    term *= grad
+    v += term
+    np.divide(m, 1 - beta1 ** step, out=grad)     # grad now holds the step
+    grad *= lr
+    np.divide(v, 1 - beta2 ** step, out=term)
+    np.sqrt(term, out=term)
+    term += eps
+    grad /= term
+    flat -= grad
 
 
 def _views(vector: np.ndarray, shapes: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

@@ -39,13 +39,14 @@ def lstm_forward(x, wx, wh, b):
     return gates, c_all, h_all
 
 
-def lstm_backward(x, wx, wh, gates, c_all, h_all, dh_out):
+def lstm_backward(x, wx, wh, gates, c_all, h_all, dh_out, input_grad):
+    """Weight gradients, and with `input_grad` the gradient of `x` (else None)."""
     n, t_len, i_dim = x.shape
     d = wh.shape[0]
     dwx = np.zeros_like(wx)
     dwh = np.zeros_like(wh)
     db = np.zeros(4 * d, dtype=x.dtype)
-    dx = np.zeros_like(x)
+    dx = np.zeros_like(x) if input_grad else None
     dh = np.zeros((n, d), dtype=x.dtype)
     dc = np.zeros((n, d), dtype=x.dtype)
     for t in range(t_len - 1, -1, -1):
@@ -76,7 +77,8 @@ def lstm_backward(x, wx, wh, gates, c_all, h_all, dh_out):
         dwx += xt.T @ dz
         dwh += h_prev.T @ dz
         db += dz.sum(axis=0)
-        dx[:, t, :] = dz @ wx.T
+        if input_grad:
+            dx[:, t, :] = dz @ wx.T
         dh = dz @ wh.T
         dc = dc * gf
     return dwx, dwh, db, dx
@@ -102,7 +104,8 @@ def gru_forward(x, wxg, whg, bg, wxn, whn, bn):
     return gates, h_all
 
 
-def gru_backward(x, wxg, whg, wxn, whn, gates, h_all, dh_out):
+def gru_backward(x, wxg, whg, wxn, whn, gates, h_all, dh_out, input_grad):
+    """Weight gradients, and with `input_grad` the gradient of `x` (else None)."""
     n, t_len, _ = x.shape
     d = whn.shape[0]
     dwxg = np.zeros_like(wxg)
@@ -111,7 +114,7 @@ def gru_backward(x, wxg, whg, wxn, whn, gates, h_all, dh_out):
     dwxn = np.zeros_like(wxn)
     dwhn = np.zeros_like(whn)
     dbn = np.zeros(d, dtype=x.dtype)
-    dx = np.zeros_like(x)
+    dx = np.zeros_like(x) if input_grad else None
     dh = np.zeros((n, d), dtype=x.dtype)
     for t in range(t_len - 1, -1, -1):
         dh_t = dh + dh_out[:, t, :]
@@ -140,7 +143,8 @@ def gru_backward(x, wxg, whg, wxn, whn, gates, h_all, dh_out):
         dwhg += h_prev.T @ dzg
         dbg += dzg.sum(axis=0)
         dh_prev = dh_prev + dzg @ whg.T
-        dx[:, t, :] = dzg @ wxg.T + d_pre_n @ wxn.T
+        if input_grad:
+            dx[:, t, :] = dzg @ wxg.T + d_pre_n @ wxn.T
         dh = dh_prev
     return dwxg, dwhg, dbg, dwxn, dwhn, dbn, dx
 
@@ -210,7 +214,7 @@ class RecurrentPredictor(Predictor):
                 dwxg, dwhg, dbg, dwxn, dwhn, dbn, dx = gru_backward(
                     x, params[f"l{layer}_Wxg"], params[f"l{layer}_Whg"],
                     params[f"l{layer}_Wxn"], params[f"l{layer}_Whn"],
-                    gates, h_all, dh_out,
+                    gates, h_all, dh_out, input_grad=layer > 0,
                 )
                 grads[f"l{layer}_Wxg"] = dwxg
                 grads[f"l{layer}_Whg"] = dwhg
@@ -221,10 +225,10 @@ class RecurrentPredictor(Predictor):
             else:
                 dwx, dwh, db, dx = lstm_backward(
                     x, params[f"l{layer}_Wx"], params[f"l{layer}_Wh"],
-                    gates, c_all, h_all, dh_out,
+                    gates, c_all, h_all, dh_out, input_grad=layer > 0,
                 )
                 grads[f"l{layer}_Wx"] = dwx
                 grads[f"l{layer}_Wh"] = dwh
                 grads[f"l{layer}_b"] = db
-            dh_out = dx
+            dh_out = dx                     # None below layer 0: nothing reads it
         return grads

@@ -5,7 +5,8 @@ codes, run through post-norm encoder blocks (multi-head self-attention +
 position-wise FFN), mean-pooled over positions, and mapped to one output.
 All gradients are derived by hand and verified against finite differences.
 The kernels overwrite arrays that are not needed again instead of allocating
-new ones, without reordering any arithmetic, so they give the same bits as
+new ones, and the backward drops each cached activation and temporary after
+its last use, without reordering any arithmetic, so they give the same bits as
 the out-of-place forms in tests/oracles.py.
 """
 
@@ -156,40 +157,53 @@ class TransformerPredictor(Predictor):
         for layer in range(cfg.n_layers - 1, -1, -1):
             p = f"l{layer}_"
             h_in, q, k, v, attn, ctx, ln1_cache, h1, a1, ln2_cache = layer_caches[layer]
+            layer_caches[layer] = None      # so that each `del` below frees its array
 
             d_res2, grads[p + "ln2_g"], grads[p + "ln2_b"] = _layernorm_backward(
                 d_h, params[p + "ln2_g"], ln2_cache
             )
+            del d_h, ln2_cache              # d_h is d_res2, overwritten
             # FFN branch
             grads[p + "ffn_W2"] = _flat(a1).T @ _flat(d_res2)
             grads[p + "ffn_b2"] = d_res2.sum(axis=(0, 1))
             d_z1 = _matmul_t(d_res2, params[p + "ffn_W2"])
             d_z1 *= a1 > 0                  # a1 > 0 exactly where z1 > 0
+            del a1
             grads[p + "ffn_W1"] = _flat(h1).T @ _flat(d_z1)
+            del h1
             grads[p + "ffn_b1"] = d_z1.sum(axis=(0, 1))
             d_h1 = _matmul_t(d_z1, params[p + "ffn_W1"])
             d_h1 += d_res2
+            del d_z1, d_res2
 
             d_res1, grads[p + "ln1_g"], grads[p + "ln1_b"] = _layernorm_backward(
                 d_h1, params[p + "ln1_g"], ln1_cache
             )
+            del d_h1, ln1_cache             # d_h1 is d_res1, overwritten
             # attention branch
             grads[p + "Wo"] = _flat(ctx).T @ _flat(d_res1)
+            del ctx
             grads[p + "bo"] = d_res1.sum(axis=(0, 1))
             d_ctx = self._split_heads(_matmul_t(d_res1, params[p + "Wo"]))
             d_scores = d_ctx @ v.transpose(0, 1, 3, 2)
+            del v
             d_v = attn.transpose(0, 1, 3, 2) @ d_ctx
+            del d_ctx
             d_scores -= (d_scores * attn).sum(axis=-1, keepdims=True)
             d_scores *= attn
+            del attn
             d_scores /= math.sqrt(self.head_dim)
             d_q = self._merge_heads(d_scores @ k)
+            del k
             d_k = self._merge_heads(d_scores.transpose(0, 1, 3, 2) @ q)
+            del d_scores, q
             d_v = self._merge_heads(d_v)
             d_h = d_res1
             for name, d in (("q", d_q), ("k", d_k), ("v", d_v)):
                 grads[p + "W" + name] = _flat(h_in).T @ _flat(d)
                 grads[p + "b" + name] = d.sum(axis=(0, 1))
                 d_h += _matmul_t(d, params[p + "W" + name])
+            del h_in, d_res1, d_q, d_k, d_v, d
 
         grads["in_W"] = _flat(x_in).T @ _flat(d_h)
         grads["in_b"] = d_h.sum(axis=(0, 1))

@@ -22,6 +22,9 @@ from .errors import WorkerDied
 PR_SET_PDEATHSIG = 1                   # prctl option, from <sys/prctl.h>
 PIPE_READ = 1 << 16                    # bytes read from a child's pipe at a time
 INDEX_BYTES = 4                        # a task's index, as a child reads it from the queue
+# OpenBLAS's thread-count setter, as scipy-openblas, an ILP64 and a plain build name it
+BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "openblas_set_num_threads")
 
 
 def usable_cpus() -> list[int]:
@@ -48,11 +51,12 @@ def spread(fn: Callable[[int], object], count: int) -> list:
     child's counts only the pages the child touches."""
     processes = workers(count)
     queue = _queue(count) if processes > 1 else None
+    blas = _blas_thread_setters() if queue else []
     children: dict[int, int] = {}      # the pid of each running child, by its pipe
     try:
         for cpu in _child_cpus(processes) if queue else ():
             try:
-                fd, pid = _fork(fn, queue.fileno(), cpu)
+                fd, pid = _fork(fn, queue.fileno(), cpu, blas)
             except OSError:            # out of processes or memory: the queue is theirs
                 break
             children[fd] = pid
@@ -114,12 +118,13 @@ def _child_cpus(count: int) -> list[int | None]:
     return [cpus[(cpus.index(here) + 1 + k) % len(cpus)] for k in range(count)]
 
 
-def _fork(fn: Callable[[int], object], queue: int, cpu: int | None) -> tuple[int, int]:
-    """Fork a child that runs on `cpu`, if given, and computes `fn(i)` for each
-    index i it reads from `queue`. It pickles [(i, fn(i)), …], or the
-    exception `fn` raised, into a pipe and leaves with `os._exit`. Returns the
-    pipe's read end and the child's pid; raises OSError when no pipe or
-    process can be made."""
+def _fork(fn: Callable[[int], object], queue: int, cpu: int | None,
+          blas: list) -> tuple[int, int]:
+    """Fork a child that settles on `cpu` with `blas` (`_settle_child`) and
+    computes `fn(i)` for each index i it reads from `queue`. It pickles
+    [(i, fn(i)), …], or the exception `fn` raised, into a pipe and leaves
+    with `os._exit`. Returns the pipe's read end and the child's pid; raises
+    OSError when no pipe or process can be made."""
     parent = os.getpid()
     read_end, write_end = os.pipe()
     try:
@@ -133,7 +138,7 @@ def _fork(fn: Callable[[int], object], queue: int, cpu: int | None) -> tuple[int
         return read_end, pid
     code = 1
     try:
-        _settle_child(parent, cpu)
+        _settle_child(parent, cpu, blas)
         try:
             done = []
             while index := os.read(queue, INDEX_BYTES):
@@ -149,15 +154,18 @@ def _fork(fn: Callable[[int], object], queue: int, cpu: int | None) -> tuple[int
         os._exit(code)
 
 
-def _settle_child(parent: int, cpu: int | None) -> None:
-    """In a process forked from `parent`: run on `cpu`, if given, and have
-    the kernel kill this process when the thread that forked it dies, so a
-    killed run leaves no child behind."""
+def _settle_child(parent: int, cpu: int | None, blas: list) -> None:
+    """In a process forked from `parent`: run on `cpu`, if given, set each
+    OpenBLAS thread-count setter of `blas` to one thread, and have the kernel
+    kill this process when the thread that forked it dies, so a killed run
+    leaves no child behind."""
     if cpu is not None:
         try:
             os.sched_setaffinity(0, [cpu])
         except OSError:                # a mask the kernel refuses: run where it is
             pass
+    for setter in blas:
+        setter(1)
     import ctypes
 
     prctl = getattr(ctypes.CDLL(None), "prctl", None)
@@ -166,6 +174,33 @@ def _settle_child(parent: int, cpu: int | None) -> None:
         prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
     if os.getppid() != parent:         # died before the request took hold
         os._exit(1)
+
+
+def _blas_thread_setters() -> list:
+    """The thread-count setter of each loaded OpenBLAS, for the children to
+    set one thread; none where OPENBLAS_NUM_THREADS asks for another count.
+    The CLI sets the variable to 1 before numpy loads, but where numpy loaded
+    first, OpenBLAS runs one thread per CPU. The caller looks them up once:
+    a worker that looked them up itself peaked 0.3 MB higher."""
+    if os.environ.get("OPENBLAS_NUM_THREADS", "1") != "1":
+        return []
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = {line.split()[-1] for line in maps
+                    if "openblas" in line and line.rstrip().endswith(".so")}
+    except OSError:                    # no /proc: no such library to find
+        return []
+    setters = []
+    for lib in map(ctypes.CDLL, libs):
+        for name in BLAS_THREAD_SETTERS:
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                setters.append(setter)
+                break
+    return setters
 
 
 def _answers(children: dict[int, int]) -> Iterator[list]:

@@ -320,6 +320,34 @@ class TestTransformerKernels:
         assert np.array_equal(grad, np.concatenate([grads[k].ravel() for k in params]))
 
 
+class TestTrainingMemory:
+    """Peak bytes allocated, by tracemalloc, in the default transformer's
+    training: the backward drops each activation after its last use, and
+    Adam updates in place (9.2 and 12.7 MB when neither did)."""
+
+    @staticmethod
+    def peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_step(self):
+        model = build_predictor(PredictorConfig(kind="transformer", seed=3))
+        x = np.random.default_rng(0).uniform(0, 1, (32, 32)).astype(np.float32)
+        y = x.mean(axis=1)
+        params = {k: v.astype(np.float32) for k, v in model.params.items()}
+        assert self.peak(lambda: model.loss_and_grad(x, y, params=params)) < 7.0e6
+
+    def test_fit(self):
+        model = build_predictor(PredictorConfig(kind="transformer", seed=3, epochs=2))
+        rng = np.random.default_rng(0)
+        x, xv = rng.uniform(0, 1, (168, 32)), rng.uniform(0, 1, (50, 32))
+        assert self.peak(lambda: model.fit(x, x.mean(axis=1), xv, xv.mean(axis=1))) < 10.5e6
+
+
 class TestBlockInference:
     # sizes around the block edges, with one-window remainders
     SIZES = (0, 1, 2, 31, 32, 33, 34, 35, 39, 63, 64, 65, 100, 255, 256, 257, 513, 1968)

@@ -1,6 +1,9 @@
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -189,3 +192,55 @@ def test_each_child_runs_on_one_cpu(stage, tmp_path, monkeypatch):
     noted = sorted(m.name.split("-")[1] for m in masks.iterdir())
     assert noted == sorted(map(str, (cpus * 2)[:2]))
     assert sorted(os.sched_getaffinity(0)) == cpus
+
+
+# runs in a fresh interpreter that loads numpy before reslearn, and without
+# OPENBLAS_NUM_THREADS raises OpenBLAS to 2 threads; prints the threads of
+# this process, then the pid and threads of the child that took each task
+BLAS_CHILDREN = """
+import ctypes, os, sys
+import numpy
+from reslearn import placement
+
+def entry_points():
+    for line in open("/proc/self/maps"):
+        if "openblas" in line and line.rstrip().endswith(".so"):
+            lib = ctypes.CDLL(line.split()[-1])
+            for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                                   ("openblas_", "")):
+                if hasattr(lib, prefix + "get_num_threads" + suffix):
+                    return (getattr(lib, prefix + "get_num_threads" + suffix),
+                            getattr(lib, prefix + "set_num_threads" + suffix))
+    sys.exit("no OpenBLAS")
+
+get, set_threads = entry_points()
+if "OPENBLAS_NUM_THREADS" not in os.environ:
+    set_threads(2)
+cpus = placement.usable_cpus()
+placement.usable_cpus = lambda: (cpus * 2)[:2]
+print(get(), *(f"{pid}:{n}" for pid, n in placement.spread(lambda i: (os.getpid(), get()), 4)))
+"""
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc")
+@pytest.mark.parametrize("variable, expected", [(None, "1"), ("2", "2")],
+                         ids=["unset", "users_setting"])
+def test_children_run_one_blas_thread(variable, expected):
+    """A child of `spread` runs one OpenBLAS thread even where numpy loaded
+    before reslearn, unless OPENBLAS_NUM_THREADS asks for another count."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if variable is not None:
+        env["OPENBLAS_NUM_THREADS"] = variable
+    done = subprocess.run([sys.executable, "-c", BLAS_CHILDREN], env=env,
+                          capture_output=True, text=True, timeout=120)
+    if "no OpenBLAS" in done.stderr:
+        pytest.skip("numpy loads no OpenBLAS here")
+    assert done.returncode == 0, done.stderr
+    threads, *children = done.stdout.split()
+    if threads != "2":
+        pytest.skip("OpenBLAS runs fewer than 2 threads here")
+    assert len(children) == 4
+    assert {child.split(":")[1] for child in children} == {expected}
