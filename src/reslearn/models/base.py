@@ -137,7 +137,9 @@ class Predictor:
         raise NotImplementedError
 
     def _backward(self, params: dict, cache, d_pred: np.ndarray) -> dict:
-        """Return gradients keyed like params."""
+        """Return gradients keyed like params. `cache` is the one `_forward`
+        returned; a subclass may consume it (the transformer's does), so each
+        cache serves one backward only."""
         raise NotImplementedError
 
     # --- shared behaviour ---
@@ -260,13 +262,14 @@ class Predictor:
         return trace
 
 
-def _adam_step(flat, g, m, v, grad, term, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def _adam_step(flat, g, m, v, grad, term, step, lr):
     """One Adam step on `flat` from the gradient `g`, in place in the moments
     `m` and `v` and the work vectors `grad` and `term`, all float64 and laid
     out like `flat`. Each operation is one of `m = beta1 * m + (1 - beta1) *
     g`, `v = beta2 * v + (1 - beta2) * g * g` and `flat -= lr * m_hat /
     (sqrt(v_hat) + eps)`, in their order; a float product or sum commutes
     exactly, so the bits are theirs."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     grad[...] = g                      # widened from float32
     m *= beta1
     np.multiply(grad, 1 - beta1, out=term)

@@ -39,14 +39,13 @@ def lstm_forward(x, wx, wh, b):
     return gates, c_all, h_all
 
 
-def lstm_backward(x, wx, wh, gates, c_all, h_all, dh_out, input_grad):
-    """Weight gradients, and with `input_grad` the gradient of `x` (else None)."""
+def lstm_backward(x, wx, wh, gates, c_all, h_all, dh_out):
     n, t_len, i_dim = x.shape
     d = wh.shape[0]
     dwx = np.zeros_like(wx)
     dwh = np.zeros_like(wh)
     db = np.zeros(4 * d, dtype=x.dtype)
-    dx = np.zeros_like(x) if input_grad else None
+    dx = np.zeros_like(x)
     dh = np.zeros((n, d), dtype=x.dtype)
     dc = np.zeros((n, d), dtype=x.dtype)
     for t in range(t_len - 1, -1, -1):
@@ -77,8 +76,7 @@ def lstm_backward(x, wx, wh, gates, c_all, h_all, dh_out, input_grad):
         dwx += xt.T @ dz
         dwh += h_prev.T @ dz
         db += dz.sum(axis=0)
-        if input_grad:
-            dx[:, t, :] = dz @ wx.T
+        dx[:, t, :] = dz @ wx.T
         dh = dz @ wh.T
         dc = dc * gf
     return dwx, dwh, db, dx
@@ -104,8 +102,7 @@ def gru_forward(x, wxg, whg, bg, wxn, whn, bn):
     return gates, h_all
 
 
-def gru_backward(x, wxg, whg, wxn, whn, gates, h_all, dh_out, input_grad):
-    """Weight gradients, and with `input_grad` the gradient of `x` (else None)."""
+def gru_backward(x, wxg, whg, wxn, whn, gates, h_all, dh_out):
     n, t_len, _ = x.shape
     d = whn.shape[0]
     dwxg = np.zeros_like(wxg)
@@ -114,7 +111,7 @@ def gru_backward(x, wxg, whg, wxn, whn, gates, h_all, dh_out, input_grad):
     dwxn = np.zeros_like(wxn)
     dwhn = np.zeros_like(whn)
     dbn = np.zeros(d, dtype=x.dtype)
-    dx = np.zeros_like(x) if input_grad else None
+    dx = np.zeros_like(x)
     dh = np.zeros((n, d), dtype=x.dtype)
     for t in range(t_len - 1, -1, -1):
         dh_t = dh + dh_out[:, t, :]
@@ -143,8 +140,7 @@ def gru_backward(x, wxg, whg, wxn, whn, gates, h_all, dh_out, input_grad):
         dwhg += h_prev.T @ dzg
         dbg += dzg.sum(axis=0)
         dh_prev = dh_prev + dzg @ whg.T
-        if input_grad:
-            dx[:, t, :] = dzg @ wxg.T + d_pre_n @ wxn.T
+        dx[:, t, :] = dzg @ wxg.T + d_pre_n @ wxn.T
         dh = dh_prev
     return dwxg, dwhg, dbg, dwxn, dwhn, dbn, dx
 
@@ -214,7 +210,7 @@ class RecurrentPredictor(Predictor):
                 dwxg, dwhg, dbg, dwxn, dwhn, dbn, dx = gru_backward(
                     x, params[f"l{layer}_Wxg"], params[f"l{layer}_Whg"],
                     params[f"l{layer}_Wxn"], params[f"l{layer}_Whn"],
-                    gates, h_all, dh_out, input_grad=layer > 0,
+                    gates, h_all, dh_out,
                 )
                 grads[f"l{layer}_Wxg"] = dwxg
                 grads[f"l{layer}_Whg"] = dwhg
@@ -225,10 +221,10 @@ class RecurrentPredictor(Predictor):
             else:
                 dwx, dwh, db, dx = lstm_backward(
                     x, params[f"l{layer}_Wx"], params[f"l{layer}_Wh"],
-                    gates, c_all, h_all, dh_out, input_grad=layer > 0,
+                    gates, c_all, h_all, dh_out,
                 )
                 grads[f"l{layer}_Wx"] = dwx
                 grads[f"l{layer}_Wh"] = dwh
                 grads[f"l{layer}_b"] = db
-            dh_out = dx                     # None below layer 0: nothing reads it
+            dh_out = dx
         return grads

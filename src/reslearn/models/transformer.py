@@ -143,6 +143,8 @@ class TransformerPredictor(Predictor):
         return pred, (x_in, layer_caches, pooled)
 
     def _backward(self, params, cache, d_pred):
+        """Consumes `cache`: each layer's entry of its list is set to None as
+        the layer's backward starts, so a cache serves one backward only."""
         cfg = self.config
         x_in, layer_caches, pooled = cache
         grads = {}

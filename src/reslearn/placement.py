@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import re
 import select
 import signal
 from typing import Callable, Iterator
@@ -25,6 +26,8 @@ INDEX_BYTES = 4                        # a task's index, as a child reads it fro
 # OpenBLAS's thread-count setter, as scipy-openblas, an ILP64 and a plain build name it
 BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
                        "openblas_set_num_threads")
+# a shared library's pathname, unversioned or versioned (libopenblas.so.0)
+SHARED_LIBRARY = re.compile(r"\.so(\.\d+)*$")
 
 
 def usable_cpus() -> list[int]:
@@ -51,9 +54,9 @@ def spread(fn: Callable[[int], object], count: int) -> list:
     child's counts only the pages the child touches."""
     processes = workers(count)
     queue = _queue(count) if processes > 1 else None
-    blas = _blas_thread_setters() if queue else []
     children: dict[int, int] = {}      # the pid of each running child, by its pipe
     try:
+        blas = _blas_thread_setters() if queue else []
         for cpu in _child_cpus(processes) if queue else ():
             try:
                 fd, pid = _fork(fn, queue.fileno(), cpu, blas)
@@ -188,12 +191,15 @@ def _blas_thread_setters() -> list:
 
     try:
         with open("/proc/self/maps") as maps:
-            libs = {line.split()[-1] for line in maps
-                    if "openblas" in line and line.rstrip().endswith(".so")}
+            paths = _blas_libraries(maps)
     except OSError:                    # no /proc: no such library to find
         return []
     setters = []
-    for lib in map(ctypes.CDLL, libs):
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:                # not loadable by name: its threads stay as they are
+            continue
         for name in BLAS_THREAD_SETTERS:
             if hasattr(lib, name):
                 setter = getattr(lib, name)
@@ -201,6 +207,19 @@ def _blas_thread_setters() -> list:
                 setters.append(setter)
                 break
     return setters
+
+
+def _blas_libraries(maps) -> set[str]:
+    """The pathname of each OpenBLAS shared library in `maps`, lines in the
+    form of /proc/self/maps. A pathname is the sixth field and may hold
+    spaces; a system OpenBLAS is mapped under a versioned name, such as
+    Debian's openblas-pthread/libblas.so.3."""
+    paths = set()
+    for line in maps:
+        fields = line.rstrip("\n").split(None, 5)
+        if len(fields) == 6 and "openblas" in fields[5] and SHARED_LIBRARY.search(fields[5]):
+            paths.add(fields[5])
+    return paths
 
 
 def _answers(children: dict[int, int]) -> Iterator[list]:

@@ -203,14 +203,14 @@ import numpy
 from reslearn import placement
 
 def entry_points():
-    for line in open("/proc/self/maps"):
-        if "openblas" in line and line.rstrip().endswith(".so"):
-            lib = ctypes.CDLL(line.split()[-1])
-            for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+    with open("/proc/self/maps") as maps:
+        paths = placement._blas_libraries(maps)
+    for lib in map(ctypes.CDLL, sorted(paths)):
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
                                    ("openblas_", "")):
-                if hasattr(lib, prefix + "get_num_threads" + suffix):
-                    return (getattr(lib, prefix + "get_num_threads" + suffix),
-                            getattr(lib, prefix + "set_num_threads" + suffix))
+            if hasattr(lib, prefix + "get_num_threads" + suffix):
+                return (getattr(lib, prefix + "get_num_threads" + suffix),
+                        getattr(lib, prefix + "set_num_threads" + suffix))
     sys.exit("no OpenBLAS")
 
 get, set_threads = entry_points()
@@ -244,3 +244,41 @@ def test_children_run_one_blas_thread(variable, expected):
         pytest.skip("OpenBLAS runs fewer than 2 threads here")
     assert len(children) == 4
     assert {child.split(":")[1] for child in children} == {expected}
+
+
+def test_blas_libraries_read_every_pathname():
+    """A pathname may hold spaces, and a system OpenBLAS is mapped under a
+    versioned name; anonymous mappings, other libraries and deleted files are
+    not OpenBLAS libraries to load."""
+    head = "7f0000000000-7f0000001000 r-xp 00000000 08:01 1234"
+    maps = [
+        f"{head}      /home/u/My Projects/venv/numpy.libs/libscipy_openblas64_-ff651d7f.so\n",
+        f"{head}   /usr/lib/x86_64-linux-gnu/openblas-pthread/libblas.so.3\n",
+        f"{head}   /usr/lib/libopenblas.so.0\n",
+        f"{head}   /usr/lib/libopenblasp-r0.3.21.so\n",
+        f"{head}   /usr/lib/x86_64-linux-gnu/libc.so.6\n",
+        f"{head}   /tmp/libopenblas.so (deleted)\n",
+        f"{head}   /usr/share/openblas/README.txt\n",
+        "7ffd00000000-7ffd00021000 rw-p 00000000 00:00 0 \n",
+        "7ffd00000000-7ffd00021000 rw-p 00000000 00:00 0                          [stack]\n",
+    ]
+    assert placement._blas_libraries(maps) == {
+        "/home/u/My Projects/venv/numpy.libs/libscipy_openblas64_-ff651d7f.so",
+        "/usr/lib/x86_64-linux-gnu/openblas-pthread/libblas.so.3",
+        "/usr/lib/libopenblas.so.0",
+        "/usr/lib/libopenblasp-r0.3.21.so",
+    }
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc")
+def test_unloadable_blas_library_is_no_error(monkeypatch):
+    """A library that `ctypes.CDLL` cannot load keeps its thread count, and
+    `spread` still answers from its children."""
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setattr(placement, "_blas_libraries",
+                        lambda maps: {"/no such dir/libopenblas.so.0"})
+    assert placement._blas_thread_setters() == []
+    parent = os.getpid()
+    with on_cpus(2):
+        assert placement.spread(in_child(parent, lambda i: None), 3) == [0, 1, 4]
