@@ -10,6 +10,7 @@ of CPUs too.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -48,12 +49,21 @@ from .viewframe import (
 
 
 def load_packets(cfg: ExperimentConfig) -> ParseResult:
-    """The packets of the configured input; only a pcap skips some or stops early."""
+    """The packets of the configured input, in time order; only a pcap skips
+    some or stops early. A pcap's records may be out of time order: then its
+    packets are sorted by time, stably, and re-based to the earliest one, so
+    a packet that jumps back in time joins no frame it does not belong to."""
     if cfg.input_kind == "synth-trace":
         return ParseResult(gen_trace(cfg.trace_spec())[0])
     if cfg.input_kind == "pcap":
         with open(cfg.input_path, "rb") as stream:
-            return parse_pcap(stream, cfg.endpoint_filter())
+            parsed = parse_pcap(stream, cfg.endpoint_filter())
+        ts = parsed.records.ts
+        if np.any(ts[1:] < ts[:-1]):
+            packets = parsed.records[np.argsort(ts, kind="stable")]
+            packets = PacketTable(packets.ts - packets.ts[0], packets.length, packets.downlink)
+            parsed = replace(parsed, records=packets)
+        return parsed
     if cfg.input_kind == "csv":
         return ParseResult(parse_csv(read_text(cfg.input_path, SchemaMismatch)))
     raise ConfigError(f"input_kind {cfg.input_kind} has no packets; pcap, csv and synth-trace do")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import re
 import select
 import signal
 from typing import Callable, Iterator
@@ -26,8 +25,6 @@ INDEX_BYTES = 4                        # a task's index, as a child reads it fro
 # OpenBLAS's thread-count setter, as scipy-openblas, an ILP64 and a plain build name it
 BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
                        "openblas_set_num_threads")
-# a shared library's pathname, unversioned or versioned (libopenblas.so.0)
-SHARED_LIBRARY = re.compile(r"\.so(\.\d+)*$")
 
 
 def usable_cpus() -> list[int]:
@@ -56,7 +53,7 @@ def spread(fn: Callable[[int], object], count: int) -> list:
     queue = _queue(count) if processes > 1 else None
     children: dict[int, int] = {}      # the pid of each running child, by its pipe
     try:
-        blas = _blas_thread_setters() if queue else []
+        blas = _blas_thread_setter() if queue else None
         for cpu in _child_cpus(processes) if queue else ():
             try:
                 fd, pid = _fork(fn, queue.fileno(), cpu, blas)
@@ -122,7 +119,7 @@ def _child_cpus(count: int) -> list[int | None]:
 
 
 def _fork(fn: Callable[[int], object], queue: int, cpu: int | None,
-          blas: list) -> tuple[int, int]:
+          blas: Callable[[int], None] | None) -> tuple[int, int]:
     """Fork a child that settles on `cpu` with `blas` (`_settle_child`) and
     computes `fn(i)` for each index i it reads from `queue`. It pickles
     [(i, fn(i)), …], or the exception `fn` raised, into a pipe and leaves
@@ -157,9 +154,9 @@ def _fork(fn: Callable[[int], object], queue: int, cpu: int | None,
         os._exit(code)
 
 
-def _settle_child(parent: int, cpu: int | None, blas: list) -> None:
-    """In a process forked from `parent`: run on `cpu`, if given, set each
-    OpenBLAS thread-count setter of `blas` to one thread, and have the kernel
+def _settle_child(parent: int, cpu: int | None, blas: Callable[[int], None] | None) -> None:
+    """In a process forked from `parent`: run on `cpu`, if given, set OpenBLAS
+    to one thread through its setter `blas`, if given, and have the kernel
     kill this process when the thread that forked it dies, so a killed run
     leaves no child behind."""
     if cpu is not None:
@@ -167,8 +164,8 @@ def _settle_child(parent: int, cpu: int | None, blas: list) -> None:
             os.sched_setaffinity(0, [cpu])
         except OSError:                # a mask the kernel refuses: run where it is
             pass
-    for setter in blas:
-        setter(1)
+    if blas is not None:
+        blas(1)
     import ctypes
 
     prctl = getattr(ctypes.CDLL(None), "prctl", None)
@@ -179,47 +176,31 @@ def _settle_child(parent: int, cpu: int | None, blas: list) -> None:
         os._exit(1)
 
 
-def _blas_thread_setters() -> list:
-    """The thread-count setter of each loaded OpenBLAS, for the children to
-    set one thread; none where OPENBLAS_NUM_THREADS asks for another count.
-    The CLI sets the variable to 1 before numpy loads, but where numpy loaded
-    first, OpenBLAS runs one thread per CPU. The caller looks them up once:
-    a worker that looked them up itself peaked 0.3 MB higher."""
+def _blas_thread_setter() -> Callable[[int], None] | None:
+    """numpy's OpenBLAS thread-count setter, for the children to set one
+    thread; None where OPENBLAS_NUM_THREADS asks for another count, or where
+    numpy links no OpenBLAS. The CLI sets the variable to 1 before numpy
+    loads, but where numpy loaded first, OpenBLAS runs one thread per CPU.
+    `dlsym` on the handle of numpy's linear-algebra module searches the
+    libraries it links too, so the dynamic linker finds the OpenBLAS, a
+    wheel's or a system build's, whatever its pathname. The caller looks it
+    up once, before the forks, so no worker pays for the lookup."""
     if os.environ.get("OPENBLAS_NUM_THREADS", "1") != "1":
-        return []
+        return None
     import ctypes
 
     try:
-        with open("/proc/self/maps") as maps:
-            paths = _blas_libraries(maps)
-    except OSError:                    # no /proc: no such library to find
-        return []
-    setters = []
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:                # not loadable by name: its threads stay as they are
-            continue
-        for name in BLAS_THREAD_SETTERS:
-            if hasattr(lib, name):
-                setter = getattr(lib, name)
-                setter.argtypes, setter.restype = (ctypes.c_int,), None
-                setters.append(setter)
-                break
-    return setters
+        from numpy.linalg import _umath_linalg  # loaded with numpy
 
-
-def _blas_libraries(maps) -> set[str]:
-    """The pathname of each OpenBLAS shared library in `maps`, lines in the
-    form of /proc/self/maps. A pathname is the sixth field and may hold
-    spaces; a system OpenBLAS is mapped under a versioned name, such as
-    Debian's openblas-pthread/libblas.so.3."""
-    paths = set()
-    for line in maps:
-        fields = line.rstrip("\n").split(None, 5)
-        if len(fields) == 6 and "openblas" in fields[5] and SHARED_LIBRARY.search(fields[5]):
-            paths.add(fields[5])
-    return paths
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):     # no module to open: the threads stay as they are
+        return None
+    for name in BLAS_THREAD_SETTERS:
+        if hasattr(lib, name):
+            setter = getattr(lib, name)
+            setter.argtypes, setter.restype = (ctypes.c_int,), None
+            return setter
+    return None
 
 
 def _answers(children: dict[int, int]) -> Iterator[list]:

@@ -82,7 +82,53 @@ class TestSynth:
         assert a.read_bytes() == b.read_bytes()
 
 
+# downlink packet times of a capture whose records jump back in time, in s
+JUMPS_BACK = [0.0, 0.0005, 0.3, 0.1, 0.1005, 0.2, 2.5]
+
+
+def write_capture(path: Path, times, start: float = 0.0) -> None:
+    """A pcap of downlink 1200-byte packets at `start` + each of `times`."""
+    packets = table([(start + t, 1200, DOWNLINK) for t in times])
+    path.write_bytes(write_pcap(packets, EndpointFilter("10.0.0.1")))
+
+
 class TestIngest:
+    @pytest.mark.parametrize("times, start", [
+        (JUMPS_BACK, 0.0),
+        ([0.3, 0.0, 0.0005, 0.1, 0.1005, 0.2, 2.5], 100.0),
+        (sorted(JUMPS_BACK), 100.0),
+    ], ids=["jumps_back", "first_is_late", "in_order"])
+    def test_pcap_packets_come_in_time_order(self, times, start, tmp_path):
+        """A pcap's packets reach thresholds and frames in time order, re-based
+        to the earliest one: in capture order the 0.3 s packet would start a
+        frame that runs back to 0.1005 s, and the first segment's gaps would
+        show one peak."""
+        pcap = tmp_path / "t.pcap"
+        write_capture(pcap, times, start)
+        cfg = ExperimentConfig(input_kind="pcap", input_path=str(pcap), server="10.0.0.1")
+        packets = harness.load_packets(cfg).records
+        np.testing.assert_allclose(packets.ts, sorted(JUMPS_BACK), atol=1e-9)
+        thresholds, frames, feats, partial = harness.packet_features(packets, cfg)
+        assert len(thresholds.peaks) == 2
+        assert thresholds.dur_th == pytest.approx(0.00707, abs=1e-5)
+        np.testing.assert_allclose(frames.start_ts, [0.0, 0.1, 0.2, 0.3, 2.5], atol=1e-9)
+        np.testing.assert_allclose(frames.end_ts, [0.0005, 0.1005, 0.2, 0.3, 2.5], atol=1e-9)
+        assert [sf.f_c for sf in feats] == [4, 0]
+        assert partial == 1
+
+    def test_ingested_csv_frames_as_the_capture(self, tmp_path):
+        """`ingest` writes a capture that jumps back in time as a CSV that
+        `frames --csv` reads, into the features `frames --pcap` writes."""
+        pcap, csv = tmp_path / "t.pcap", tmp_path / "t.csv"
+        write_capture(pcap, JUMPS_BACK)
+        assert main(["ingest", "--pcap", str(pcap), "--server", "10.0.0.1",
+                     "--out", str(csv)]) == 0
+        assert main(["frames", "--csv", str(csv), "--out", str(tmp_path / "from_csv")]) == 0
+        assert main(["frames", "--pcap", str(pcap), "--server", "10.0.0.1",
+                     "--out", str(tmp_path / "from_pcap")]) == 0
+        assert (tmp_path / "from_csv" / "features.csv").read_bytes() == \
+            (tmp_path / "from_pcap" / "features.csv").read_bytes()
+
     def test_pcap_to_csv(self, tmp_path):
         filt = EndpointFilter("10.0.0.1")
         pcap = tmp_path / "t.pcap"
@@ -425,13 +471,12 @@ from reslearn.residual import SegmentReport
 from reslearn.seriesprep import segment
 
 def blas_threads():
-    for line in open("/proc/self/maps"):
-        if "openblas" in line and line.rstrip().endswith(".so"):
-            lib = ctypes.CDLL(line.split()[-1])
-            for f in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                      "openblas_get_num_threads"):
-                if hasattr(lib, f):
-                    return getattr(lib, f)()
+    import numpy
+    lib = ctypes.CDLL(numpy.linalg._umath_linalg.__file__)
+    for f in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+              "openblas_get_num_threads"):
+        if hasattr(lib, f):
+            return getattr(lib, f)()
     return None
 
 def probe(index, *args):
@@ -768,7 +813,6 @@ class TestParallelTraining:
         log = (tmp_path / "out" / "run.log").read_text().splitlines()
         assert log[-1] == f"error: WorkerDied: {message}"
 
-    @needs_proc
     def test_worker_runs_one_blas_thread(self):
         env = src_env()
         env.pop("OPENBLAS_NUM_THREADS", None)

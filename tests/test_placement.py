@@ -203,14 +203,11 @@ import numpy
 from reslearn import placement
 
 def entry_points():
-    with open("/proc/self/maps") as maps:
-        paths = placement._blas_libraries(maps)
-    for lib in map(ctypes.CDLL, sorted(paths)):
-        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
-                                   ("openblas_", "")):
-            if hasattr(lib, prefix + "get_num_threads" + suffix):
-                return (getattr(lib, prefix + "get_num_threads" + suffix),
-                        getattr(lib, prefix + "set_num_threads" + suffix))
+    lib = ctypes.CDLL(numpy.linalg._umath_linalg.__file__)
+    for setter in placement.BLAS_THREAD_SETTERS:
+        getter = setter.replace("set_", "get_")
+        if hasattr(lib, setter) and hasattr(lib, getter):
+            return getattr(lib, getter), getattr(lib, setter)
     sys.exit("no OpenBLAS")
 
 get, set_threads = entry_points()
@@ -223,7 +220,6 @@ print(get(), *(f"{pid}:{n}" for pid, n in placement.spread(lambda i: (os.getpid(
 
 
 @needs_fork
-@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc")
 @pytest.mark.parametrize("variable, expected", [(None, "1"), ("2", "2")],
                          ids=["unset", "users_setting"])
 def test_children_run_one_blas_thread(variable, expected):
@@ -237,7 +233,7 @@ def test_children_run_one_blas_thread(variable, expected):
     done = subprocess.run([sys.executable, "-c", BLAS_CHILDREN], env=env,
                           capture_output=True, text=True, timeout=120)
     if "no OpenBLAS" in done.stderr:
-        pytest.skip("numpy loads no OpenBLAS here")
+        pytest.skip("numpy links no OpenBLAS here")
     assert done.returncode == 0, done.stderr
     threads, *children = done.stdout.split()
     if threads != "2":
@@ -246,39 +242,34 @@ def test_children_run_one_blas_thread(variable, expected):
     assert {child.split(":")[1] for child in children} == {expected}
 
 
-def test_blas_libraries_read_every_pathname():
-    """A pathname may hold spaces, and a system OpenBLAS is mapped under a
-    versioned name; anonymous mappings, other libraries and deleted files are
-    not OpenBLAS libraries to load."""
-    head = "7f0000000000-7f0000001000 r-xp 00000000 08:01 1234"
-    maps = [
-        f"{head}      /home/u/My Projects/venv/numpy.libs/libscipy_openblas64_-ff651d7f.so\n",
-        f"{head}   /usr/lib/x86_64-linux-gnu/openblas-pthread/libblas.so.3\n",
-        f"{head}   /usr/lib/libopenblas.so.0\n",
-        f"{head}   /usr/lib/libopenblasp-r0.3.21.so\n",
-        f"{head}   /usr/lib/x86_64-linux-gnu/libc.so.6\n",
-        f"{head}   /tmp/libopenblas.so (deleted)\n",
-        f"{head}   /usr/share/openblas/README.txt\n",
-        "7ffd00000000-7ffd00021000 rw-p 00000000 00:00 0 \n",
-        "7ffd00000000-7ffd00021000 rw-p 00000000 00:00 0                          [stack]\n",
-    ]
-    assert placement._blas_libraries(maps) == {
-        "/home/u/My Projects/venv/numpy.libs/libscipy_openblas64_-ff651d7f.so",
-        "/usr/lib/x86_64-linux-gnu/openblas-pthread/libblas.so.3",
-        "/usr/lib/libopenblas.so.0",
-        "/usr/lib/libopenblasp-r0.3.21.so",
-    }
-
-
 @needs_fork
-@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc")
 def test_unloadable_blas_library_is_no_error(monkeypatch):
-    """A library that `ctypes.CDLL` cannot load keeps its thread count, and
+    """Where numpy's linear-algebra module links no OpenBLAS setter, cannot be
+    loaded by `ctypes.CDLL`, or is missing, no thread count is set, and
     `spread` still answers from its children."""
+    import ctypes
+
+    import numpy.linalg
+
+    real_cdll, module = ctypes.CDLL, numpy.linalg._umath_linalg.__file__
+
+    def unloadable(path, *args, **kwargs):
+        if path == module:
+            raise OSError(f"{path}: cannot open shared object file")
+        return real_cdll(path, *args, **kwargs)
+
+    def no_setter(path, *args, **kwargs):
+        return object() if path == module else real_cdll(path, *args, **kwargs)
+
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    monkeypatch.setattr(placement, "_blas_libraries",
-                        lambda maps: {"/no such dir/libopenblas.so.0"})
-    assert placement._blas_thread_setters() == []
+    monkeypatch.setattr(ctypes, "CDLL", unloadable)
+    assert placement._blas_thread_setter() is None
+    with monkeypatch.context() as missing:
+        missing.delattr(numpy.linalg, "_umath_linalg")
+        missing.setitem(sys.modules, "numpy.linalg._umath_linalg", None)
+        assert placement._blas_thread_setter() is None
+    monkeypatch.setattr(ctypes, "CDLL", no_setter)
+    assert placement._blas_thread_setter() is None
     parent = os.getpid()
     with on_cpus(2):
         assert placement.spread(in_child(parent, lambda i: None), 3) == [0, 1, 4]
