@@ -35,6 +35,10 @@ from ..errors import ConfigError, InputOverflow, NonFiniteLoss, ShapeMismatch
 # kernels `predict` differs from it in the last float32 digits.
 PREDICT_BLOCK = 32
 
+# Adam walks the weights in chunks of this many, so its two float64 work
+# vectors are one chunk long (64 kB each) instead of as long as `flat`.
+ADAM_CHUNK = 8192
+
 KINDS = ("transformer", "lstm", "gru", "stacked_lstm", "fcnn")
 
 
@@ -214,8 +218,8 @@ class Predictor:
         rng = np.random.default_rng(cfg.seed + 1)
         adam_m = np.zeros_like(self.flat)
         adam_v = np.zeros_like(self.flat)
-        grad = np.empty_like(self.flat)       # Adam's two work vectors
-        term = np.empty_like(self.flat)
+        grad = np.empty(min(ADAM_CHUNK, self.flat.size))     # Adam's two work vectors
+        term = np.empty_like(grad)
         step = 0
         best_val = np.inf
         stall = 0
@@ -264,27 +268,32 @@ class Predictor:
 
 def _adam_step(flat, g, m, v, grad, term, step, lr):
     """One Adam step on `flat` from the gradient `g`, in place in the moments
-    `m` and `v` and the work vectors `grad` and `term`, all float64 and laid
-    out like `flat`. Each operation is one of `m = beta1 * m + (1 - beta1) *
-    g`, `v = beta2 * v + (1 - beta2) * g * g` and `flat -= lr * m_hat /
-    (sqrt(v_hat) + eps)`, in their order; a float product or sum commutes
-    exactly, so the bits are theirs."""
+    `m` and `v`, all laid out like `flat`, a chunk of ADAM_CHUNK weights at a
+    time through the chunk-long float64 work vectors `grad` and `term`. Each
+    operation is one of `m = beta1 * m + (1 - beta1) * g`, `v = beta2 * v + (1 -
+    beta2) * g * g` and `flat -= lr * m_hat / (sqrt(v_hat) + eps)`, in their
+    order; a float product or sum commutes exactly, so the bits are theirs."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    grad[...] = g                      # widened from float32
-    m *= beta1
-    np.multiply(grad, 1 - beta1, out=term)
-    m += term
-    v *= beta2
-    np.multiply(grad, 1 - beta2, out=term)
-    term *= grad
-    v += term
-    np.divide(m, 1 - beta1 ** step, out=grad)     # grad now holds the step
-    grad *= lr
-    np.divide(v, 1 - beta2 ** step, out=term)
-    np.sqrt(term, out=term)
-    term += eps
-    grad /= term
-    flat -= grad
+    m_scale, v_scale = 1 - beta1 ** step, 1 - beta2 ** step
+    for start in range(0, flat.size, ADAM_CHUNK):
+        stop = min(start + ADAM_CHUNK, flat.size)
+        gc, tc = grad[:stop - start], term[:stop - start]
+        mc, vc = m[start:stop], v[start:stop]
+        gc[...] = g[start:stop]                    # widened from float32
+        mc *= beta1
+        np.multiply(gc, 1 - beta1, out=tc)
+        mc += tc
+        vc *= beta2
+        np.multiply(gc, 1 - beta2, out=tc)
+        tc *= gc
+        vc += tc
+        np.divide(mc, m_scale, out=gc)             # gc now holds the step
+        gc *= lr
+        np.divide(vc, v_scale, out=tc)
+        np.sqrt(tc, out=tc)
+        tc += eps
+        gc /= tc
+        flat[start:stop] -= gc
 
 
 def _views(vector: np.ndarray, shapes: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

@@ -1314,6 +1314,8 @@ class TestBadUserInput:
     @pytest.mark.parametrize("argv, kind, code, error", [
         (["run", "--config", "{bad}"], "config", 1, "config error: "),
         (["train", "--config", "{bad}"], "config", 1, "config error: "),
+        (["synth", "--config", "{bad}"], "config", 1, "config error: "),
+        (["frames", "--csv", "{packets}", "--config", "{bad}"], "config", 1, "config error: "),
         (["ingest", "--csv", "{bad}"], "packets", 2, "data error: SchemaMismatch: "),
         (["frames", "--csv", "{bad}"], "packets", 2, "data error: SchemaMismatch: "),
         (["run", "--config", "{cfg}"], "packets", 2, "data error: SchemaMismatch: "),
@@ -1321,17 +1323,21 @@ class TestBadUserInput:
         (["evaluate", "--features", "{bad}", "--model", "{ckpt}"], "features", 2,
          "data error: SchemaMismatch: "),
         (["run", "--config", "{cfg}"], "features", 2, "data error: SchemaMismatch: "),
-    ], ids=["run_config", "train_config", "ingest_csv", "frames_csv", "run_csv",
-            "eda_features", "evaluate_features", "run_features"])
+        (["train", "--config", "{cfg}"], "features", 2, "data error: SchemaMismatch: "),
+    ], ids=["run_config", "train_config", "synth_config", "frames_config", "ingest_csv",
+            "frames_csv", "run_csv", "eda_features", "evaluate_features", "run_features",
+            "train_features"])
     def test_non_utf8_input(self, argv, kind, code, error, tmp_path):
-        text = {"config": SMALL_CFG, "packets": "ts,length,direction\n0.5,100,down\n",
-                "features": FEATURES_CSV}[kind]
+        packets = "ts,length,direction\n0.5,100,down\n"
+        text = {"config": SMALL_CFG, "packets": packets, "features": FEATURES_CSV}[kind]
         bad = tmp_path / "bad"
         bad.write_bytes(text.encode() + b"# caf\xe9\n")     # Latin-1, not UTF-8
         cfg = tmp_path / "exp.cfg"
         input_kind = "csv" if kind == "packets" else "features"
         cfg.write_text(SMALL_CFG + f"input_kind = {input_kind}\ninput_path = {bad}\n")
-        paths = {"bad": bad, "cfg": cfg, "ckpt": checkpoint(tmp_path)}
+        good = tmp_path / "packets.csv"
+        good.write_text(packets)
+        paths = {"bad": bad, "cfg": cfg, "ckpt": checkpoint(tmp_path), "packets": good}
         argv = [a.format(**paths) for a in argv]
         if argv[0] != "evaluate":
             argv += ["--out", str(tmp_path / "out")]
