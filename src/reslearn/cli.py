@@ -36,7 +36,8 @@ if TYPE_CHECKING:
 # One OpenBLAS thread per process, set before numpy loads: `run`, `train` and
 # `evaluate` compute in worker processes, and more BLAS threads would only
 # oversubscribe the CPUs. A user's own setting wins. `placement` also sets one
-# thread in each worker it forks, for a caller that loaded numpy first.
+# thread in the process that loads it and in each worker it forks, for a
+# caller that loaded numpy first.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3     # mallopt options, from <malloc.h>
@@ -194,15 +195,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .metrics import stage_metrics
     from .report import metric_cells
-    from .residual import forecast, load_reslearn, score
+    from .residual import forecast, in_units, load_reslearn
     from .seriesprep import make_windows, read_feature_csv
 
     _loaded()
     model = load_reslearn(args.model)
     values = read_feature_csv(read_text(args.features, SchemaMismatch), args.feature)
     x, y = make_windows(model.scaler.transform(values), model.base.config.lookback)
-    base_m, comb_m, _ = score(model, y, *forecast(model, x))
+    base_m, comb_m = stage_metrics(*in_units(model, y, *forecast(model, x)))
     print("model,rmse,mape,smape")
     print(f"base,{metric_cells(base_m)}")
     print(f"reslearn,{metric_cells(comb_m)}")

@@ -176,8 +176,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> None:
         for kind, reports in trained.items():
             write(f"report_{kind}.csv", render_csv(reports, kind))
             for r in reports:
-                if r.test_series is not None:
-                    actual, base_pred, combined_pred = r.test_series
+                if r.test is not None:
+                    actual, base_pred, combined_pred = r.test
                     i = r.segment_index
                     write(f"plot_{kind}_seg{i}.csv", plot_data_csv(actual, base_pred))
                     write(f"plot_{kind}_reslearn_seg{i}.csv",

@@ -62,3 +62,9 @@ def evaluate(actual, predicted) -> MetricsResult:
     n_used = int(used.sum())
     return MetricsResult(rmse=rmse, mape=mape, smape=smape, n_used=n_used,
                          n_skipped_zero_denominator=a.size - n_used)
+
+
+def stage_metrics(actual, base, combined) -> tuple[MetricsResult, MetricsResult]:
+    """The base and combined stages' metrics on one split's (actual, base,
+    combined) forecasts: every report row and summary is rendered from these."""
+    return evaluate(actual, base), evaluate(actual, combined)

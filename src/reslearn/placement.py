@@ -6,7 +6,8 @@ balancing off, and pinning costs nothing where the kernel balances; the CLI
 computes nothing while its children run; a fork that fails leaves its tasks
 to the children already running; a task's exception is raised in the CLI as
 itself, and a child that dies is WorkerDied; every child is killed and reaped
-before `spread` returns.
+before `spread` returns. The process that loads this module, and each child,
+computes with one OpenBLAS thread unless OPENBLAS_NUM_THREADS asks for more.
 """
 
 from __future__ import annotations
@@ -53,10 +54,9 @@ def spread(fn: Callable[[int], object], count: int) -> list:
     queue = _queue(count) if processes > 1 else None
     children: dict[int, int] = {}      # the pid of each running child, by its pipe
     try:
-        blas = _blas_thread_setter() if queue else None
         for cpu in _child_cpus(processes) if queue else ():
             try:
-                fd, pid = _fork(fn, queue.fileno(), cpu, blas)
+                fd, pid = _fork(fn, queue.fileno(), cpu)
             except OSError:            # out of processes or memory: the queue is theirs
                 break
             children[fd] = pid
@@ -118,13 +118,12 @@ def _child_cpus(count: int) -> list[int | None]:
     return [cpus[(cpus.index(here) + 1 + k) % len(cpus)] for k in range(count)]
 
 
-def _fork(fn: Callable[[int], object], queue: int, cpu: int | None,
-          blas: Callable[[int], None] | None) -> tuple[int, int]:
-    """Fork a child that settles on `cpu` with `blas` (`_settle_child`) and
-    computes `fn(i)` for each index i it reads from `queue`. It pickles
-    [(i, fn(i)), …], or the exception `fn` raised, into a pipe and leaves
-    with `os._exit`. Returns the pipe's read end and the child's pid; raises
-    OSError when no pipe or process can be made."""
+def _fork(fn: Callable[[int], object], queue: int, cpu: int | None) -> tuple[int, int]:
+    """Fork a child that settles on `cpu` (`_settle_child`) and computes
+    `fn(i)` for each index i it reads from `queue`. It pickles [(i, fn(i)),
+    …], or the exception `fn` raised, into a pipe and leaves with `os._exit`.
+    Returns the pipe's read end and the child's pid; raises OSError when no
+    pipe or process can be made."""
     parent = os.getpid()
     read_end, write_end = os.pipe()
     try:
@@ -138,7 +137,7 @@ def _fork(fn: Callable[[int], object], queue: int, cpu: int | None,
         return read_end, pid
     code = 1
     try:
-        _settle_child(parent, cpu, blas)
+        _settle_child(parent, cpu)
         try:
             done = []
             while index := os.read(queue, INDEX_BYTES):
@@ -154,18 +153,18 @@ def _fork(fn: Callable[[int], object], queue: int, cpu: int | None,
         os._exit(code)
 
 
-def _settle_child(parent: int, cpu: int | None, blas: Callable[[int], None] | None) -> None:
+def _settle_child(parent: int, cpu: int | None) -> None:
     """In a process forked from `parent`: run on `cpu`, if given, set OpenBLAS
-    to one thread through its setter `blas`, if given, and have the kernel
-    kill this process when the thread that forked it dies, so a killed run
-    leaves no child behind."""
+    to one thread again, for a caller that raised it after this module
+    loaded, and have the kernel kill this process when the thread that forked
+    it dies, so a killed run leaves no child behind."""
     if cpu is not None:
         try:
             os.sched_setaffinity(0, [cpu])
         except OSError:                # a mask the kernel refuses: run where it is
             pass
-    if blas is not None:
-        blas(1)
+    if _BLAS is not None:
+        _BLAS(1)
     import ctypes
 
     prctl = getattr(ctypes.CDLL(None), "prctl", None)
@@ -177,14 +176,13 @@ def _settle_child(parent: int, cpu: int | None, blas: Callable[[int], None] | No
 
 
 def _blas_thread_setter() -> Callable[[int], None] | None:
-    """numpy's OpenBLAS thread-count setter, for the children to set one
-    thread; None where OPENBLAS_NUM_THREADS asks for another count, or where
-    numpy links no OpenBLAS. The CLI sets the variable to 1 before numpy
-    loads, but where numpy loaded first, OpenBLAS runs one thread per CPU.
-    `dlsym` on the handle of numpy's linear-algebra module searches the
-    libraries it links too, so the dynamic linker finds the OpenBLAS, a
-    wheel's or a system build's, whatever its pathname. The caller looks it
-    up once, before the forks, so no worker pays for the lookup."""
+    """numpy's OpenBLAS thread-count setter, with which this process and the
+    children of `spread` set one thread; None where OPENBLAS_NUM_THREADS asks
+    for another count, or where numpy links no OpenBLAS. The CLI sets the
+    variable to 1 before numpy loads, but where numpy loaded first, OpenBLAS
+    runs one thread per CPU. `dlsym` on the handle of numpy's linear-algebra
+    module searches the libraries it links too, so the dynamic linker finds
+    the OpenBLAS, a wheel's or a system build's, whatever its pathname."""
     if os.environ.get("OPENBLAS_NUM_THREADS", "1") != "1":
         return None
     import ctypes
@@ -201,6 +199,13 @@ def _blas_thread_setter() -> Callable[[int], None] | None:
             setter.argtypes, setter.restype = (ctypes.c_int,), None
             return setter
     return None
+
+
+# looked up once, when this module loads: a caller that loaded numpy first
+# then computes with the one thread of `spread`'s children, to the same bits
+_BLAS = _blas_thread_setter()
+if _BLAS is not None:
+    _BLAS(1)
 
 
 def _answers(children: dict[int, int]) -> Iterator[list]:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .metrics import MetricsResult, smape_improvement
+from .metrics import MetricsResult, smape_improvement, stage_metrics
 from .residual import SegmentReport
 
 ROW_HEADER = "segment,model,stage,rmse,mape,smape,res_b,epochs"
@@ -33,13 +33,10 @@ def render_csv(reports: list[SegmentReport], kind: str) -> str:
         base = r.base_trace.epochs_run
         both = base + r.residual_trace.epochs_run
         res_b = _f(r.res_b)
-        for model, stage, metrics, epochs in (
-            (kind, "val", r.base_val, base),
-            (kind, "test", r.base_test, base),
-            (f"{kind}+reslearn", "val", r.combined_val, both),
-            (f"{kind}+reslearn", "test", r.combined_test, both),
-        ):
-            lines.append(f"{i},{model},{stage},{metric_cells(metrics)},{res_b},{epochs}")
+        val, test = stage_metrics(*r.val), stage_metrics(*r.test)
+        for model, epochs, v, t in zip((kind, f"{kind}+reslearn"), (base, both), val, test):
+            lines.append(f"{i},{model},val,{metric_cells(v)},{res_b},{epochs}")
+            lines.append(f"{i},{model},test,{metric_cells(t)},{res_b},{epochs}")
     return "\n".join(lines) + "\n"
 
 
@@ -64,13 +61,13 @@ class SmapeSummary:
 
 def smape_summary(reports: list[SegmentReport]) -> SmapeSummary | None:
     """The summary of one kind's reports; None when no segment trained."""
-    ok = [r for r in reports if r.failed is None]
+    # per segment: base val, combined val, base test, combined test
+    ok = [stage_metrics(*r.val) + stage_metrics(*r.test) for r in reports if r.failed is None]
     if not ok:
         return None
-    base_val = _mean(r.base_val.smape for r in ok)
-    combined_val = _mean(r.combined_val.smape for r in ok)
-    return SmapeSummary(len(ok), base_val, _mean(r.base_test.smape for r in ok),
-                        combined_val, _mean(r.combined_test.smape for r in ok),
+    base_val, combined_val, base_test, combined_test = (
+        _mean(m[k].smape for m in ok) for k in range(4))
+    return SmapeSummary(len(ok), base_val, base_test, combined_val, combined_test,
                         smape_improvement(base_val, combined_val))
 
 

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, LengthMismatch, ResLearnError
-from .metrics import MetricsResult, evaluate
+from .metrics import stage_metrics
 from .models import Predictor, PredictorConfig, TrainTrace, build_predictor
 from .models.base import PREDICT_BLOCK, block_bounds
 from .placement import spread, workers
@@ -34,20 +34,18 @@ class ResLearnModel:
 
 @dataclass
 class SegmentReport:
-    """One (kind, segment) training task's result. `model` is None for a
-    failed segment, and unless the caller keeps models."""
+    """One (kind, segment) training task's result: its forecasts, from which
+    `metrics.stage_metrics` derives the metrics where they are rendered.
+    `model` is None for a failed segment, and unless the caller keeps models."""
 
     segment_index: int
     res_b: float = 0.0
     base_trace: TrainTrace | None = None
     residual_trace: TrainTrace | None = None
-    base_val: MetricsResult | None = None
-    base_test: MetricsResult | None = None
-    combined_val: MetricsResult | None = None
-    combined_test: MetricsResult | None = None
     failed: str | None = None
-    # (actual, base, combined) on the test windows in physical units
-    test_series: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    # (actual, base, combined) on the val and test windows, in physical units
+    val: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    test: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     model: ResLearnModel | None = None
 
 
@@ -169,15 +167,13 @@ def forecast(model: ResLearnModel, inputs: np.ndarray) -> tuple[np.ndarray, np.n
     return np.concatenate(base), np.concatenate(residual)
 
 
-def score(
+def in_units(
     model: ResLearnModel, targets: np.ndarray, base_pred: np.ndarray, residual_pred: np.ndarray
-) -> tuple[MetricsResult, MetricsResult, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The base and combined metrics of `model` given the scaled targets of
-    some windows and both stages' predictions of them, and the (actual, base,
-    combined) series in physical units."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (actual, base, combined) forecasts of some windows in physical
+    units, given their scaled targets and both stages' predictions of them."""
     actual, base = model.scaler.inverse(targets), model.scaler.inverse(base_pred)
-    combined = combine_predictions(model, base_pred, residual_pred)
-    return evaluate(actual, base), evaluate(actual, combined), (actual, base, combined)
+    return actual, base, combine_predictions(model, base_pred, residual_pred)
 
 
 def train_segment(
@@ -189,8 +185,8 @@ def train_segment(
     keep_model: bool,
 ) -> SegmentReport:
     """The per-segment pipeline: split, scale on train, fit base, fit the
-    residual learner on bias-shifted train residuals, score both stages on
-    val and test in physical units. The report holds the model only when
+    residual learner on bias-shifted train residuals, forecast val and test
+    with both stages in physical units. The report holds the model only when
     `keep_model` is set. A ResLearnError is recorded in the report's
     `failed`, with no model, so the caller can go on."""
     try:
@@ -212,9 +208,11 @@ def train_segment(
         res_trace = residual.fit(x_train, shifted, x_val, (y_val - base_val) + res_b)
 
         model = ResLearnModel(base, residual, res_b, scaler)
-        base_val_m, combined_val_m, _ = score(model, y_val, base_val, residual.predict(x_val))
-        base_test_m, combined_test_m, test_series = score(model, y_test, base_test,
-                                                          residual.predict(x_test))
+        # a split whose forecasts cannot be scored fails the segment here
+        val = in_units(model, y_val, base_val, residual.predict(x_val))
+        stage_metrics(*val)
+        test = in_units(model, y_test, base_test, residual.predict(x_test))
+        stage_metrics(*test)
     except ResLearnError as exc:
         return SegmentReport(segment_index=index, failed=f"{type(exc).__name__}: {exc}")
     return SegmentReport(
@@ -222,10 +220,7 @@ def train_segment(
         res_b=res_b,
         base_trace=base_trace,
         residual_trace=res_trace,
-        base_val=base_val_m,
-        base_test=base_test_m,
-        combined_val=combined_val_m,
-        combined_test=combined_test_m,
-        test_series=test_series,
+        val=val,
+        test=test,
         model=model if keep_model else None,
     )

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reslearn.cli import main as cli_main
-from reslearn.metrics import evaluate, smape_improvement
+from reslearn.metrics import evaluate, smape_improvement, stage_metrics
 from reslearn.models import KINDS, PredictorConfig, build_predictor
 from reslearn.residual import ResLearnModel, residual_targets
 from reslearn.seriesprep import (
@@ -176,8 +176,9 @@ class TestCriterion6ResidualGain:
         ok = [r for r in reports if r.failed is None]
         assert len(ok) == 4
 
-        mean_base = np.mean([r.base_val.smape for r in ok])
-        mean_comb = np.mean([r.combined_val.smape for r in ok])
+        val = [stage_metrics(*r.val) for r in ok]
+        mean_base = np.mean([base.smape for base, _ in val])
+        mean_comb = np.mean([combined.smape for _, combined in val])
         improvement = smape_improvement(float(mean_base), float(mean_comb))
         assert improvement >= 30.0
 

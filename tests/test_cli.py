@@ -671,6 +671,20 @@ class TestParallelTraining:
             assert failed[0].startswith(f"{kind} segment 1: {cause}")
             rows = (out / f"report_{kind}.csv").read_text().splitlines()[1:]
             assert [row.split(",")[0] for row in rows if ",failed," in row] == ["1"]
+        # `train` fails the same segment in its worker, with the same cause
+        ckpt = tmp_path / "ckpt"
+        proc = subprocess.run([sys.executable, "-m", "reslearn.cli", "train", "--config",
+                               str(cfg_path), "--out", str(ckpt)],
+                              capture_output=True, text=True, env=src_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        err = proc.stderr.splitlines()
+        for kind in ("fcnn", "gru"):
+            failed = [line for line in err if line.startswith(f"{kind} segment ")]
+            assert len(failed) == 1
+            assert failed[0].startswith(f"{kind} segment 1: {cause}")
+        assert sorted(p.name for p in ckpt.iterdir()) == [
+            f"ckpt_{kind}_seg{i}.npz" for kind in ("fcnn", "gru") for i in (0, 2)]
 
     def test_train_jobs_same_checkpoints(self, cfg_path, tmp_path, capsys):
         diverging_features(tmp_path / "features.csv", [1])
@@ -734,7 +748,8 @@ class TestParallelTraining:
             assert [r.failed for r in alone[kind]] == [r.failed for r in forked[kind]]
             for one, two in zip(alone[kind], forked[kind]):
                 assert (one.base_trace, one.residual_trace) == (two.base_trace, two.residual_trace)
-                for a, b in zip(one.test_series or (), two.test_series or ()):
+                for a, b in zip((one.val or ()) + (one.test or ()),
+                                (two.val or ()) + (two.test or ())):
                     np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("failing", [1, 2], ids=["first_fork", "second_fork"])

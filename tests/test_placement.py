@@ -195,51 +195,67 @@ def test_each_child_runs_on_one_cpu(stage, tmp_path, monkeypatch):
 
 
 # runs in a fresh interpreter that loads numpy before reslearn, and without
-# OPENBLAS_NUM_THREADS raises OpenBLAS to 2 threads; prints the threads of
-# this process, then the pid and threads of the child that took each task
+# OPENBLAS_NUM_THREADS raises OpenBLAS to 2 threads, before it imports
+# `placement` when argv[1] is "before" and after it when it is "after"; prints
+# the threads just after that raise, then the threads of this process, then
+# the pid and threads of the child that took each task. The test prepends the
+# definition of SETTERS, `placement.BLAS_THREAD_SETTERS`.
 BLAS_CHILDREN = """
 import ctypes, os, sys
 import numpy
-from reslearn import placement
 
 def entry_points():
     lib = ctypes.CDLL(numpy.linalg._umath_linalg.__file__)
-    for setter in placement.BLAS_THREAD_SETTERS:
+    for setter in SETTERS:
         getter = setter.replace("set_", "get_")
         if hasattr(lib, setter) and hasattr(lib, getter):
             return getattr(lib, getter), getattr(lib, setter)
     sys.exit("no OpenBLAS")
 
+def raise_threads():
+    if "OPENBLAS_NUM_THREADS" not in os.environ:
+        set_threads(2)
+    return get()
+
 get, set_threads = entry_points()
-if "OPENBLAS_NUM_THREADS" not in os.environ:
-    set_threads(2)
+if sys.argv[1] == "before":
+    raised = raise_threads()
+from reslearn import placement
+if sys.argv[1] == "after":
+    raised = raise_threads()
 cpus = placement.usable_cpus()
 placement.usable_cpus = lambda: (cpus * 2)[:2]
-print(get(), *(f"{pid}:{n}" for pid, n in placement.spread(lambda i: (os.getpid(), get()), 4)))
+print(raised, get(),
+      *(f"{pid}:{n}" for pid, n in placement.spread(lambda i: (os.getpid(), get()), 4)))
 """
 
 
 @needs_fork
-@pytest.mark.parametrize("variable, expected", [(None, "1"), ("2", "2")],
-                         ids=["unset", "users_setting"])
-def test_children_run_one_blas_thread(variable, expected):
+@pytest.mark.parametrize("raised, variable, own, children", [
+    ("after", None, "2", "1"), ("after", "2", "2", "2"), ("before", None, "1", "1"),
+], ids=["unset", "users_setting", "raised_before_import"])
+def test_children_run_one_blas_thread(raised, variable, own, children):
     """A child of `spread` runs one OpenBLAS thread even where numpy loaded
-    before reslearn, unless OPENBLAS_NUM_THREADS asks for another count."""
+    before reslearn, unless OPENBLAS_NUM_THREADS asks for another count; and
+    loading `placement` sets the loading process to one thread too, so a
+    caller that raised the count before it computes as the children do."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")]))
     env.pop("OPENBLAS_NUM_THREADS", None)
     if variable is not None:
         env["OPENBLAS_NUM_THREADS"] = variable
-    done = subprocess.run([sys.executable, "-c", BLAS_CHILDREN], env=env,
+    script = f"SETTERS = {placement.BLAS_THREAD_SETTERS!r}\n" + BLAS_CHILDREN
+    done = subprocess.run([sys.executable, "-c", script, raised], env=env,
                           capture_output=True, text=True, timeout=120)
     if "no OpenBLAS" in done.stderr:
         pytest.skip("numpy links no OpenBLAS here")
     assert done.returncode == 0, done.stderr
-    threads, *children = done.stdout.split()
-    if threads != "2":
+    raised_to, threads, *answers = done.stdout.split()
+    if raised_to != "2":
         pytest.skip("OpenBLAS runs fewer than 2 threads here")
-    assert len(children) == 4
-    assert {child.split(":")[1] for child in children} == {expected}
+    assert threads == own
+    assert len(answers) == 4
+    assert {answer.split(":")[1] for answer in answers} == {children}
 
 
 @needs_fork
@@ -270,6 +286,7 @@ def test_unloadable_blas_library_is_no_error(monkeypatch):
         assert placement._blas_thread_setter() is None
     monkeypatch.setattr(ctypes, "CDLL", no_setter)
     assert placement._blas_thread_setter() is None
+    monkeypatch.setattr(placement, "_BLAS", None)       # as if the module loaded so
     parent = os.getpid()
     with on_cpus(2):
         assert placement.spread(in_child(parent, lambda i: None), 3) == [0, 1, 4]

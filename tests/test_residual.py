@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from reslearn.errors import LengthMismatch
+from reslearn.metrics import stage_metrics
 from reslearn.models import KINDS, Predictor, PredictorConfig, build_predictor
 from reslearn.residual import (
     ResLearnModel,
@@ -128,8 +129,9 @@ class TestTrainReslearn:
             assert r.failed is None
             assert r.res_b >= 0
             assert r.base_trace.epochs_run > 0 and r.residual_trace.epochs_run > 0
-            assert r.base_test.rmse > 0
-            assert np.isfinite(r.combined_test.smape)
+            base_test, combined_test = stage_metrics(*r.test)
+            assert base_test.rmse > 0
+            assert np.isfinite(combined_test.smape)
 
     def test_failing_segment_flagged_and_loop_continues(self):
         good = np.sin(np.arange(100) / 5.0) + 5.0
@@ -180,9 +182,10 @@ class TestTrainReslearn:
         for seg, m, r in zip(segments, models, reports):
             assert sum(c is m.base for c in calls) == 3      # train, val, test
             assert sum(c is m.residual for c in calls) == 2  # val, test
-            _, _, test = split(seg, spec, lookback=8)
-            x_test, y_test = make_windows(m.scaler.transform(test), 8)
-            actual, base_pred, combined = r.test_series
-            np.testing.assert_array_equal(actual, m.scaler.inverse(y_test))
-            np.testing.assert_array_equal(base_pred, m.scaler.inverse(m.base.predict(x_test)))
-            np.testing.assert_array_equal(combined, forecast(m, x_test))
+            _, val, test = split(seg, spec, lookback=8)
+            for values, forecasts in ((val, r.val), (test, r.test)):
+                x, y = make_windows(m.scaler.transform(values), 8)
+                actual, base_pred, combined = forecasts
+                np.testing.assert_array_equal(actual, m.scaler.inverse(y))
+                np.testing.assert_array_equal(base_pred, m.scaler.inverse(m.base.predict(x)))
+                np.testing.assert_array_equal(combined, forecast(m, x))
