@@ -296,6 +296,19 @@ def _adam_step(flat, g, m, v, grad, term, step, lr):
         flat[start:stop] -= gc
 
 
+def _flat(x):
+    """`x` as a 2-D array of its rows over the last axis."""
+    return x.reshape(-1, x.shape[-1])
+
+
+def _sum_rows(x):
+    """The sum of the rows of `x` over its last axis (`x.sum(axis=(0, 1))` of a
+    3-D `x`), as one product of a ones vector with them: numpy's own sum adds
+    the rows one at a time."""
+    rows = _flat(x)
+    return np.ones(rows.shape[0], dtype=x.dtype) @ rows
+
+
 def _views(vector: np.ndarray, shapes: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Views into `vector`, one per entry of `shapes` and shaped like it,
     tiling the vector in order."""

@@ -4,11 +4,20 @@ Scalar inputs are projected to d_model, tagged with sinusoidal position
 codes, run through post-norm encoder blocks (multi-head self-attention +
 position-wise FFN), mean-pooled over positions, and mapped to one output.
 All gradients are derived by hand and verified against finite differences.
+
+The row reductions (the layer-norm means in the forward and the backward, the
+softmax row sums and the attention backward's row sum) and the column sums of
+the gain and bias gradients are float matrix-vector products with a ones or
+1/d vector: one BLAS call over all the rows, where numpy reduces row by row.
+They add in another order than numpy's reductions, so the kernels differ from
+that form within the tolerance tests/test_models.py states.
+
 The kernels overwrite arrays that are not needed again instead of allocating
 new ones, and the backward drops each cached activation and temporary after
 its last use, without reordering any arithmetic, so they give the same bits as
-the out-of-place forms in tests/oracles.py. The forward caches no layer-norm
-output: the backward rebuilds each from the norm's xhat with the same two ops.
+the out-of-place forms in tests/oracles.py, which take the same products. The
+forward caches no layer-norm output: the backward rebuilds each from the
+norm's xhat with the same two ops.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ import math
 
 import numpy as np
 
-from .base import Predictor, PredictorConfig, uniform_init
+from .base import Predictor, PredictorConfig, _flat, _sum_rows, uniform_init
 
 LN_EPS = 1e-5
 
@@ -35,9 +44,8 @@ def positional_encoding(length: int, d_model: int) -> np.ndarray:
 def _layernorm_forward(x, gain, bias):
     """Layer norm of `x` over its last axis; `x` is overwritten (it becomes the
     cached xhat)."""
-    mu = x.mean(axis=-1, keepdims=True)
-    x -= mu
-    var = (x * x).mean(axis=-1, keepdims=True)
+    x -= _mean_last(x)
+    var = _mean_last(x * x)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     x *= inv
     return _layernorm_out(x, gain, bias), (x, inv)
@@ -56,13 +64,13 @@ def _layernorm_backward(d_out, gain, cache):
     the returned d_x)."""
     xhat, inv = cache
     prod = d_out * xhat
-    d_gain = prod.sum(axis=(0, 1))
-    d_bias = d_out.sum(axis=(0, 1))
+    d_gain = _sum_rows(prod)
+    d_bias = _sum_rows(d_out)
     d_xhat = d_out
     d_xhat *= gain
-    mean_d = d_xhat.mean(axis=-1, keepdims=True)
+    mean_d = _mean_last(d_xhat)
     np.multiply(d_xhat, xhat, out=prod)
-    mean_dx = prod.mean(axis=-1, keepdims=True)
+    mean_dx = _mean_last(prod)
     d_xhat -= mean_d
     np.multiply(xhat, mean_dx, out=prod)
     d_xhat -= prod
@@ -75,7 +83,7 @@ def _softmax(scores):
     and returned."""
     scores -= _row_max(scores)
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
+    scores /= _last_axis_product(scores, 1.0)
     return scores
 
 
@@ -189,14 +197,14 @@ class TransformerPredictor(Predictor):
             del d_h, ln2_cache              # d_h is d_res2, overwritten
             # FFN branch
             grads[p + "ffn_W2"] = _flat(a1).T @ _flat(d_res2)
-            grads[p + "ffn_b2"] = d_res2.sum(axis=(0, 1))
+            grads[p + "ffn_b2"] = _sum_rows(d_res2)
             d_z1 = _matmul_t(d_res2, params[p + "ffn_W2"])
             d_z1 *= a1 > 0                  # a1 > 0 exactly where z1 > 0
             del a1
             h1 = _layernorm_out(ln1_cache[0], params[p + "ln1_g"], params[p + "ln1_b"])
             grads[p + "ffn_W1"] = _flat(h1).T @ _flat(d_z1)
             del h1
-            grads[p + "ffn_b1"] = d_z1.sum(axis=(0, 1))
+            grads[p + "ffn_b1"] = _sum_rows(d_z1)
             d_h1 = _matmul_t(d_z1, params[p + "ffn_W1"])
             d_h1 += d_res2
             del d_z1, d_res2
@@ -208,13 +216,13 @@ class TransformerPredictor(Predictor):
             # attention branch
             grads[p + "Wo"] = _flat(ctx).T @ _flat(d_res1)
             del ctx
-            grads[p + "bo"] = d_res1.sum(axis=(0, 1))
+            grads[p + "bo"] = _sum_rows(d_res1)
             d_ctx = self._split_heads(_matmul_t(d_res1, params[p + "Wo"]))
             d_scores = d_ctx @ v.transpose(0, 1, 3, 2)
             del v
             d_v = attn.transpose(0, 1, 3, 2) @ d_ctx
             del d_ctx
-            d_scores -= (d_scores * attn).sum(axis=-1, keepdims=True)
+            d_scores -= _last_axis_product(d_scores * attn, 1.0)
             d_scores *= attn
             del attn
             d_scores /= math.sqrt(self.head_dim)
@@ -232,12 +240,12 @@ class TransformerPredictor(Predictor):
             d_h = d_res1
             for name, d in (("q", d_q), ("k", d_k), ("v", d_v)):
                 grads[p + "W" + name] = _flat(h_in).T @ _flat(d)
-                grads[p + "b" + name] = d.sum(axis=(0, 1))
+                grads[p + "b" + name] = _sum_rows(d)
                 d_h += _matmul_t(d, params[p + "W" + name])
             del h_in, d_res1, d_q, d_k, d_v, d
 
         grads["in_W"] = _flat(x_in).T @ _flat(d_h)
-        grads["in_b"] = d_h.sum(axis=(0, 1))
+        grads["in_b"] = _sum_rows(d_h)
         return grads
 
 
@@ -248,8 +256,17 @@ def _affine(x, w, b):
     return out
 
 
-def _flat(x):
-    return x.reshape(-1, x.shape[-1])
+def _last_axis_product(x, value):
+    """Each row of `x` over its last axis times a vector filled with `value`,
+    shaped like `x` with a last axis of 1: one float matrix-vector product
+    over all the rows, where numpy's own reduction runs row by row."""
+    vector = np.full(x.shape[-1], value, dtype=x.dtype)
+    return (_flat(x) @ vector).reshape(*x.shape[:-1], 1)
+
+
+def _mean_last(x):
+    """`x.mean(axis=-1, keepdims=True)`, as a product with a 1/d vector."""
+    return _last_axis_product(x, 1.0 / x.shape[-1])
 
 
 def _matmul_t(x, w):

@@ -15,14 +15,22 @@ one key at a time, each gradient and each validation forward taken from
 float32 copies of the arrays and windows, which the one-vector update of
 `Predictor.fit` must match.
 `transformer_forward`/`transformer_backward` are the transformer's kernels
-written out of place, one new array per expression, which the in-place
-kernels of `models.transformer` must match bit for bit.
+written out of place, one new array per expression, reducing by
+`BLAS_REDUCTIONS`, the kernels' matrix-vector products, which the in-place
+kernels of `models.transformer` must match bit for bit; by `NUMPY_REDUCTIONS`
+they are the kernels as they were before those products, which the kernels
+must match within a tolerance. `lstm_forward`, `lstm_backward`, `gru_forward`
+and `gru_backward` are the recurrent kernels as they were before they went
+time-major, batch-major and one timestep at a time, behind
+`recurrent_forward`/`recurrent_backward`: the time-major layer-0 forward must
+match them bit for bit, the rest within that tolerance.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -315,36 +323,65 @@ def dict_adam_fit(model, inputs, targets, val_inputs, val_targets) -> dict[str, 
 LN_EPS = 1e-5
 
 
-def layernorm_forward(x, gain, bias):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+class Reductions(NamedTuple):
+    """The transformer's row and column reductions, in one of two forms:
+    `NUMPY_REDUCTIONS`, numpy's own, as the kernels reduced before they took
+    matrix-vector products, and `BLAS_REDUCTIONS`, the products the kernels
+    take now."""
+
+    mean_last: Callable                     # x.mean(axis=-1, keepdims=True)
+    sum_last: Callable                      # x.sum(axis=-1, keepdims=True)
+    sum_rows: Callable                      # x.sum(axis=(0, 1))
+
+
+def _flat(x):
+    return x.reshape(-1, x.shape[-1])
+
+
+def _last_axis_product(x, value):
+    """Each row of `x` over its last axis times a vector filled with `value`,
+    as one matrix-vector product, shaped like `x` with a last axis of 1."""
+    vector = np.full(x.shape[-1], value, dtype=x.dtype)
+    return (_flat(x) @ vector).reshape(*x.shape[:-1], 1)
+
+
+NUMPY_REDUCTIONS = Reductions(
+    mean_last=lambda x: x.mean(axis=-1, keepdims=True),
+    sum_last=lambda x: x.sum(axis=-1, keepdims=True),
+    sum_rows=lambda x: x.sum(axis=(0, 1)),
+)
+BLAS_REDUCTIONS = Reductions(
+    mean_last=lambda x: _last_axis_product(x, 1.0 / x.shape[-1]),
+    sum_last=lambda x: _last_axis_product(x, 1.0),
+    sum_rows=lambda x: np.ones(_flat(x).shape[0], dtype=x.dtype) @ _flat(x),
+)
+
+
+def layernorm_forward(x, gain, bias, red):
+    xc = x - red.mean_last(x)
+    var = red.mean_last(xc * xc)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     return gain * xhat + bias, (xhat, inv)
 
 
-def layernorm_backward(d_out, gain, cache):
+def layernorm_backward(d_out, gain, cache, red):
     xhat, inv = cache
-    d_gain = (d_out * xhat).sum(axis=(0, 1))
-    d_bias = d_out.sum(axis=(0, 1))
+    d_gain = red.sum_rows(d_out * xhat)
+    d_bias = red.sum_rows(d_out)
     d_xhat = d_out * gain
     d_x = inv * (
         d_xhat
-        - d_xhat.mean(axis=-1, keepdims=True)
-        - xhat * (d_xhat * xhat).mean(axis=-1, keepdims=True)
+        - red.mean_last(d_xhat)
+        - xhat * red.mean_last(d_xhat * xhat)
     )
     return d_x, d_gain, d_bias
 
 
-def softmax(scores):
+def softmax(scores, red):
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _flat(x):
-    return x.reshape(-1, x.shape[-1])
+    return e / red.sum_last(e)
 
 
 def _matmul_t(x, w):
@@ -354,8 +391,9 @@ def _matmul_t(x, w):
     return (_flat(x) @ w.T).reshape(*x.shape[:-1], w.shape[0])
 
 
-def transformer_forward(model, params, inputs):
-    """(predictions, cache) of `model`, a TransformerPredictor, on `inputs`."""
+def transformer_forward(model, params, inputs, red=BLAS_REDUCTIONS):
+    """(predictions, cache) of `model`, a TransformerPredictor, on `inputs`,
+    reducing by `red`."""
     cfg = model.config
     x_in = inputs[:, :, None]
     h = x_in @ params["in_W"] + params["in_b"] + model.pe.astype(inputs.dtype, copy=False)
@@ -366,16 +404,16 @@ def transformer_forward(model, params, inputs):
         k = model._split_heads(h @ params[p + "Wk"] + params[p + "bk"])
         v = model._split_heads(h @ params[p + "Wv"] + params[p + "bv"])
         scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(model.head_dim)
-        attn = softmax(scores)
+        attn = softmax(scores, red)
         ctx = model._merge_heads(attn @ v)
         attn_out = ctx @ params[p + "Wo"] + params[p + "bo"]
         res1 = h + attn_out
-        h1, ln1_cache = layernorm_forward(res1, params[p + "ln1_g"], params[p + "ln1_b"])
+        h1, ln1_cache = layernorm_forward(res1, params[p + "ln1_g"], params[p + "ln1_b"], red)
         z1 = h1 @ params[p + "ffn_W1"] + params[p + "ffn_b1"]
         a1 = np.maximum(z1, 0.0)
         ffn_out = a1 @ params[p + "ffn_W2"] + params[p + "ffn_b2"]
         res2 = h1 + ffn_out
-        h_next, ln2_cache = layernorm_forward(res2, params[p + "ln2_g"], params[p + "ln2_b"])
+        h_next, ln2_cache = layernorm_forward(res2, params[p + "ln2_g"], params[p + "ln2_b"], red)
         layer_caches.append((h, q, k, v, attn, ctx, ln1_cache, h1, z1, a1, ln2_cache))
         h = h_next
     pooled = h.mean(axis=1)
@@ -383,8 +421,9 @@ def transformer_forward(model, params, inputs):
     return pred, (x_in, layer_caches, pooled)
 
 
-def transformer_backward(model, params, cache, d_pred):
-    """Gradients keyed like `params`, from a `transformer_forward` cache."""
+def transformer_backward(model, params, cache, d_pred, red=BLAS_REDUCTIONS):
+    """Gradients keyed like `params`, from a `transformer_forward` cache,
+    reducing by `red`."""
     cfg = model.config
     x_in, layer_caches, pooled = cache
     grads = {}
@@ -398,36 +437,216 @@ def transformer_backward(model, params, cache, d_pred):
         p = f"l{layer}_"
         h_in, q, k, v, attn, ctx, ln1_cache, h1, z1, a1, ln2_cache = layer_caches[layer]
         d_res2, grads[p + "ln2_g"], grads[p + "ln2_b"] = layernorm_backward(
-            d_h, params[p + "ln2_g"], ln2_cache)
+            d_h, params[p + "ln2_g"], ln2_cache, red)
         d_ffn = d_res2
         grads[p + "ffn_W2"] = _flat(a1).T @ _flat(d_ffn)
-        grads[p + "ffn_b2"] = d_ffn.sum(axis=(0, 1))
+        grads[p + "ffn_b2"] = red.sum_rows(d_ffn)
         d_a1 = _matmul_t(d_ffn, params[p + "ffn_W2"])
         d_z1 = d_a1 * (z1 > 0)
         grads[p + "ffn_W1"] = _flat(h1).T @ _flat(d_z1)
-        grads[p + "ffn_b1"] = d_z1.sum(axis=(0, 1))
+        grads[p + "ffn_b1"] = red.sum_rows(d_z1)
         d_h1 = d_res2 + _matmul_t(d_z1, params[p + "ffn_W1"])
         d_res1, grads[p + "ln1_g"], grads[p + "ln1_b"] = layernorm_backward(
-            d_h1, params[p + "ln1_g"], ln1_cache)
+            d_h1, params[p + "ln1_g"], ln1_cache, red)
         d_attn_out = d_res1
         grads[p + "Wo"] = _flat(ctx).T @ _flat(d_attn_out)
-        grads[p + "bo"] = d_attn_out.sum(axis=(0, 1))
+        grads[p + "bo"] = red.sum_rows(d_attn_out)
         d_ctx = model._split_heads(_matmul_t(d_attn_out, params[p + "Wo"]))
         d_attn = d_ctx @ v.transpose(0, 1, 3, 2)
         d_v = attn.transpose(0, 1, 3, 2) @ d_ctx
-        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+        d_scores = attn * (d_attn - red.sum_last(d_attn * attn))
         d_scores = d_scores / math.sqrt(model.head_dim)
         d_q = model._merge_heads(d_scores @ k)
         d_k = model._merge_heads(d_scores.transpose(0, 1, 3, 2) @ q)
         d_v = model._merge_heads(d_v)
         grads[p + "Wq"] = _flat(h_in).T @ _flat(d_q)
-        grads[p + "bq"] = d_q.sum(axis=(0, 1))
+        grads[p + "bq"] = red.sum_rows(d_q)
         grads[p + "Wk"] = _flat(h_in).T @ _flat(d_k)
-        grads[p + "bk"] = d_k.sum(axis=(0, 1))
+        grads[p + "bk"] = red.sum_rows(d_k)
         grads[p + "Wv"] = _flat(h_in).T @ _flat(d_v)
-        grads[p + "bv"] = d_v.sum(axis=(0, 1))
+        grads[p + "bv"] = red.sum_rows(d_v)
         d_h = (d_res1 + _matmul_t(d_q, params[p + "Wq"]) + _matmul_t(d_k, params[p + "Wk"])
                + _matmul_t(d_v, params[p + "Wv"]))
     grads["in_W"] = _flat(x_in).T @ _flat(d_h)
-    grads["in_b"] = d_h.sum(axis=(0, 1))
+    grads["in_b"] = red.sum_rows(d_h)
+    return grads
+
+
+# The recurrent kernels as they were before they went time-major: batch-major
+# (n, t, ·) activations, and every product, activation and gradient term
+# taken one timestep at a time.
+def lstm_forward(x, wx, wh, b):
+    n, t_len, _ = x.shape
+    d = wh.shape[0]
+    gates = np.zeros((n, t_len, 4 * d), dtype=x.dtype)
+    c_all = np.zeros((n, t_len, d), dtype=x.dtype)
+    h_all = np.zeros((n, t_len, d), dtype=x.dtype)
+    h = np.zeros((n, d), dtype=x.dtype)
+    c = np.zeros((n, d), dtype=x.dtype)
+    for t in range(t_len):
+        xt = x[:, t, :]
+        z = xt @ wx + h @ wh + b
+        gi = 1.0 / (1.0 + np.exp(-z[:, :d]))
+        gf = 1.0 / (1.0 + np.exp(-z[:, d:2 * d]))
+        gg = np.tanh(z[:, 2 * d:3 * d])
+        go = 1.0 / (1.0 + np.exp(-z[:, 3 * d:]))
+        c = gf * c + gi * gg
+        h = go * np.tanh(c)
+        gates[:, t, :d] = gi
+        gates[:, t, d:2 * d] = gf
+        gates[:, t, 2 * d:3 * d] = gg
+        gates[:, t, 3 * d:] = go
+        c_all[:, t, :] = c
+        h_all[:, t, :] = h
+    return gates, c_all, h_all
+
+
+def lstm_backward(x, wx, wh, gates, c_all, h_all, dh_out):
+    n, t_len, i_dim = x.shape
+    d = wh.shape[0]
+    dwx = np.zeros_like(wx)
+    dwh = np.zeros_like(wh)
+    db = np.zeros(4 * d, dtype=x.dtype)
+    dx = np.zeros_like(x)
+    dh = np.zeros((n, d), dtype=x.dtype)
+    dc = np.zeros((n, d), dtype=x.dtype)
+    for t in range(t_len - 1, -1, -1):
+        dh_t = dh + dh_out[:, t, :]
+        gi = gates[:, t, :d]
+        gf = gates[:, t, d:2 * d]
+        gg = gates[:, t, 2 * d:3 * d]
+        go = gates[:, t, 3 * d:]
+        c = c_all[:, t, :]
+        tc = np.tanh(c)
+        do = dh_t * tc
+        dc = dc + dh_t * go * (1.0 - tc * tc)
+        di = dc * gg
+        dg = dc * gi
+        if t > 0:
+            c_prev = c_all[:, t - 1, :]
+            h_prev = h_all[:, t - 1, :]
+        else:
+            c_prev = np.zeros((n, d), dtype=x.dtype)
+            h_prev = np.zeros((n, d), dtype=x.dtype)
+        df = dc * c_prev
+        dz = np.zeros((n, 4 * d), dtype=x.dtype)
+        dz[:, :d] = di * gi * (1.0 - gi)
+        dz[:, d:2 * d] = df * gf * (1.0 - gf)
+        dz[:, 2 * d:3 * d] = dg * (1.0 - gg * gg)
+        dz[:, 3 * d:] = do * go * (1.0 - go)
+        xt = x[:, t, :]
+        dwx += xt.T @ dz
+        dwh += h_prev.T @ dz
+        db += dz.sum(axis=0)
+        dx[:, t, :] = dz @ wx.T
+        dh = dz @ wh.T
+        dc = dc * gf
+    return dwx, dwh, db, dx
+
+
+def gru_forward(x, wxg, whg, bg, wxn, whn, bn):
+    n, t_len, _ = x.shape
+    d = whn.shape[0]
+    gates = np.zeros((n, t_len, 3 * d), dtype=x.dtype)   # [z, r, n]
+    h_all = np.zeros((n, t_len, d), dtype=x.dtype)
+    h = np.zeros((n, d), dtype=x.dtype)
+    for t in range(t_len):
+        xt = x[:, t, :]
+        zg = xt @ wxg + h @ whg + bg
+        gz = 1.0 / (1.0 + np.exp(-zg[:, :d]))
+        gr = 1.0 / (1.0 + np.exp(-zg[:, d:]))
+        gn = np.tanh(xt @ wxn + (gr * h) @ whn + bn)
+        h = (1.0 - gz) * gn + gz * h
+        gates[:, t, :d] = gz
+        gates[:, t, d:2 * d] = gr
+        gates[:, t, 2 * d:] = gn
+        h_all[:, t, :] = h
+    return gates, h_all
+
+
+def gru_backward(x, wxg, whg, wxn, whn, gates, h_all, dh_out):
+    n, t_len, _ = x.shape
+    d = whn.shape[0]
+    dwxg = np.zeros_like(wxg)
+    dwhg = np.zeros_like(whg)
+    dbg = np.zeros(2 * d, dtype=x.dtype)
+    dwxn = np.zeros_like(wxn)
+    dwhn = np.zeros_like(whn)
+    dbn = np.zeros(d, dtype=x.dtype)
+    dx = np.zeros_like(x)
+    dh = np.zeros((n, d), dtype=x.dtype)
+    for t in range(t_len - 1, -1, -1):
+        dh_t = dh + dh_out[:, t, :]
+        gz = gates[:, t, :d]
+        gr = gates[:, t, d:2 * d]
+        gn = gates[:, t, 2 * d:]
+        if t > 0:
+            h_prev = h_all[:, t - 1, :]
+        else:
+            h_prev = np.zeros((n, d), dtype=x.dtype)
+        dz_gate = dh_t * (h_prev - gn)
+        dn = dh_t * (1.0 - gz)
+        dh_prev = dh_t * gz
+        d_pre_n = dn * (1.0 - gn * gn)
+        xt = x[:, t, :]
+        dwxn += xt.T @ d_pre_n
+        dwhn += (gr * h_prev).T @ d_pre_n
+        dbn += d_pre_n.sum(axis=0)
+        d_rh = d_pre_n @ whn.T
+        dr = d_rh * h_prev
+        dh_prev = dh_prev + d_rh * gr
+        dzg = np.zeros((n, 2 * d), dtype=x.dtype)
+        dzg[:, :d] = dz_gate * gz * (1.0 - gz)
+        dzg[:, d:] = dr * gr * (1.0 - gr)
+        dwxg += xt.T @ dzg
+        dwhg += h_prev.T @ dzg
+        dbg += dzg.sum(axis=0)
+        dh_prev = dh_prev + dzg @ whg.T
+        dx[:, t, :] = dzg @ wxg.T + d_pre_n @ wxn.T
+        dh = dh_prev
+    return dwxg, dwhg, dbg, dwxn, dwhn, dbn, dx
+
+
+def recurrent_forward(model, params, inputs):
+    """(predictions, cache) of `model`, a RecurrentPredictor, on `inputs`, by
+    the per-timestep kernels above."""
+    x = inputs[:, :, None]
+    layer_caches = []
+    for layer in range(model.n_layers):
+        p = f"l{layer}_"
+        if model.config.kind == "gru":
+            gates, h_all = gru_forward(x, params[p + "Wxg"], params[p + "Whg"], params[p + "bg"],
+                                       params[p + "Wxn"], params[p + "Whn"], params[p + "bn"])
+            layer_caches.append((x, gates, None, h_all))
+        else:
+            gates, c_all, h_all = lstm_forward(x, params[p + "Wx"], params[p + "Wh"],
+                                               params[p + "b"])
+            layer_caches.append((x, gates, c_all, h_all))
+        x = h_all
+    final_h = x[:, -1, :]
+    pred = (final_h @ params["head_W"] + params["head_b"])[:, 0]
+    return pred, (layer_caches, final_h)
+
+
+def recurrent_backward(model, params, cache, d_pred):
+    """Gradients keyed like `params`, from a `recurrent_forward` cache."""
+    layer_caches, final_h = cache
+    grads = {}
+    d_out = d_pred[:, None]
+    grads["head_W"] = final_h.T @ d_out
+    grads["head_b"] = d_out.sum(axis=0)
+    n, t_len = layer_caches[0][0].shape[:2]
+    dh_out = np.zeros((n, t_len, model.config.hidden_width), dtype=d_pred.dtype)
+    dh_out[:, -1, :] = d_out @ params["head_W"].T
+    for layer in range(model.n_layers - 1, -1, -1):
+        p = f"l{layer}_"
+        x, gates, c_all, h_all = layer_caches[layer]
+        if model.config.kind == "gru":
+            (grads[p + "Wxg"], grads[p + "Whg"], grads[p + "bg"], grads[p + "Wxn"],
+             grads[p + "Whn"], grads[p + "bn"], dh_out) = gru_backward(
+                x, params[p + "Wxg"], params[p + "Whg"], params[p + "Wxn"], params[p + "Whn"],
+                gates, h_all, dh_out)
+        else:
+            grads[p + "Wx"], grads[p + "Wh"], grads[p + "b"], dh_out = lstm_backward(
+                x, params[p + "Wx"], params[p + "Wh"], gates, c_all, h_all, dh_out)
     return grads

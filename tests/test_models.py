@@ -19,13 +19,26 @@ from reslearn.errors import (
     WorkerDied,
 )
 from reslearn.models import KINDS, PredictorConfig, build_predictor
-from reslearn.models.base import ADAM_CHUNK, PREDICT_BLOCK
-from reslearn.models.transformer import _row_max, _softmax, positional_encoding
+from reslearn.models.base import ADAM_CHUNK, PREDICT_BLOCK, _sum_rows, block_bounds
+from reslearn.models.transformer import (
+    _last_axis_product,
+    _mean_last,
+    _row_max,
+    _softmax,
+    positional_encoding,
+)
 from reslearn.residual import ResLearnModel, forecast, load_reslearn, save_reslearn
 from reslearn.seriesprep import Scaler
 
 from cpus import on_cpus
-from oracles import dict_adam_fit, transformer_backward, transformer_forward
+from oracles import (
+    NUMPY_REDUCTIONS,
+    dict_adam_fit,
+    recurrent_backward,
+    recurrent_forward,
+    transformer_backward,
+    transformer_forward,
+)
 
 
 def small_config(kind, **overrides):
@@ -326,6 +339,146 @@ class TestTransformerKernels:
         assert loss == float(np.mean(diff ** 2))
         assert grad.dtype == dtype
         assert np.array_equal(grad, np.concatenate([grads[k].ravel() for k in params]))
+
+
+def relative_gap(got, want, scale=None):
+    """The largest gap of `got` from `want`, relative to the largest magnitude
+    of `want`, or to `scale` when given."""
+    scale = np.max(np.abs(want)) if scale is None else scale
+    return float(np.max(np.abs(got - want)) / scale)
+
+
+def at_offset(values, offset):
+    """A copy of `values` whose data starts `offset` bytes past a 64-byte
+    boundary."""
+    raw = np.empty(values.nbytes + 128, dtype=np.uint8)
+    start = -raw.ctypes.data % 64 + offset
+    out = raw[start:start + values.nbytes].view(values.dtype).reshape(values.shape)
+    out[...] = values
+    return out
+
+
+class TestKernelTolerance:
+    """The time-major recurrent kernels and the transformer's BLAS reductions
+    against the kernels they replaced, kept in tests/oracles.py: the per-step,
+    batch-major LSTM and GRU, and the transformer with numpy's reductions."""
+
+    # The largest gap of a float32 `loss_and_grad` array or of `predict` from
+    # the replaced kernels, relative to that array's largest magnitude, for
+    # the default configs at seed 3 on the windows below, under OpenBLAS
+    # 0.3.31's SkylakeX, Haswell and Sandybridge kernels alike: transformer
+    # gradients 6.5e-6 on 32-step windows and 1.2e-6 on 8-step ones, both in
+    # the last layer's LN2 bias, where numpy's sum is the less accurate form
+    # (6.4e-6 from a float64 step, against 4.7e-7 for the product); its
+    # predictions 2.9e-7 and 1.8e-6; the lstm's, gru's and stacked_lstm's
+    # gradients at most 6.4e-7, and their predictions equal but for the
+    # stacked_lstm's under Haswell, 2.2e-6 (its upper layer's input product
+    # is one product over all steps). 1e-5 is float32's epsilon times about
+    # 80, as WHOLE_BATCH_RTOL.
+    KERNEL_RTOL = 1e-5
+    CHANGED = ("transformer", "lstm", "gru", "stacked_lstm")
+
+    @staticmethod
+    def reference(model):
+        if model.config.kind == "transformer":
+            return (functools.partial(transformer_forward, model, red=NUMPY_REDUCTIONS),
+                    functools.partial(transformer_backward, model, red=NUMPY_REDUCTIONS))
+        return (functools.partial(recurrent_forward, model),
+                functools.partial(recurrent_backward, model))
+
+    def gradient_gaps(self, model) -> dict[str, float]:
+        """Each float32 gradient array's gap from the reference's."""
+        forward, backward = self.reference(model)
+        x = np.random.default_rng(1).uniform(0, 1, (32, model.config.lookback))
+        x, y = x.astype(np.float32), x.mean(axis=1).astype(np.float32)
+        params = {k: v.astype(np.float32) for k, v in model.params.items()}
+        pred, cache = forward(params, x)
+        diff = pred - y
+        want = backward(params, cache, 2.0 * diff / diff.size)
+        loss, grad = model.loss_and_grad(x, y, params=params)
+        assert grad.dtype == np.float32
+        assert loss == pytest.approx(float(np.mean(diff ** 2)), rel=self.KERNEL_RTOL)
+        largest = max(np.max(np.abs(w)) for w in want.values())
+        gaps, offset = {}, 0
+        for k, v in params.items():
+            got = grad[offset:offset + v.size].reshape(v.shape)
+            offset += v.size
+            # the keys' bias has no effect on the loss (softmax is invariant to
+            # a shift of a row), so both forms of its gradient are rounding
+            # residue, about 1e-10: its gap is taken against the largest
+            # gradient entry of any array
+            gaps[k] = relative_gap(got, want[k], largest if k.endswith("_bk") else None)
+        return gaps
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    @pytest.mark.parametrize("kind", ("lstm", "gru"))
+    @pytest.mark.parametrize("n", (1, 8, 26, 32))
+    def test_layer0_forward_is_bit_identical(self, n, kind, dtype):
+        model = build_predictor(PredictorConfig(kind=kind, seed=3))
+        x = np.random.default_rng(n).uniform(0, 1, (n, 32)).astype(dtype)
+        params = {k: v.astype(dtype) for k, v in model.params.items()}
+        pred, (layer_caches, _) = model._forward(params, x)
+        want_pred, (want_caches, _) = recurrent_forward(model, params, x)
+        assert pred.tobytes() == want_pred.tobytes()
+        _, states = layer_caches[0]
+        _, want_gates, want_c, want_h = want_caches[0]
+        gates = states[0]                      # (t, k, n, d) -> (n, t, k·d)
+        assert gates.transpose(2, 0, 1, 3).reshape(want_gates.shape).tobytes() == \
+            want_gates.tobytes()
+        assert states[-1].transpose(1, 0, 2).tobytes() == want_h.tobytes()
+        if kind == "lstm":
+            assert states[1].transpose(1, 0, 2).tobytes() == want_c.tobytes()
+
+    # on 32-step windows the gradients of the first steps have all but
+    # vanished; on 8-step windows every step's terms count
+    @pytest.mark.parametrize("lookback", (32, 8))
+    @pytest.mark.parametrize("kind", CHANGED)
+    def test_float32_step_and_predict_within_tolerance(self, kind, lookback):
+        model = build_predictor(PredictorConfig(kind=kind, seed=3, lookback=lookback))
+        gaps = self.gradient_gaps(model)
+        assert max(gaps.values()) < self.KERNEL_RTOL, max(gaps, key=gaps.get)
+        forward, _ = self.reference(model)
+        x = np.random.default_rng(2).uniform(0, 1, (100, lookback))
+        params32 = {k: v.astype(np.float32) for k, v in model.params.items()}
+        bounds = block_bounds(len(x), PREDICT_BLOCK)
+        want = np.concatenate([forward(params32, x[a:b].astype(np.float32))[0]
+                               for a, b in zip(bounds, bounds[1:])])
+        assert relative_gap(model.predict(x), want) < self.KERNEL_RTOL
+
+    def test_dropping_step_0_from_dwh_fails(self, monkeypatch):
+        # the mutant leaves out the term of step 0's hidden state, which meets
+        # step 1's gate gradient, from the recurrent weights' gradient: 9e-3
+        # of it on 8-step windows (3e-7 on 32-step ones, where it has all but
+        # vanished)
+        model = build_predictor(PredictorConfig(kind="lstm", seed=3, lookback=8))
+        kernel = model.backward_kernel
+
+        def mutant(x, states, dh_out, *weights):
+            gates, c_all, tc_all, h_all = states
+            h_all = h_all.copy()
+            h_all[0] = 0.0
+            return kernel(x, (gates, c_all, tc_all, h_all), dh_out, *weights)
+
+        monkeypatch.setattr(model, "backward_kernel", mutant)
+        gaps = self.gradient_gaps(model)
+        assert gaps["l0_Wh"] > self.KERNEL_RTOL
+        assert max(gap for k, gap in gaps.items() if k != "l0_Wh") < self.KERNEL_RTOL
+
+    # Where malloc puts a buffer must not change a sum's bits, or reruns
+    # would not be byte-identical: each BLAS reduction, on the same values at
+    # every 4-byte offset within 64 bytes, gives the same bits.
+    @pytest.mark.parametrize("reduction, shape", [
+        (_mean_last, (32, 32, 64)),
+        (functools.partial(_last_axis_product, value=1.0), (32, 2, 32, 32)),
+        (_sum_rows, (32, 32, 64)),
+        (_sum_rows, (32, 32, 128)),
+        (_sum_rows, (32 * 32, 4 * 64)),
+    ], ids=["mean_last", "row_sums", "column_sums", "column_sums_ffn", "gate_bias_sums"])
+    def test_reductions_ignore_alignment(self, reduction, shape):
+        values = np.random.default_rng(4).normal(size=shape).astype(np.float32)
+        want = reduction(at_offset(values, 0)).tobytes()
+        for offset in range(4, 64, 4):
+            assert reduction(at_offset(values, offset)).tobytes() == want, offset
 
 
 class TestTrainingMemory:
