@@ -14,10 +14,18 @@ the contiguous `(t·n, k·d)` gate gradients, after Appleyard et al. 2016,
 "Optimizing Performance of Recurrent Neural Networks on GPUs"
 (arXiv:1604.01946).
 
+The LSTM forward activates all four gates with one tanh: it halves the i, f
+and o columns of its weights and bias on entry (exact, as a power of two) and
+takes those gates as `tanh(u/2)·½ + ½`, the logistic sigmoid of u; the
+backward reads only the activations, so it is unchanged. The GRU keeps
+`1 / (1 + exp(-u))`.
+
 Layer 0 has one input feature, so its hoisted input product is exact and its
-forward gives the bits of the per-step form in tests/oracles.py. The gradients,
-and the forward of a stacked LSTM's upper layer, sum and multiply in another
-order, within the tolerance tests/test_models.py states. Gradients are exact
+forward gives the bits of the per-step form in tests/oracles.py, the LSTM's
+gates by that form's one-tanh sigmoid. The one-tanh sigmoid rounds otherwise
+than the exp form, and the gradients and the forward of a stacked LSTM's
+upper layer sum and multiply in another order, all within the tolerance
+tests/test_models.py states against the per-step exp form. Gradients are exact
 BPTT and covered by finite-difference checks. Every buffer takes the dtype of
 the input, so a float32 training step stays float32.
 """
@@ -35,6 +43,11 @@ def lstm_forward(x, wx, wh, b):
     states, their tanh and the hidden states (t, n, d)."""
     t_len, n, _ = x.shape
     d = wh.shape[0]
+    # sigmoid(u) = tanh(u/2)/2 + 1/2: halve the sigmoid gates' pre-activations
+    # through their weights, so that one tanh activates all four gates
+    half = np.full(4 * d, 0.5, dtype=wh.dtype)
+    half[2 * d:3 * d] = 1.0
+    wx, wh, b = wx * half, wh * half, b * half
     gates = _input_product(x, wx, 4)
     bias = _gate_major_bias(b, n, d)
     c_all = np.empty((t_len, n, d), dtype=x.dtype)
@@ -49,10 +62,13 @@ def lstm_forward(x, wx, wh, b):
         np.matmul(h, wh, out=rec)
         z += rec_gates
         z += bias
+        np.tanh(z, out=z)
         gi, gf, gg, go = z
-        _sigmoid(z[:2])
-        np.tanh(gg, out=gg)
-        _sigmoid(go)
+        if_gates = z[:2]
+        if_gates *= 0.5
+        if_gates += 0.5
+        go *= 0.5
+        go += 0.5
         c = np.multiply(gf, c, out=c_all[t])
         c += np.multiply(gi, gg, out=ig)
         np.tanh(c, out=tc_all[t])

@@ -16,14 +16,17 @@ float32 copies of the arrays and windows, which the one-vector update of
 `Predictor.fit` must match.
 `transformer_forward`/`transformer_backward` are the transformer's kernels
 written out of place, one new array per expression, reducing by
-`BLAS_REDUCTIONS`, the kernels' matrix-vector products, which the in-place
-kernels of `models.transformer` must match bit for bit; by `NUMPY_REDUCTIONS`
-they are the kernels as they were before those products, which the kernels
-must match within a tolerance. `lstm_forward`, `lstm_backward`, `gru_forward`
-and `gru_backward` are the recurrent kernels as they were before they went
-time-major, batch-major and one timestep at a time, behind
-`recurrent_forward`/`recurrent_backward`: the time-major layer-0 forward must
-match them bit for bit, the rest within that tolerance.
+`BLAS_REDUCTIONS`, the kernels' matrix-vector products, and taking the
+embedding's gradient by `folded_embedding_grads`, which the in-place kernels
+of `models.transformer` must match bit for bit; by `NUMPY_REDUCTIONS` and
+`input_embedding_grads` they are the kernels as they were before those
+products and that fold, which the kernels must match within a tolerance.
+`lstm_forward`, `lstm_backward`, `gru_forward` and `gru_backward` are the
+recurrent kernels as they were before they went time-major, batch-major and
+one timestep at a time, behind `recurrent_forward`/`recurrent_backward`: with
+the LSTM's gates by `tanh_sigmoid`, the time-major layer-0 forward must match
+them bit for bit; with `exp_sigmoid`, as before, the kernels must match them
+within that tolerance.
 """
 
 from __future__ import annotations
@@ -384,6 +387,34 @@ def softmax(scores, red):
     return e / red.sum_last(e)
 
 
+def input_grad(d_res1, branches):
+    """A layer's input gradient `d_res1 + Σ d·Wᵀ` over its (d, W, g_b)
+    branches of q, k and v."""
+    d_h = d_res1
+    for d, w, _ in branches:
+        d_h = d_h + _matmul_t(d, w)
+    return d_h
+
+
+def input_embedding_grads(x_in, d_res1, branches, red):
+    """(d_in_W, d_in_b) of the embedding through layer 0's input gradient:
+    the form the kernels took before they folded it."""
+    d_h = input_grad(d_res1, branches)
+    return _flat(x_in).T @ _flat(d_h), red.sum_rows(d_h)
+
+
+def folded_embedding_grads(x_in, d_res1, branches, red):
+    """(d_in_W, d_in_b) of the embedding with the input gradient folded into
+    each branch's weight: `xᵀ·d_res1 + Σ (xᵀ·d)·Wᵀ` and `1ᵀ·d_res1 + Σ
+    g_b·Wᵀ`, g_b the branch's bias gradient."""
+    x_t = _flat(x_in).T
+    d_w, d_b = x_t @ _flat(d_res1), red.sum_rows(d_res1)
+    for d, w, g_b in branches:
+        d_w = d_w + (x_t @ _flat(d)) @ w.T
+        d_b = d_b + g_b @ w.T
+    return d_w, d_b
+
+
 def _matmul_t(x, w):
     """`x @ w.T` over the last axis of `x` as one 2-D product, the shape the
     kernels multiply in: numpy multiplies a stacked `x` slice by slice, and a
@@ -421,9 +452,10 @@ def transformer_forward(model, params, inputs, red=BLAS_REDUCTIONS):
     return pred, (x_in, layer_caches, pooled)
 
 
-def transformer_backward(model, params, cache, d_pred, red=BLAS_REDUCTIONS):
+def transformer_backward(model, params, cache, d_pred, red=BLAS_REDUCTIONS,
+                         embedding_grads=folded_embedding_grads):
     """Gradients keyed like `params`, from a `transformer_forward` cache,
-    reducing by `red`."""
+    reducing by `red` and taking the embedding's by `embedding_grads`."""
     cfg = model.config
     x_in, layer_caches, pooled = cache
     grads = {}
@@ -465,17 +497,31 @@ def transformer_backward(model, params, cache, d_pred, red=BLAS_REDUCTIONS):
         grads[p + "bk"] = red.sum_rows(d_k)
         grads[p + "Wv"] = _flat(h_in).T @ _flat(d_v)
         grads[p + "bv"] = red.sum_rows(d_v)
-        d_h = (d_res1 + _matmul_t(d_q, params[p + "Wq"]) + _matmul_t(d_k, params[p + "Wk"])
-               + _matmul_t(d_v, params[p + "Wv"]))
-    grads["in_W"] = _flat(x_in).T @ _flat(d_h)
-    grads["in_b"] = red.sum_rows(d_h)
+        branches = [(d_q, params[p + "Wq"], grads[p + "bq"]),
+                    (d_k, params[p + "Wk"], grads[p + "bk"]),
+                    (d_v, params[p + "Wv"], grads[p + "bv"])]
+        if layer == 0:
+            grads["in_W"], grads["in_b"] = embedding_grads(x_in, d_res1, branches, red)
+        else:
+            d_h = input_grad(d_res1, branches)
     return grads
+
+
+def exp_sigmoid(u):
+    """The logistic sigmoid as `1 / (1 + exp(-u))`."""
+    return 1.0 / (1.0 + np.exp(-u))
+
+
+def tanh_sigmoid(u):
+    """The logistic sigmoid as `tanh(u / 2) / 2 + 1/2`, the form by which one
+    tanh activates all four LSTM gates."""
+    return np.tanh(u * 0.5) * 0.5 + 0.5
 
 
 # The recurrent kernels as they were before they went time-major: batch-major
 # (n, t, ·) activations, and every product, activation and gradient term
 # taken one timestep at a time.
-def lstm_forward(x, wx, wh, b):
+def lstm_forward(x, wx, wh, b, sigmoid=exp_sigmoid):
     n, t_len, _ = x.shape
     d = wh.shape[0]
     gates = np.zeros((n, t_len, 4 * d), dtype=x.dtype)
@@ -486,10 +532,10 @@ def lstm_forward(x, wx, wh, b):
     for t in range(t_len):
         xt = x[:, t, :]
         z = xt @ wx + h @ wh + b
-        gi = 1.0 / (1.0 + np.exp(-z[:, :d]))
-        gf = 1.0 / (1.0 + np.exp(-z[:, d:2 * d]))
+        gi = sigmoid(z[:, :d])
+        gf = sigmoid(z[:, d:2 * d])
         gg = np.tanh(z[:, 2 * d:3 * d])
-        go = 1.0 / (1.0 + np.exp(-z[:, 3 * d:]))
+        go = sigmoid(z[:, 3 * d:])
         c = gf * c + gi * gg
         h = go * np.tanh(c)
         gates[:, t, :d] = gi
@@ -607,9 +653,10 @@ def gru_backward(x, wxg, whg, wxn, whn, gates, h_all, dh_out):
     return dwxg, dwhg, dbg, dwxn, dwhn, dbn, dx
 
 
-def recurrent_forward(model, params, inputs):
+def recurrent_forward(model, params, inputs, lstm_sigmoid=exp_sigmoid):
     """(predictions, cache) of `model`, a RecurrentPredictor, on `inputs`, by
-    the per-timestep kernels above."""
+    the per-timestep kernels above, an LSTM's i, f and o gates activated by
+    `lstm_sigmoid`."""
     x = inputs[:, :, None]
     layer_caches = []
     for layer in range(model.n_layers):
@@ -620,7 +667,7 @@ def recurrent_forward(model, params, inputs):
             layer_caches.append((x, gates, None, h_all))
         else:
             gates, c_all, h_all = lstm_forward(x, params[p + "Wx"], params[p + "Wh"],
-                                               params[p + "b"])
+                                               params[p + "b"], lstm_sigmoid)
             layer_caches.append((x, gates, c_all, h_all))
         x = h_all
     final_h = x[:, -1, :]

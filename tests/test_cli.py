@@ -26,7 +26,7 @@ from reslearn.models import Predictor, PredictorConfig, build_predictor
 from reslearn.report import render_csv
 from reslearn.residual import ResLearnModel, combine_predictions, load_reslearn, save_reslearn
 from reslearn.seriesprep import Scaler, make_windows, read_feature_csv, segment
-from reslearn.synth import gen_series, gen_trace
+from reslearn.synth import SeriesSpec, gen_series, gen_trace
 
 from cpus import on_cpus
 from oracles import DOWNLINK, UPLINK, table, write_pcap
@@ -435,6 +435,86 @@ class TestRun:
         monkeypatch.setenv("RESLEARN_OUT_DIR", str(target))
         assert main(["run", "--config", str(small_cfg)]) == 0
         assert (target / "run.log").exists()
+
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+class TestKernelFamilies:
+    """One `run` under each OpenBLAS kernel family of CI's matrix that this
+    host loads. Their products differ in the last bits, so the report bytes
+    may differ from family to family, but only so far: the same text around
+    the numbers, every model stopped at the same epochs, and every number
+    within CROSS_KERNEL_RTOL of the first family's."""
+
+    CORETYPES = ("SkylakeX", "Haswell", "Sandybridge")
+    # The largest gap of a report number between two families, relative to
+    # the larger magnitude of the two, on the run below: 2.5e-6, the res_b
+    # of a transformer segment under Sandybridge against SkylakeX (Haswell's
+    # largest was 1.3e-6, in a plot file), with OpenBLAS 0.3.31 on a 2-vCPU
+    # AVX-512 host, which loads all three. The reports print 6 significant
+    # digits, so one unit in the last is up to 1e-5 of a number; the bound
+    # allows five.
+    CROSS_KERNEL_RTOL = 5e-5
+
+    @staticmethod
+    def loads(coretype: str) -> bool:
+        """Whether a process that takes a product under the family's kernels
+        lives: a family the CPU cannot run may kill it at start."""
+        product = "import numpy as np; a = np.ones((64, 64)); a @ a"
+        probe = subprocess.run([sys.executable, "-c", product], capture_output=True,
+                               env=src_env(OPENBLAS_CORETYPE=coretype), timeout=60)
+        return probe.returncode == 0
+
+    @staticmethod
+    def epochs_cells(tree: dict[str, bytes]) -> dict[str, list[str]]:
+        """The `epochs` column of each report."""
+        cells = {}
+        for name, data in tree.items():
+            if name.startswith("report_"):
+                header, *rows = data.decode().splitlines()
+                column = header.split(",").index("epochs")
+                cells[name] = [row.split(",")[column] for row in rows]
+        return cells
+
+    def test_reports_agree_across_kernel_families(self, tmp_path):
+        series, _ = gen_series(SeriesSpec(length=800, spike_rate=0.02, spike_height=60, seed=7))
+        features = tmp_path / "features.csv"
+        features.write_text("segment,f_c,f_s,f_iat\n" + "".join(
+            f"{i},1,{v!r},NA\n" for i, v in enumerate(series.tolist())))
+        # 2 base epochs; the residual FCNNs stop early, so that their epochs
+        # cells can differ
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"input_kind = features\ninput_path = {features}\nsegment_size = 400\n"
+                       "models = transformer, lstm\nepochs = 2\n"
+                       "residual_epochs = 40\npatience = 3\n")
+        trees = {}
+        for coretype in filter(self.loads, self.CORETYPES):
+            out = tmp_path / coretype
+            proc = subprocess.run([sys.executable, "-m", "reslearn.cli", "run", "--config",
+                                   str(cfg), "--seed", "7", "--out", str(out)],
+                                  capture_output=True, text=True,
+                                  env=src_env(OPENBLAS_CORETYPE=coretype), timeout=120)
+            assert proc.returncode == 0, (coretype, proc.stderr)
+            trees[coretype] = read_tree(out)
+        if len(trees) < 2:
+            pytest.skip(f"this host loads only {sorted(trees)} of {self.CORETYPES}")
+        (_, want), *others = trees.items()
+        assert self.epochs_cells(want)
+        largest = (0.0, None)                       # (gap, where)
+        for coretype, tree in others:
+            assert sorted(tree) == sorted(want)
+            assert self.epochs_cells(tree) == self.epochs_cells(want), coretype
+            for name, data in tree.items():
+                text, want_text = data.decode(), want[name].decode()
+                assert NUMBER.sub("#", text) == NUMBER.sub("#", want_text), (coretype, name)
+                for got, ref in zip(map(float, NUMBER.findall(text)),
+                                    map(float, NUMBER.findall(want_text))):
+                    if got != ref:
+                        gap = abs(got - ref) / max(abs(got), abs(ref))
+                        largest = max(largest, (gap, (coretype, name, got, ref)),
+                                      key=lambda g: g[0])
+        assert largest[0] <= self.CROSS_KERNEL_RTOL, largest
 
 
 def diverging_features(path: Path, segments, at: int = 29) -> None:

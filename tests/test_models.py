@@ -18,11 +18,12 @@ from reslearn.errors import (
     ShapeMismatch,
     WorkerDied,
 )
-from reslearn.models import KINDS, PredictorConfig, build_predictor
-from reslearn.models.base import ADAM_CHUNK, PREDICT_BLOCK, _sum_rows, block_bounds
+from reslearn.models import KINDS, PredictorConfig, build_predictor, transformer
+from reslearn.models.base import ADAM_CHUNK, PREDICT_BLOCK, _flat, _sum_rows, block_bounds
 from reslearn.models.transformer import (
     _last_axis_product,
     _mean_last,
+    _relu,
     _row_max,
     _softmax,
     positional_encoding,
@@ -34,8 +35,10 @@ from cpus import on_cpus
 from oracles import (
     NUMPY_REDUCTIONS,
     dict_adam_fit,
+    input_embedding_grads,
     recurrent_backward,
     recurrent_forward,
+    tanh_sigmoid,
     transformer_backward,
     transformer_forward,
 )
@@ -359,9 +362,12 @@ def at_offset(values, offset):
 
 
 class TestKernelTolerance:
-    """The time-major recurrent kernels and the transformer's BLAS reductions
-    against the kernels they replaced, kept in tests/oracles.py: the per-step,
-    batch-major LSTM and GRU, and the transformer with numpy's reductions."""
+    """The time-major recurrent kernels, the one-tanh LSTM gates, and the
+    transformer's BLAS reductions and folded embedding gradient against the
+    kernels they replaced, kept in tests/oracles.py: the per-step, batch-major
+    LSTM and GRU with exp sigmoids, and the transformer with numpy's
+    reductions and the embedding's gradient through layer 0's input
+    gradient."""
 
     # The largest gap of a float32 `loss_and_grad` array or of `predict` from
     # the replaced kernels, relative to that array's largest magnitude, for
@@ -369,12 +375,13 @@ class TestKernelTolerance:
     # 0.3.31's SkylakeX, Haswell and Sandybridge kernels alike: transformer
     # gradients 6.5e-6 on 32-step windows and 1.2e-6 on 8-step ones, both in
     # the last layer's LN2 bias, where numpy's sum is the less accurate form
-    # (6.4e-6 from a float64 step, against 4.7e-7 for the product); its
-    # predictions 2.9e-7 and 1.8e-6; the lstm's, gru's and stacked_lstm's
-    # gradients at most 6.4e-7, and their predictions equal but for the
-    # stacked_lstm's under Haswell, 2.2e-6 (its upper layer's input product
-    # is one product over all steps). 1e-5 is float32's epsilon times about
-    # 80, as WHOLE_BATCH_RTOL.
+    # (6.4e-6 from a float64 step, against 4.7e-7 for the product), and at
+    # most 9.2e-7 in the embedding's; its predictions 2.9e-7 and 1.8e-6; the
+    # lstm's, gru's and stacked_lstm's gradients at most 6.4e-7; the lstm's
+    # predictions 2.1e-7 (its gates' sigmoid rounds otherwise), the gru's
+    # equal, and the stacked_lstm's 3.6e-6 (its upper layer's input product
+    # is also one product over all steps). 1e-5 is float32's epsilon times
+    # about 80, as WHOLE_BATCH_RTOL.
     KERNEL_RTOL = 1e-5
     CHANGED = ("transformer", "lstm", "gru", "stacked_lstm")
 
@@ -382,7 +389,8 @@ class TestKernelTolerance:
     def reference(model):
         if model.config.kind == "transformer":
             return (functools.partial(transformer_forward, model, red=NUMPY_REDUCTIONS),
-                    functools.partial(transformer_backward, model, red=NUMPY_REDUCTIONS))
+                    functools.partial(transformer_backward, model, red=NUMPY_REDUCTIONS,
+                                      embedding_grads=input_embedding_grads))
         return (functools.partial(recurrent_forward, model),
                 functools.partial(recurrent_backward, model))
 
@@ -418,7 +426,7 @@ class TestKernelTolerance:
         x = np.random.default_rng(n).uniform(0, 1, (n, 32)).astype(dtype)
         params = {k: v.astype(dtype) for k, v in model.params.items()}
         pred, (layer_caches, _) = model._forward(params, x)
-        want_pred, (want_caches, _) = recurrent_forward(model, params, x)
+        want_pred, (want_caches, _) = recurrent_forward(model, params, x, tanh_sigmoid)
         assert pred.tobytes() == want_pred.tobytes()
         _, states = layer_caches[0]
         _, want_gates, want_c, want_h = want_caches[0]
@@ -464,6 +472,33 @@ class TestKernelTolerance:
         assert gaps["l0_Wh"] > self.KERNEL_RTOL
         assert max(gap for k, gap in gaps.items() if k != "l0_Wh") < self.KERNEL_RTOL
 
+    @pytest.mark.parametrize("branch", ("q", "k", "v"))
+    def test_dropping_a_branch_from_in_w_fails(self, branch, monkeypatch):
+        # the mutant leaves one branch's term (xᵀ·d)·Wᵀ out of the embedding
+        # weight's gradient, keeping its bias gradient's term: 4.7e-3, 6.9e-4
+        # and 0.28 of it for q, k and v
+        model = build_predictor(PredictorConfig(kind="transformer", seed=3))
+        fold, drop = transformer._embedding_grads, "qkv".index(branch)
+
+        def mutant(x_in, d_res1, branches):
+            branches = list(branches)
+            d, w, g_b = branches[drop]
+            branches[drop] = (np.zeros_like(d), w, g_b)
+            return fold(x_in, d_res1, branches)
+
+        monkeypatch.setattr(transformer, "_embedding_grads", mutant)
+        gaps = self.gradient_gaps(model)
+        assert gaps["in_W"] > self.KERNEL_RTOL
+        assert max(gap for k, gap in gaps.items() if k != "in_W") < self.KERNEL_RTOL
+
+    @staticmethod
+    def layer0_products(d):
+        """The embedding gradient's `xᵀ·d`, x a batch of 32 windows placed at
+        d's offset from a 64-byte boundary."""
+        x = np.random.default_rng(5).uniform(0, 1, (32, 32, 1)).astype(np.float32)
+        x = at_offset(x, d.ctypes.data % 64)
+        return _flat(x).T @ _flat(d)
+
     # Where malloc puts a buffer must not change a sum's bits, or reruns
     # would not be byte-identical: each BLAS reduction, on the same values at
     # every 4-byte offset within 64 bytes, gives the same bits.
@@ -473,7 +508,9 @@ class TestKernelTolerance:
         (_sum_rows, (32, 32, 64)),
         (_sum_rows, (32, 32, 128)),
         (_sum_rows, (32 * 32, 4 * 64)),
-    ], ids=["mean_last", "row_sums", "column_sums", "column_sums_ffn", "gate_bias_sums"])
+        (layer0_products, (32, 32, 64)),
+    ], ids=["mean_last", "row_sums", "column_sums", "column_sums_ffn", "gate_bias_sums",
+            "layer0_products"])
     def test_reductions_ignore_alignment(self, reduction, shape):
         values = np.random.default_rng(4).normal(size=shape).astype(np.float32)
         want = reduction(at_offset(values, 0)).tobytes()
@@ -657,6 +694,19 @@ class TestArchitectures:
             got = _row_max(x)
             assert (got.dtype, got.shape) == (dtype, want.shape)
             assert got.tobytes() == want.tobytes(), length
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_relu_and_row_max_keep_values_on_edge_cases(self, dtype):
+        info = np.finfo(dtype)
+        edges = np.array([0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
+                          info.max, -info.max, np.nan, 1.0, -1.0], dtype=dtype)
+        x = np.random.default_rng(9).choice(edges, (4, 2, 6, 7))
+        x[0, 0, 0] = [0.0, -0.0] * 3 + [-0.0]
+        with np.errstate(all="raise"):
+            relu, row_max = _relu(x.copy()), _row_max(x)
+        for got, want in ((relu, np.maximum(x, 0.0)), (row_max, x.max(axis=-1, keepdims=True))):
+            assert (got.dtype, got.shape) == (dtype, want.shape)
+            np.testing.assert_array_equal(got, want)     # -0.0 == 0.0, and NaN where NaN
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(5)
